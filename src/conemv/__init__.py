@@ -11,8 +11,8 @@ and seeded Monte Carlo (:mod:`conemv.sim`).
 from .cones import ConvexCone, construct_tcie_cone
 from .errors import (BackendMismatch, ConemvError, ConfigError,
                      ConsistencyError, DimensionMismatch,
-                     InsufficientConditioningEvents, InvalidCone,
-                     InvalidMarket, InvalidTarget, NoConvergence,
+                     InsufficientConditioningEvents, InsufficientMemory,
+                     InvalidCone, InvalidMarket, InvalidTarget, NoConvergence,
                      TargetUnattainable, ZeroMeanExcess)
 from .market import (MarketSpec, PeriodDistribution, from_annual_table,
                      moment_matched_atoms)

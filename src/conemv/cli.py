@@ -20,12 +20,12 @@ from . import policy as policy_mod
 from . import sim, tcie, vssm
 from .cones import construct_tcie_cone
 from .config import parse_config
-from .errors import ConemvError, ConfigError, InvalidMarket, InvalidTarget, \
-    TargetUnattainable
+from .errors import ConemvError, ConfigError, InsufficientMemory, \
+    InvalidMarket, InvalidTarget, TargetUnattainable
 from .errors import InvalidCone
 from .solver import backward_recursion
 
-_CONFIG_ERRORS = (ConfigError, InvalidMarket, InvalidCone)
+_CONFIG_ERRORS = (ConfigError, InvalidMarket, InvalidCone, InsufficientMemory)
 
 
 def _json_default(obj):
@@ -64,6 +64,8 @@ def _load_config(args):
     if args.seed is not None:
         cfg.seed = args.seed
     if args.samples is not None:
+        if args.samples < 2:
+            raise ConfigError(f"--samples must be >= 2, got {args.samples}")
         cfg.samples = args.samples
     return cfg
 
@@ -313,6 +315,11 @@ def main(argv=None) -> int:
         print("error: csv output applies to 'frontier' only",
               file=sys.stderr)
         return 2
+    for flag, least in (("paths", 2), ("points", 1)):
+        if getattr(args, flag, least) < least:
+            print(f"error: --{flag} must be >= {least}, got "
+                  f"{getattr(args, flag)}", file=sys.stderr)
+            return 2
     if args.format is None:
         args.format = "csv" if args.command == "frontier" else "json"
     try:

@@ -20,7 +20,6 @@ from dataclasses import dataclass, field
 from typing import Optional
 
 import numpy as np
-from scipy.optimize import nnls
 
 from .errors import (DimensionMismatch, InvalidCone, NoConvergence,
                      ZeroMeanExcess)
@@ -133,6 +132,7 @@ class ConvexCone:
             a = self.normal
             lam = (a @ y) / (a @ a)
             return bool(lam <= tol and np.max(np.abs(y - lam * a)) <= tol * scale)
+        from scipy.optimize import nnls  # costly import, needed only here
         _, resid = nnls(self.rows.T, -y)
         return bool(resid <= tol * scale)
 

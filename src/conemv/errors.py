@@ -52,5 +52,9 @@ class InsufficientConditioningEvents(ConemvError):
     """Too few simulated paths in a conditioning set for a stable estimate."""
 
 
+class InsufficientMemory(ConemvError):
+    """A requested computation would not fit in the available memory."""
+
+
 class ConfigError(ConemvError):
     """Run configuration is malformed or inconsistent."""

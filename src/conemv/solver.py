@@ -26,23 +26,30 @@ recursion cross-checks this at every step.
 Expectations run through one of two backends: exact summation over
 discrete atoms, or sample-average approximation with one frozen sample
 matrix per period (common random numbers across all evaluations).
+
+The frozen sample is stored in ascending row-norm order with per-block
+moments.  Rows with |P| |K| < 1 cannot cross to the minority branch, so
+the leading blocks that pass this test add c_maj E[(1 -+ P'K)^2] in
+closed form from their moments; only the other rows are read one by one.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Optional
+from typing import NamedTuple, Optional
 
 import numpy as np
 
 from .cones import ConvexCone
-from .errors import (BackendMismatch, ConsistencyError, NoConvergence,
-                     TargetUnattainable)
+from .errors import (BackendMismatch, ConsistencyError, InsufficientMemory,
+                     NoConvergence, TargetUnattainable)
 from .market import MarketSpec
 from .rng import STREAM_SAA
 
 _STEP_FLOOR = 1e-18
 _BB_CLIP = (1e-10, 1e10)
+_SCREEN_BLOCK = 4096     # rows per entry of the screening table
+_SCREEN_MARGIN = 1e-12   # relative slack on |P| |K| < 1 for rounding
 
 
 # ---------------------------------------------------------------------------
@@ -69,16 +76,73 @@ class ExactDiscreteBackend:
     def weights(self, t: int) -> Optional[np.ndarray]:
         return self.market.periods[t].probs
 
+    def screen(self, t: int) -> None:
+        return None  # every atom is read directly
+
     def describe(self) -> dict:
         return {"kind": self.kind}
+
+
+class SampleScreen:
+    """A frozen sample in ascending row-norm order plus its block table.
+
+    ``top[b]`` is the largest row norm in block b; ``moments[j]`` is the
+    sum of a a', a = (1, P), over the ``rows[j]`` rows of the first j
+    blocks.  The drawn matrix is replaced by its permutation, and no
+    per-row array besides ``points`` is kept.
+    """
+
+    def __init__(self, drawn: np.ndarray):
+        norms = np.sqrt(np.einsum("ij,ij->i", drawn, drawn))
+        # A stable argsort's order: without ties the 4x faster default
+        # sort finds the same, only ascending, order.
+        order = np.argsort(norms)
+        ranked = np.take(norms, order)
+        if np.any(ranked[1:] == ranked[:-1]):
+            order = np.argsort(norms, kind="stable")
+        # in place (np.take buffers the overlap): the caller's reference
+        # to the draw keeps no second copy alive
+        self.points = pts = np.take(drawn, order, axis=0, out=drawn)
+        del norms, order
+        n_rows, n = pts.shape
+        ends = np.minimum(np.arange(1, -(-n_rows // _SCREEN_BLOCK) + 1)
+                          * _SCREEN_BLOCK, n_rows)
+        self.top = ranked[ends - 1]
+        self.rows = np.concatenate(([0], ends))
+        self.moments = np.zeros((len(ends) + 1, n + 1, n + 1))
+        aug = np.ones((_SCREEN_BLOCK, n + 1))
+        for b, (lo, hi) in enumerate(zip(self.rows[:-1], ends)):
+            a = aug[:hi - lo]
+            a[:, 1:] = pts[lo:hi]
+            self.moments[b + 1] = a.T @ a
+        np.cumsum(self.moments, axis=0, out=self.moments)
+
+    def split(self, k: np.ndarray) -> tuple[int, np.ndarray]:
+        """Rows [0, r) proven to stay on the majority branch at k (by
+        Cauchy-Schwarz, |P'k| <= |P| |k| < 1), and their moments."""
+        knorm = float(np.linalg.norm(k))
+        bound = (1.0 - _SCREEN_MARGIN) / knorm if knorm > 0.0 else np.inf
+        j = int(np.searchsorted(self.top, bound))
+        return int(self.rows[j]), self.moments[j]
+
+
+def _available_bytes() -> Optional[int]:
+    """MemAvailable from Linux's /proc/meminfo; None where it is absent."""
+    try:
+        with open("/proc/meminfo") as fh:
+            return next(int(line.split()[1]) * 1024 for line in fh
+                        if line.startswith("MemAvailable:"))
+    except (OSError, StopIteration):
+        return None
 
 
 class SaaBackend:
     """Sample-average approximation with frozen per-period samples.
 
     The sample matrix for period t is drawn once (counter-based stream,
-    so the draw is independent of evaluation order) and reused by every
-    cost and gradient evaluation at that period.
+    so the draw is independent of evaluation order), stored in row-norm
+    order (see :class:`SampleScreen`) and reused by every cost and
+    gradient evaluation at that period.
     """
 
     kind = "saa"
@@ -90,13 +154,25 @@ class SaaBackend:
         self.market = market
         self.sample_count = int(sample_count)
         self.seed = int(seed)
-        self._cache: dict[int, np.ndarray] = {}
+        self._cache: dict[int, SampleScreen] = {}
+        # T - 1 frozen samples plus the peak while the last is drawn
+        # (uniforms, normals, product, result: 4n + 1 doubles a row)
+        need = 8 * self.sample_count * ((market.horizon + 3)
+                                        * market.n_assets + 1)
+        avail = _available_bytes()
+        if avail is not None and need > avail:
+            raise InsufficientMemory(
+                f"{self.sample_count} SAA samples need about {need / 2**30:.1f}"
+                f" GiB; {avail / 2**30:.1f} GiB of memory is available")
+
+    def screen(self, t: int) -> SampleScreen:
+        if t not in self._cache:
+            self._cache[t] = SampleScreen(self.market.sample_block(
+                t, self.seed, 0, self.sample_count, stream=STREAM_SAA))
+        return self._cache[t]
 
     def points(self, t: int) -> np.ndarray:
-        if t not in self._cache:
-            self._cache[t] = self.market.sample_block(
-                t, self.seed, 0, self.sample_count, stream=STREAM_SAA)
-        return self._cache[t]
+        return self.screen(t).points
 
     def weights(self, t: int) -> Optional[np.ndarray]:
         return None  # uniform 1/N
@@ -119,42 +195,66 @@ def make_backend(market: MarketSpec, backend: str = "saa",
 # one-period cost
 # ---------------------------------------------------------------------------
 
-def _avg(w: Optional[np.ndarray], v: np.ndarray) -> float:
-    return float(np.mean(v)) if w is None else float(w @ v)
+class Cost(NamedTuple):
+    value: float       # h_t^{sign}(k)
+    grad: np.ndarray   # grad h_t^{sign}(k)
+    lin: float         # E[c(k) (1 -+ P'k)]
+    rows_read: int     # rows the direct pass read
 
 
-def _cost_pieces(points, weights, sign, k, c_plus, c_minus):
-    """Per-sample quantities shared by value/gradient/linear form."""
-    y = points @ k
-    if sign > 0:
-        resid = 1.0 - y
-        mask = y <= 1.0
-    else:
-        resid = 1.0 + y
-        mask = y <= -1.0
-    c = np.where(mask, c_plus, c_minus)
-    return y, resid, c
+def _branch(y, sign, c_plus, c_minus):
+    """Residual 1 -+ y and the cost constant of its branch, per row."""
+    resid = 1.0 - y if sign > 0 else 1.0 + y
+    return resid, np.where(y <= sign, c_plus, c_minus)
+
+
+def _h_and_grad(pts, w, sign, k, c_plus, c_minus, screen=None) -> Cost:
+    """The one cost evaluator: value, gradient and linear form at k.
+
+    ``pts`` holds the rows and ``w`` their weights (None for uniform
+    1/N; weighted rows have no screen).  With a ``screen`` whose
+    ``points`` are ``pts``, the leading rows that cannot cross add
+    c_maj (v'Mv, Mv) in closed form, where M is their moment matrix and
+    v = (1, -+k); the direct pass reads the rest.  Without one, every
+    row is read directly.
+    """
+    skip, mom = (0, None) if screen is None else screen.split(k)
+    rows = pts[skip:] if skip else pts
+    resid, c = _branch(rows @ k, sign, c_plus, c_minus)
+    coeff = c * resid
+    if w is not None:
+        return Cost(float(w @ (coeff * resid)),
+                    -2.0 * sign * (rows.T @ (w * coeff)),
+                    float(w @ coeff), rows.shape[0])
+    value, lin, grad = np.sum(coeff * resid), np.sum(coeff), rows.T @ coeff
+    if skip:
+        c_maj = c_plus if sign > 0 else c_minus
+        v = np.concatenate(([1.0], -sign * k))
+        mv = mom @ v
+        value += c_maj * (v @ mv)
+        lin += c_maj * mv[0]
+        grad = grad + c_maj * mv[1:]
+    n_rows = pts.shape[0]
+    return Cost(float(value / n_rows), (-2.0 * sign / n_rows) * grad,
+                float(lin / n_rows), rows.shape[0])
+
+
+def _evaluate(backend, t, sign, k, c_plus_next, c_minus_next) -> Cost:
+    return _h_and_grad(backend.points(t), backend.weights(t), sign,
+                       np.asarray(k, dtype=float), c_plus_next, c_minus_next,
+                       backend.screen(t))
 
 
 def eval_h(backend, t: int, sign: int, k, c_plus_next: float,
            c_minus_next: float) -> float:
     """Quadratic one-period cost h_t^{sign}(k)."""
-    k = np.asarray(k, dtype=float)
-    pts, w = backend.points(t), backend.weights(t)
-    _, resid, c = _cost_pieces(pts, w, sign, k, c_plus_next, c_minus_next)
-    return _avg(w, c * resid * resid)
+    return _evaluate(backend, t, sign, k, c_plus_next, c_minus_next).value
 
 
 def grad_h(backend, t: int, sign: int, k, c_plus_next: float,
            c_minus_next: float) -> np.ndarray:
     """Gradient of h_t^{sign} at k."""
-    k = np.asarray(k, dtype=float)
-    pts, w = backend.points(t), backend.weights(t)
-    _, resid, c = _cost_pieces(pts, w, sign, k, c_plus_next, c_minus_next)
-    coeff = c * resid
-    if w is None:
-        return (-2.0 * sign / pts.shape[0]) * (pts.T @ coeff)
-    return -2.0 * sign * (pts.T @ (w * coeff))
+    return _evaluate(backend, t, sign, k, c_plus_next, c_minus_next).grad
 
 
 def linear_form(backend, t: int, sign: int, k, c_plus_next: float,
@@ -164,21 +264,7 @@ def linear_form(backend, t: int, sign: int, k, c_plus_next: float,
     Coincides with eval_h at any point where grad h(k)'k = 0, in
     particular at every constrained minimiser.
     """
-    k = np.asarray(k, dtype=float)
-    pts, w = backend.points(t), backend.weights(t)
-    _, resid, c = _cost_pieces(pts, w, sign, k, c_plus_next, c_minus_next)
-    return _avg(w, c * resid)
-
-
-def _h_and_grad(pts, w, sign, k, c_plus, c_minus):
-    _, resid, c = _cost_pieces(pts, w, sign, k, c_plus, c_minus)
-    coeff = c * resid
-    value = _avg(w, coeff * resid)
-    if w is None:
-        grad = (-2.0 * sign / pts.shape[0]) * (pts.T @ coeff)
-    else:
-        grad = -2.0 * sign * (pts.T @ (w * coeff))
-    return value, grad
+    return _evaluate(backend, t, sign, k, c_plus_next, c_minus_next).lin
 
 
 # ---------------------------------------------------------------------------
@@ -207,6 +293,8 @@ class MinimizeResult:
     converged: bool
     method: str
     snapped_zero: bool = False
+    evaluations: int = 0            # cost evaluations
+    rows_touched_share: float = 0.0  # mean share of rows read directly
 
 
 # ---------------------------------------------------------------------------
@@ -259,16 +347,23 @@ def minimize_over_cone(backend, t: int, sign: int, cone: ConvexCone,
         return MinimizeResult(np.zeros(n), c_at_zero, 0, 0.0, 0.0, 0.0,
                               True, "zero_test", snapped_zero=True)
 
-    pts, w = backend.points(t), backend.weights(t)
+    pts, w, screen = backend.points(t), backend.weights(t), backend.screen(t)
+    reads = []  # rows read directly, per evaluation
+
+    def cost(k):
+        c = _h_and_grad(pts, w, sign, k, c_plus_next, c_minus_next, screen)
+        reads.append(c.rows_read)
+        return c.value, c.grad
+
     k_unc = np.linalg.solve(exact_second, exact_mean)
     init = cone.project(sign * k_unc)
 
     if opts.optimizer == "penalty":
-        k, value, iters, converged = _penalty_descent(
-            pts, w, sign, cone, c_plus_next, c_minus_next, init, opts)
+        k, value, grad, iters, converged = _penalty_descent(
+            cost, cone, init, opts)
     elif opts.optimizer == "projected_gradient":
-        k, value, iters, converged = _projected_gradient(
-            pts, w, sign, cone, c_plus_next, c_minus_next, init, opts)
+        k, value, grad, iters, converged = _projected_gradient(
+            cost, cone, init, opts)
     else:
         raise ValueError(f"unknown optimizer {opts.optimizer!r}")
 
@@ -276,12 +371,14 @@ def minimize_over_cone(backend, t: int, sign: int, cone: ConvexCone,
     if snapped:
         k = np.zeros(n)
         value = c_at_zero
-    grad = grad_h_points(pts, w, sign, k, c_plus_next, c_minus_next)
+        _, grad = cost(k)
     pg_res = float(np.linalg.norm(k - cone.project(k - grad)))
     comp = abs(float(grad @ k))
     vi = _vi_residual(cone, k, grad, opts.vi_directions)
-    result = MinimizeResult(k, value, iters, pg_res, comp, vi, converged,
-                            opts.optimizer, snapped_zero=snapped)
+    result = MinimizeResult(
+        k, value, iters, pg_res, comp, vi, converged, opts.optimizer,
+        snapped_zero=snapped, evaluations=len(reads),
+        rows_touched_share=sum(reads) / (len(reads) * pts.shape[0]))
     if not converged:
         raise NoConvergence(
             f"optimizer {opts.optimizer!r} exhausted {opts.max_iter} "
@@ -290,13 +387,8 @@ def minimize_over_cone(backend, t: int, sign: int, cone: ConvexCone,
     return result
 
 
-def grad_h_points(pts, w, sign, k, c_plus, c_minus) -> np.ndarray:
-    _, g = _h_and_grad(pts, w, sign, k, c_plus, c_minus)
-    return g
-
-
-def _projected_gradient(pts, w, sign, cone, c_plus, c_minus, init, opts):
-    """Projected gradient with Armijo backtracking.
+def _projected_gradient(cost, cone, init, opts):
+    """Projected gradient with Armijo backtracking on ``cost(k) -> (h, grad)``.
 
     The first trial step is 1.0; later iterations reuse a
     Barzilai-Borwein estimate as the trial step, still safeguarded by
@@ -304,11 +396,11 @@ def _projected_gradient(pts, w, sign, cone, c_plus, c_minus, init, opts):
     poorly scaled instances produced by long horizons.
     """
     k = init.astype(float).copy()
-    f, g = _h_and_grad(pts, w, sign, k, c_plus, c_minus)
+    f, g = cost(k)
     # The origin is always admissible; starting from the better of the
     # two guarantees the final cost never exceeds the next-period
     # constant, which the recursion's monotonicity invariant relies on.
-    f0, g0 = _h_and_grad(pts, w, sign, np.zeros_like(k), c_plus, c_minus)
+    f0, g0 = cost(np.zeros_like(k))
     if f0 < f:
         k = np.zeros_like(k)
         f, g = f0, g0
@@ -316,13 +408,13 @@ def _projected_gradient(pts, w, sign, cone, c_plus, c_minus, init, opts):
     for it in range(1, opts.max_iter + 1):
         pg_res = np.linalg.norm(k - cone.project(k - g))
         if pg_res <= opts.tol:
-            return k, f, it - 1, True
+            return k, f, g, it - 1, True
         step = trial
         while True:
             k_new = cone.project(k - step * g)
             d = k_new - k
             slope = float(g @ d)
-            f_new = _h_and_grad(pts, w, sign, k_new, c_plus, c_minus)[0]
+            f_new, g_new = cost(k_new)
             if f_new <= f + opts.armijo_slope * slope or step < _STEP_FLOOR:
                 break
             step *= opts.armijo_shrink
@@ -330,18 +422,17 @@ def _projected_gradient(pts, w, sign, cone, c_plus, c_minus, init, opts):
             # No admissible descent step.  Honest only if the projected
             # gradient is already small; otherwise report the stall.
             pg_res = np.linalg.norm(k - cone.project(k - g))
-            return k, f, it, bool(pg_res <= 100.0 * opts.tol)
-        g_new = grad_h_points(pts, w, sign, k_new, c_plus, c_minus)
+            return k, f, g, it, bool(pg_res <= 100.0 * opts.tol)
         dk = k_new - k
         dg = g_new - g
         denom = float(dk @ dg)
         trial = float(dk @ dk) / denom if denom > 0 else 1.0
         trial = min(max(trial, _BB_CLIP[0]), _BB_CLIP[1])
         k, f, g = k_new, f_new, g_new
-    return k, f, opts.max_iter, False
+    return k, f, g, opts.max_iter, False
 
 
-def _penalty_descent(pts, w, sign, cone, c_plus, c_minus, init, opts):
+def _penalty_descent(cost, cone, init, opts):
     """Quadratic-penalty alternative: unconstrained BB descent on
     h + mu * sum(violations^2) with an increasing penalty schedule,
     followed by an exact projection onto the cone."""
@@ -355,7 +446,7 @@ def _penalty_descent(pts, w, sign, cone, c_plus, c_minus, init, opts):
         rows = cone.rows
 
     def phi_and_grad(k, mu):
-        f, g = _h_and_grad(pts, w, sign, k, c_plus, c_minus)
+        f, g = cost(k)
         if rows is not None:
             viol = np.minimum(rows @ k, 0.0)
             f += mu * float(viol @ viol)
@@ -392,8 +483,8 @@ def _penalty_descent(pts, w, sign, cone, c_plus, c_minus, init, opts):
         if rows is not None and float(np.max(-np.minimum(rows @ k, 0.0))) < 1e-9:
             break
     k = cone.project(k)
-    f, _ = _h_and_grad(pts, w, sign, k, c_plus, c_minus)
-    return k, f, total_iters, True
+    f, g = cost(k)
+    return k, f, g, total_iters, True
 
 
 # ---------------------------------------------------------------------------
@@ -441,6 +532,7 @@ class RecursionTable:
             "c_minus": self.c_minus.tolist(),
             "zero_tols": self.zero_tols.tolist(),
             "backend": self.backend_info,
+            "diagnostics": self.diagnostics,
         }
 
     @classmethod
@@ -455,6 +547,7 @@ class RecursionTable:
             c_minus=np.asarray(data["c_minus"], dtype=float),
             zero_tols=np.asarray(data["zero_tols"], dtype=float),
             backend_info=data.get("backend", {}),
+            diagnostics=data.get("diagnostics", []),
         )
 
 
@@ -466,8 +559,8 @@ def default_zero_tol(exact_mean: np.ndarray, exact_second: np.ndarray) -> float:
 def _cross_tol(backend, t, sign, k, c_plus, c_minus, opts) -> float:
     if backend.is_exact:
         return opts.cross_tol_exact
-    pts, w = backend.points(t), backend.weights(t)
-    _, resid, c = _cost_pieces(pts, w, sign, k, c_plus, c_minus)
+    pts = backend.points(t)
+    resid, c = _branch(pts @ k, sign, c_plus, c_minus)
     diff = c * resid * resid - c * resid
     se = float(np.std(diff)) / np.sqrt(pts.shape[0])
     return max(3.0 * se, 100.0 * opts.tol)
@@ -548,6 +641,8 @@ def backward_recursion(market: MarketSpec, cones_by_period,
                 "complementarity": res.complementarity,
                 "vi_min": res.vi_min, "method": res.method,
                 "snapped_zero": res.snapped_zero, "value": value,
+                "evaluations": res.evaluations,
+                "rows_touched_share": res.rows_touched_share,
             })
 
         next_plus, next_minus = c_plus[t + 1], c_minus[t + 1]

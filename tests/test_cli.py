@@ -400,3 +400,62 @@ class TestMakeCone:
         verdict = run_cli("tcie", "--config", constrained)
         assert verdict.returncode == 0
         assert json.loads(verdict.stdout)["is_tcie"] is True
+
+
+def saa_config():
+    cfg = coin_config()
+    cfg["market"] = {
+        "horizon": 1, "riskless_rates": [1.02], "family": "gaussian",
+        "mean": [0.06], "covariance": [[0.04]],
+    }
+    cfg["numerics"] = {"backend": "saa", "samples": 2000, "seed": 0}
+    return cfg
+
+
+class TestBadCounts:
+    """Out-of-range counts exit 2 with one error line, before any work."""
+
+    def assert_config_error(self, res, fragment):
+        assert res.returncode == 2, res.stdout
+        assert "Traceback" not in res.stderr
+        lines = res.stderr.strip().splitlines()
+        assert len(lines) == 1 and lines[0].startswith("error:"), res.stderr
+        assert fragment in lines[0]
+        assert res.stdout == ""
+
+    @pytest.mark.parametrize("paths", ["0", "1", "-5"])
+    def test_simulate_paths(self, tmp_path, paths):
+        path = write_config(tmp_path, coin_config())
+        res = run_cli("simulate", "--config", path, "--paths", paths)
+        self.assert_config_error(res, "--paths")
+
+    @pytest.mark.parametrize("paths", ["0", "1", "-5"])
+    def test_vssm_paths(self, tmp_path, paths):
+        path = write_config(tmp_path, coin_config())
+        res = run_cli("vssm", "--config", path, "--paths", paths)
+        self.assert_config_error(res, "--paths")
+
+    def test_frontier_points(self, tmp_path):
+        path = write_config(tmp_path, coin_config())
+        res = run_cli("frontier", "--config", path, "--mean-min", "1.0",
+                      "--mean-max", "1.2", "--points", "-1")
+        self.assert_config_error(res, "--points")
+
+    def test_samples_one(self, tmp_path):
+        path = write_config(tmp_path, saa_config())
+        res = run_cli("solve", "--config", path, "--samples", "1")
+        self.assert_config_error(res, "--samples")
+
+    def test_samples_beyond_memory(self, tmp_path):
+        path = write_config(tmp_path, saa_config())
+        res = run_cli("solve", "--config", path, "--samples", "10000000000")
+        self.assert_config_error(res, "GiB")
+
+    def test_solve_payload_carries_diagnostics(self, tmp_path):
+        path = write_config(tmp_path, saa_config())
+        res = run_cli("solve", "--config", path)
+        assert res.returncode == 0, res.stderr
+        diags = json.loads(res.stdout)["diagnostics"]
+        assert {d["sign"] for d in diags} == {1, -1}
+        assert all("evaluations" in d and "rows_touched_share" in d
+                   for d in diags)
