@@ -9,9 +9,14 @@ Four variants cover the constraint families in scope:
 
 Every variant supports membership, membership of the polar cone
 {y : y'u <= 0 for all u in the cone}, and Euclidean projection.
-Projection onto a general polyhedral cone runs Dykstra's alternating
-projection over the row half-spaces; the other variants have closed
-forms.
+The first three variants project in closed form.  A polyhedral cone
+{u : A u >= 0} has the polar {-A' mu : mu >= 0}, and Moreau's decomposition
+v = proj_K(v) + proj_polar(v) gives its projection exactly,
+
+    proj_K(v) = v + A' mu*,   mu* = argmin_{mu >= 0} |A' mu + v|,
+
+from one nonnegative least-squares solve (Lawson-Hanson), the same
+solve that tests polar membership.
 """
 
 from __future__ import annotations
@@ -27,8 +32,6 @@ from .errors import (DimensionMismatch, InvalidCone, NoConvergence,
 KINDS = ("whole_space", "orthant", "half_space", "polyhedral")
 
 DEFAULT_TOL = 1e-9
-DYKSTRA_TOL = 1e-10
-DYKSTRA_MAX_CYCLES = 10_000
 
 
 @dataclass
@@ -54,6 +57,8 @@ class ConvexCone:
     @classmethod
     def half_space(cls, normal) -> "ConvexCone":
         a = np.asarray(normal, dtype=float)
+        if not np.all(np.isfinite(a)):
+            raise InvalidCone("half_space normal must be finite")
         if a.ndim != 1 or np.linalg.norm(a) == 0.0:
             raise InvalidCone("half_space needs a nonzero normal vector")
         return cls("half_space", a.shape[0], normal=a)
@@ -63,6 +68,8 @@ class ConvexCone:
         a = np.atleast_2d(np.asarray(rows, dtype=float))
         if a.size == 0:
             raise InvalidCone("polyhedral cone needs at least one row")
+        if not np.all(np.isfinite(a)):
+            raise InvalidCone("polyhedral rows must be finite")
         norms = np.linalg.norm(a, axis=1)
         if np.any(norms == 0.0):
             raise InvalidCone("polyhedral rows must be nonzero")
@@ -132,14 +139,12 @@ class ConvexCone:
             a = self.normal
             lam = (a @ y) / (a @ a)
             return bool(lam <= tol and np.max(np.abs(y - lam * a)) <= tol * scale)
-        from scipy.optimize import nnls  # costly import, needed only here
-        _, resid = nnls(self.rows.T, -y)
+        _, resid = self._moreau(y)
         return bool(resid <= tol * scale)
 
     # -- projection ------------------------------------------------------
 
-    def project(self, v, tol: float = DYKSTRA_TOL,
-                max_cycles: int = DYKSTRA_MAX_CYCLES) -> np.ndarray:
+    def project(self, v) -> np.ndarray:
         """Euclidean projection of v onto the cone."""
         v = np.asarray(v, dtype=float)
         if v.shape != (self.dim,):
@@ -150,25 +155,30 @@ class ConvexCone:
             return np.maximum(v, 0.0)
         if self.kind == "half_space":
             return _project_half_space(v, self.normal)
-        return self._project_dykstra(v, tol, max_cycles)
+        mu, _ = self._moreau(v)
+        p = v + self.rows.T @ mu
+        # Active rows hold A_i p = 0 only to rounding.  Projecting onto
+        # each row still violated removes that slack, and puts p exactly
+        # on a face whose row is a coordinate axis, as the orthant's clip
+        # does.
+        for i, slack in enumerate((self.rows @ p).tolist()):
+            if slack < 0.0:
+                p = _project_half_space(p, self.rows[i])
+        return p + 0.0  # + 0.0 clears signed zeros
 
-    def _project_dykstra(self, v: np.ndarray, tol: float,
-                         max_cycles: int) -> np.ndarray:
-        rows = self.rows
-        m = rows.shape[0]
-        u = v.copy()
-        increments = np.zeros((m, self.dim))
-        for _ in range(max_cycles):
-            start = u.copy()
-            for i in range(m):
-                y = u + increments[i]
-                u = _project_half_space(y, rows[i])
-                increments[i] = y - u
-            if np.max(np.abs(u - start)) < tol:
-                return u
-        raise NoConvergence(
-            f"Dykstra projection did not settle within {max_cycles} cycles",
-            best=u)
+    def _moreau(self, v: np.ndarray) -> tuple[np.ndarray, float]:
+        """mu* >= 0 minimising |A' mu + v|, and that minimum.
+
+        -A' mu* is the projection of v onto the polar cone, so v + A' mu*
+        is its projection onto the cone and the minimum is that
+        projection's norm.
+        """
+        from scipy.optimize import nnls  # costly import, needed only here
+        try:
+            return nnls(self.rows.T, -v)
+        except RuntimeError as exc:  # the active-set iteration cap
+            raise NoConvergence(f"polyhedral projection: nonnegative least "
+                                f"squares stopped at its cap ({exc})") from None
 
     # -- structure -------------------------------------------------------
 

@@ -161,7 +161,7 @@ def parse_config(data: dict) -> RunConfig:
     cfg.samples = int(numerics.get("samples", 1_000_000))
     cfg.seed = int(numerics.get("seed", 0))
     optimizer = numerics.get("optimizer", "projected_gradient")
-    if optimizer not in ("projected_gradient", "penalty"):
+    if optimizer != "projected_gradient":
         raise ConfigError(f"unknown optimizer {optimizer!r}")
     cfg.solver_options = SolverOptions(
         optimizer=optimizer,

@@ -273,7 +273,7 @@ def linear_form(backend, t: int, sign: int, k, c_plus_next: float,
 
 @dataclass
 class SolverOptions:
-    optimizer: str = "projected_gradient"  # or "penalty"
+    optimizer: str = "projected_gradient"  # the only one accepted
     tol: float = 1e-8
     max_iter: int = 5000
     armijo_slope: float = 1e-4
@@ -295,6 +295,8 @@ class MinimizeResult:
     snapped_zero: bool = False
     evaluations: int = 0            # cost evaluations
     rows_touched_share: float = 0.0  # mean share of rows read directly
+    backtracks: int = 0             # rejected Armijo trial steps
+    projections: int = 0            # cone projections, residuals included
 
 
 # ---------------------------------------------------------------------------
@@ -316,14 +318,14 @@ def _zero_is_optimal(cone: ConvexCone, sign: int, exact_mean: np.ndarray,
     return cone.polar_contains(-grad0)
 
 
-def _vi_residual(cone: ConvexCone, k: np.ndarray, grad: np.ndarray,
+def _vi_residual(project, k: np.ndarray, grad: np.ndarray,
                  n_dirs: int) -> float:
     """Smallest grad'(u - k) over a deterministic sample of cone points."""
     gen = np.random.Generator(np.random.Philox(key=0xD1CE))
     dirs = gen.standard_normal((n_dirs, k.shape[0]))
     worst = np.inf
     for d in dirs:
-        u = cone.project(d)
+        u = project(d)
         worst = min(worst, float(grad @ (u - k)))
     return worst
 
@@ -336,11 +338,13 @@ def minimize_over_cone(backend, t: int, sign: int, cone: ConvexCone,
                        zero_tol: float) -> MinimizeResult:
     """Constrained minimiser of h_t^{sign} over the cone.
 
-    Tries the exact first-order test at the origin first, then runs the
-    configured optimizer.  Solutions with norm below ``zero_tol`` snap
+    Tries the exact first-order test at the origin first, then runs
+    projected gradient.  Solutions with norm below ``zero_tol`` snap
     to exactly zero, in which case the cost equals the next-period
     constant by construction.
     """
+    if opts.optimizer != "projected_gradient":
+        raise ValueError(f"unknown optimizer {opts.optimizer!r}")
     c_at_zero = c_plus_next if sign > 0 else c_minus_next
     n = exact_mean.shape[0]
     if _zero_is_optimal(cone, sign, exact_mean, c_plus_next, c_minus_next):
@@ -355,30 +359,31 @@ def minimize_over_cone(backend, t: int, sign: int, cone: ConvexCone,
         reads.append(c.rows_read)
         return c.value, c.grad
 
-    k_unc = np.linalg.solve(exact_second, exact_mean)
-    init = cone.project(sign * k_unc)
+    projections = 0
 
-    if opts.optimizer == "penalty":
-        k, value, grad, iters, converged = _penalty_descent(
-            cost, cone, init, opts)
-    elif opts.optimizer == "projected_gradient":
-        k, value, grad, iters, converged = _projected_gradient(
-            cost, cone, init, opts)
-    else:
-        raise ValueError(f"unknown optimizer {opts.optimizer!r}")
+    def project(v):
+        nonlocal projections
+        projections += 1
+        return cone.project(v)
+
+    k_unc = np.linalg.solve(exact_second, exact_mean)
+    init = project(sign * k_unc)
+    k, value, grad, iters, backtracks, converged = _projected_gradient(
+        cost, project, init, opts)
 
     snapped = bool(np.linalg.norm(k) <= zero_tol)
     if snapped:
         k = np.zeros(n)
         value = c_at_zero
         _, grad = cost(k)
-    pg_res = float(np.linalg.norm(k - cone.project(k - grad)))
+    pg_res = float(np.linalg.norm(k - project(k - grad)))
     comp = abs(float(grad @ k))
-    vi = _vi_residual(cone, k, grad, opts.vi_directions)
+    vi = _vi_residual(project, k, grad, opts.vi_directions)
     result = MinimizeResult(
         k, value, iters, pg_res, comp, vi, converged, opts.optimizer,
         snapped_zero=snapped, evaluations=len(reads),
-        rows_touched_share=sum(reads) / (len(reads) * pts.shape[0]))
+        rows_touched_share=sum(reads) / (len(reads) * pts.shape[0]),
+        backtracks=backtracks, projections=projections)
     if not converged:
         raise NoConvergence(
             f"optimizer {opts.optimizer!r} exhausted {opts.max_iter} "
@@ -387,8 +392,11 @@ def minimize_over_cone(backend, t: int, sign: int, cone: ConvexCone,
     return result
 
 
-def _projected_gradient(cost, cone, init, opts):
-    """Projected gradient with Armijo backtracking on ``cost(k) -> (h, grad)``.
+def _projected_gradient(cost, project, init, opts):
+    """Projected gradient with Armijo backtracking on ``cost(k) -> (h, grad)``
+    over the cone that ``project`` maps onto.
+
+    Returns (k, h, grad, iterations, backtracks, converged).
 
     The first trial step is 1.0; later iterations reuse a
     Barzilai-Borwein estimate as the trial step, still safeguarded by
@@ -405,86 +413,32 @@ def _projected_gradient(cost, cone, init, opts):
         k = np.zeros_like(k)
         f, g = f0, g0
     trial = 1.0
+    backtracks = 0
     for it in range(1, opts.max_iter + 1):
-        pg_res = np.linalg.norm(k - cone.project(k - g))
+        pg_res = np.linalg.norm(k - project(k - g))
         if pg_res <= opts.tol:
-            return k, f, g, it - 1, True
+            return k, f, g, it - 1, backtracks, True
         step = trial
         while True:
-            k_new = cone.project(k - step * g)
+            k_new = project(k - step * g)
             d = k_new - k
             slope = float(g @ d)
             f_new, g_new = cost(k_new)
             if f_new <= f + opts.armijo_slope * slope or step < _STEP_FLOOR:
                 break
             step *= opts.armijo_shrink
+            backtracks += 1
         if step < _STEP_FLOOR:
             # No admissible descent step.  Honest only if the projected
             # gradient is already small; otherwise report the stall.
-            pg_res = np.linalg.norm(k - cone.project(k - g))
-            return k, f, g, it, bool(pg_res <= 100.0 * opts.tol)
+            return k, f, g, it, backtracks, bool(pg_res <= 100.0 * opts.tol)
         dk = k_new - k
         dg = g_new - g
         denom = float(dk @ dg)
         trial = float(dk @ dk) / denom if denom > 0 else 1.0
         trial = min(max(trial, _BB_CLIP[0]), _BB_CLIP[1])
         k, f, g = k_new, f_new, g_new
-    return k, f, g, opts.max_iter, False
-
-
-def _penalty_descent(cost, cone, init, opts):
-    """Quadratic-penalty alternative: unconstrained BB descent on
-    h + mu * sum(violations^2) with an increasing penalty schedule,
-    followed by an exact projection onto the cone."""
-    if cone.kind == "whole_space":
-        rows = None
-    elif cone.kind == "orthant":
-        rows = np.eye(init.shape[0])
-    elif cone.kind == "half_space":
-        rows = cone.normal[None, :]
-    else:
-        rows = cone.rows
-
-    def phi_and_grad(k, mu):
-        f, g = cost(k)
-        if rows is not None:
-            viol = np.minimum(rows @ k, 0.0)
-            f += mu * float(viol @ viol)
-            g = g + 2.0 * mu * (rows.T @ viol)
-        return f, g
-
-    k = init.astype(float).copy()
-    total_iters = 0
-    mu_schedule = [1e1, 1e2, 1e3, 1e4, 1e5, 1e6, 1e7, 1e8]
-    if rows is None:
-        mu_schedule = [0.0]
-    for mu in mu_schedule:
-        f, g = phi_and_grad(k, mu)
-        trial = 1.0
-        for _ in range(opts.max_iter):
-            if np.linalg.norm(g) <= opts.tol:
-                break
-            step = trial
-            while True:
-                k_new = k - step * g
-                f_new, g_new = phi_and_grad(k_new, mu)
-                if (f_new <= f - opts.armijo_slope * step * float(g @ g)
-                        or step < _STEP_FLOOR):
-                    break
-                step *= opts.armijo_shrink
-            if step < _STEP_FLOOR:
-                break
-            dk, dg = -step * g, g_new - g
-            denom = float(dk @ dg)
-            trial = float(dk @ dk) / denom if denom > 0 else 1.0
-            trial = min(max(trial, _BB_CLIP[0]), _BB_CLIP[1])
-            k, f, g = k_new, f_new, g_new
-            total_iters += 1
-        if rows is not None and float(np.max(-np.minimum(rows @ k, 0.0))) < 1e-9:
-            break
-    k = cone.project(k)
-    f, g = cost(k)
-    return k, f, g, total_iters, True
+    return k, f, g, opts.max_iter, backtracks, False
 
 
 # ---------------------------------------------------------------------------
@@ -643,6 +597,8 @@ def backward_recursion(market: MarketSpec, cones_by_period,
                 "snapped_zero": res.snapped_zero, "value": value,
                 "evaluations": res.evaluations,
                 "rows_touched_share": res.rows_touched_share,
+                "backtracks": res.backtracks,
+                "projections": res.projections,
             })
 
         next_plus, next_minus = c_plus[t + 1], c_minus[t + 1]

@@ -459,3 +459,31 @@ class TestBadCounts:
         assert {d["sign"] for d in diags} == {1, -1}
         assert all("evaluations" in d and "rows_touched_share" in d
                    for d in diags)
+
+
+class TestNonFiniteInput:
+    """JSON admits NaN and Infinity; cone data holding them and the
+    retired penalty optimizer exit 2 with one error line."""
+
+    @pytest.mark.parametrize("cone", [
+        {"type": "polyhedral", "A": [[float("nan")], [1.0]]},
+        {"type": "polyhedral", "A": [[float("-inf")]]},
+        {"type": "half_space", "normal": [float("inf")]},
+        {"type": "half_space", "normal": [float("nan")]},
+    ])
+    def test_non_finite_cone(self, tmp_path, cone):
+        path = write_config(tmp_path, coin_config(cones=cone))
+        res = run_cli("solve", "--config", path)
+        assert res.returncode == 2, res.stdout
+        lines = res.stderr.strip().splitlines()
+        assert len(lines) == 1 and lines[0].startswith("error:"), res.stderr
+        assert "finite" in lines[0]
+
+    def test_penalty_optimizer_rejected(self, tmp_path):
+        cfg = coin_config()
+        cfg["numerics"]["optimizer"] = "penalty"
+        path = write_config(tmp_path, cfg)
+        res = run_cli("solve", "--config", path)
+        assert res.returncode == 2
+        lines = res.stderr.strip().splitlines()
+        assert len(lines) == 1 and "unknown optimizer 'penalty'" in lines[0]

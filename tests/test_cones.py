@@ -1,6 +1,9 @@
 """Cone membership, polar membership, projection, and serialization."""
 import numpy as np
 import pytest
+import scipy.optimize
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from conemv.cones import (
     ConvexCone,
@@ -10,7 +13,7 @@ from conemv.errors import (DimensionMismatch, InvalidCone, NoConvergence,
                            ZeroMeanExcess)
 from conemv.presets import limited_short_cone, three_index_moments
 
-from oracles import grid_projection
+from oracles import _project_rows, grid_projection
 
 CASE3_ROWS = np.array([[0.0, 1.0, 0.0],
                        [0.0, 0.0, 1.0],
@@ -152,10 +155,17 @@ class TestProject:
         assert np.linalg.norm(v - p) <= np.linalg.norm(v - q) + 1e-8
         assert np.linalg.norm(p - q) <= 1e-3 * max(1.0, np.linalg.norm(v))
 
-    def test_cycle_cap_raises(self):
+    def test_nnls_cap_raises_no_convergence(self, monkeypatch):
+        def capped(A, b):
+            raise RuntimeError("Maximum number of iterations reached.")
+
+        monkeypatch.setattr(scipy.optimize, "nnls", capped)
         cone = ConvexCone.polyhedral(CASE3_ROWS)
+        with pytest.raises(NoConvergence, match="least squares") as exc:
+            cone.project(np.array([-2.0, -1.0, 0.5]))
+        assert "\n" not in str(exc.value)
         with pytest.raises(NoConvergence):
-            cone.project(np.array([-2.0, -1.0, 0.5]), max_cycles=1)
+            cone.polar_contains(np.array([-2.0, -1.0, 0.5]))
 
     def test_idempotence(self):
         mean, _ = three_index_moments()
@@ -207,6 +217,93 @@ class TestProject:
                 u = cone.project(rng.normal(size=3) * 2.0)
                 for alpha in (0.0, 0.5, 2.0, 10.0):
                     assert cone.contains(alpha * u, tol=1e-8)
+
+
+@st.composite
+def polyhedral_case(draw):
+    """Rows A (1-6 of them in dimension 1-4) and a point v.  Besides
+    generic rows: more rows than dimensions, duplicate and parallel rows,
+    opposite rows (a hyperplane), origin-only cones, and row norms
+    spread over six decades."""
+    dim = draw(st.integers(1, 4))
+    m = draw(st.integers(1, 6))
+    shape = draw(st.sampled_from(
+        ["generic", "duplicate", "parallel", "opposite", "origin_only"]))
+    spread = draw(st.booleans())
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    rows = rng.normal(size=(m, dim))
+    if shape == "duplicate" and m >= 2:
+        rows[-1] = rows[0]
+    elif shape == "parallel" and m >= 2:
+        rows[-1] = 2.5 * rows[0]
+    elif shape == "opposite" and m >= 2:
+        rows[-1] = -rows[0]
+    elif shape == "origin_only":
+        # u >= 0 and -sum(u) >= 0 leave only the origin
+        rows = np.vstack([np.eye(dim), -np.ones((1, dim)), rows])[:max(m, dim + 1)]
+    if spread:
+        rows *= 10.0 ** rng.uniform(-3.0, 3.0, size=(rows.shape[0], 1))
+    v = rng.normal(size=dim) * 10.0 ** rng.uniform(-3.0, 3.0)
+    return rows, v
+
+
+class TestExactProjection:
+    """p = project(v) and the NNLS multipliers mu* certify the KKT
+    conditions of min |p - v| s.t. A p >= 0."""
+
+    @settings(max_examples=300, deadline=None, derandomize=True)
+    @given(polyhedral_case())
+    def test_kkt_certificate(self, case):
+        rows, v = case
+        cone = ConvexCone.polyhedral(rows)
+        p = cone.project(v)
+        mu, resid = cone._moreau(v)
+        row_norms = np.linalg.norm(rows, axis=1)
+        vnorm = np.linalg.norm(v)
+        ap = rows @ p
+        assert np.all(ap >= -1e-12 * row_norms * vnorm)
+        assert np.all(mu >= 0.0)
+        assert abs(mu @ ap) <= 1e-12 * (mu @ row_norms) * vnorm
+        polar_part = rows.T @ mu
+        assert np.linalg.norm(v - p + polar_part) <= 1e-12 * (
+            vnorm + mu @ row_norms)
+        assert resid == pytest.approx(np.linalg.norm(p), abs=1e-12 * vnorm)
+
+    @settings(max_examples=300, deadline=None, derandomize=True)
+    @given(polyhedral_case())
+    def test_agrees_with_active_set_oracle(self, case):
+        rows, v = case
+        p = ConvexCone.polyhedral(rows).project(v)
+        # The oracle's feasibility slack is absolute, so it is fed unit
+        # rows and a unit point: neither changes the cone, and the
+        # projection is positively homogeneous.
+        vnorm = np.linalg.norm(v)
+        unit_rows = rows / np.linalg.norm(rows, axis=1, keepdims=True)
+        q = vnorm * _project_rows(v / vnorm, unit_rows)
+        assert np.linalg.norm(p - q) <= 1e-9 * vnorm
+
+    @settings(max_examples=300, deadline=None, derandomize=True)
+    @given(polyhedral_case())
+    def test_polar_membership_is_projection_to_zero(self, case):
+        rows, v = case
+        cone = ConvexCone.polyhedral(rows)
+        p = cone.project(v)
+        scale = max(1.0, np.linalg.norm(v))
+        assert cone.polar_contains(v) == (np.linalg.norm(p) <= 1e-9 * scale)
+        # Moreau: v - p lies in the polar and projects to the origin
+        assert cone.polar_contains(v - p)
+        assert np.linalg.norm(cone.project(v - p)) <= 1e-12 * scale
+        if cone.is_origin_only():
+            assert np.linalg.norm(p) <= 1e-9 * scale
+
+    def test_origin_only_cone_projects_everything_to_zero(self):
+        rows = np.vstack([np.eye(3), -np.ones((1, 3))])
+        cone = ConvexCone.polyhedral(rows)
+        assert cone.is_origin_only()
+        rng = np.random.default_rng(4)
+        for v in rng.normal(size=(20, 3)) * 5.0:
+            assert np.linalg.norm(cone.project(v)) <= 1e-12 * np.linalg.norm(v)
+            assert cone.polar_contains(v)
 
 
 class TestOriginOnly:
@@ -278,3 +375,21 @@ class TestSerialization:
     def test_empty_rows_rejected(self):
         with pytest.raises(InvalidCone):
             ConvexCone.polyhedral(np.zeros((0, 3)))
+
+    @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+    def test_non_finite_normal_rejected(self, bad):
+        with pytest.raises(InvalidCone, match="finite"):
+            ConvexCone.half_space([1.0, bad, 0.5])
+        with pytest.raises(InvalidCone, match="finite"):
+            ConvexCone.from_dict({"type": "half_space",
+                                  "normal": [1.0, bad, 0.5]}, dim=3)
+
+    @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+    def test_non_finite_rows_rejected(self, bad):
+        rows = CASE3_ROWS.copy()
+        rows[2, 1] = bad
+        with pytest.raises(InvalidCone, match="finite"):
+            ConvexCone.polyhedral(rows)
+        with pytest.raises(InvalidCone, match="finite"):
+            ConvexCone.from_dict({"type": "polyhedral", "A": rows.tolist()},
+                                 dim=3)

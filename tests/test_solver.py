@@ -171,20 +171,40 @@ class TestMinimizeOverCone:
         assert not best.converged
         assert np.all(np.isfinite(best.k))
 
-    def test_penalty_matches_projected_gradient(self):
-        market = random_tree_market(seed=12, horizon=1, n_assets=2)
-        period = market.periods[0]
-        b = exact_backend(market)
-        cone = ConvexCone.orthant(2)
-        res_pg = minimize_over_cone(b, 0, +1, cone, 1.0, 1.0, period.mean,
-                                    period.second_moment(),
-                                    SolverOptions(), 1e-9)
-        res_pen = minimize_over_cone(b, 0, +1, cone, 1.0, 1.0, period.mean,
-                                     period.second_moment(),
-                                     SolverOptions(optimizer="penalty"),
-                                     1e-9)
-        assert res_pen.value == pytest.approx(res_pg.value, abs=1e-7)
-        np.testing.assert_allclose(res_pen.k, res_pg.k, atol=1e-4)
+    def test_diagnostics_count_backtracks_and_projections(self):
+        # Projected gradient evaluates twice to start, once per accepted
+        # step and once per backtrack (plus once after a zero snap); it
+        # projects the start, once per residual test, once per trial
+        # step, and the residuals project once more plus once per VI
+        # direction.
+        market = random_tree_market(seed=12, horizon=3, n_assets=3, n_atoms=5)
+        opts = SolverOptions()
+        table = backward_recursion(market, limited_short_cone(),
+                                   ExactDiscreteBackend(market), opts)
+        solved = [d for d in table.diagnostics
+                  if d.get("method") == "projected_gradient"]
+        assert solved
+        assert any(d["backtracks"] > 0 for d in solved)
+        for d in solved:
+            its, back = d["iterations"], d["backtracks"]
+            assert d["evaluations"] == 2 + its + back + d["snapped_zero"]
+            assert d["projections"] == 2 * its + back + 3 + opts.vi_directions
+        again = json.loads(json.dumps(table.to_dict()))["diagnostics"]
+        assert [(d.get("backtracks"), d.get("projections")) for d in again] \
+            == [(d.get("backtracks"), d.get("projections"))
+                for d in table.diagnostics]
+
+    def test_budget_exhaustion_reports_counters(self, three_gauss):
+        backend = SaaBackend(three_gauss, 50_000, seed=1)
+        mean, cov = three_index_moments()
+        opts = SolverOptions(tol=1e-14, max_iter=3)
+        with pytest.raises(NoConvergence) as exc:
+            minimize_over_cone(backend, 0, +1, limited_short_cone(), 1.0, 1.0,
+                               mean, cov + np.outer(mean, mean), opts, 1e-9)
+        best = exc.value.best
+        assert best.iterations == 3
+        assert best.evaluations == 2 + 3 + best.backtracks
+        assert best.projections == 1 + 3 + 3 + best.backtracks + 1 + 64
 
     def test_unknown_optimizer_rejected(self):
         market = coin_market()
