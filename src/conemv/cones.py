@@ -15,8 +15,10 @@ v = proj_K(v) + proj_polar(v) gives its projection exactly,
 
     proj_K(v) = v + A' mu*,   mu* = argmin_{mu >= 0} |A' mu + v|,
 
-from one nonnegative least-squares solve (Lawson-Hanson), the same
-solve that tests polar membership.
+from one nonnegative least-squares solve (Lawson-Hanson).  A point lies
+in the polar cone exactly when it projects to the origin.  Should that
+solve stop at its iteration cap, Dykstra's alternating projection over
+the row half-spaces runs instead.
 """
 
 from __future__ import annotations
@@ -32,6 +34,8 @@ from .errors import (DimensionMismatch, InvalidCone, NoConvergence,
 KINDS = ("whole_space", "orthant", "half_space", "polyhedral")
 
 DEFAULT_TOL = 1e-9
+DYKSTRA_TOL = 1e-10
+DYKSTRA_MAX_CYCLES = 10_000
 
 
 @dataclass
@@ -125,7 +129,7 @@ class ConvexCone:
 
         whole_space -> {0}; orthant -> nonpositive orthant;
         half_space(a) -> {lambda a : lambda <= 0}; polyhedral(A) ->
-        {-A' mu : mu >= 0}, tested by nonnegative least squares.
+        {-A' mu : mu >= 0}, the points that project to the origin.
         """
         y = np.asarray(y, dtype=float)
         if y.shape != (self.dim,):
@@ -139,13 +143,19 @@ class ConvexCone:
             a = self.normal
             lam = (a @ y) / (a @ a)
             return bool(lam <= tol and np.max(np.abs(y - lam * a)) <= tol * scale)
-        _, resid = self._moreau(y)
-        return bool(resid <= tol * scale)
+        return bool(np.linalg.norm(self.project(y)) <= tol * scale)
 
     # -- projection ------------------------------------------------------
 
-    def project(self, v) -> np.ndarray:
-        """Euclidean projection of v onto the cone."""
+    def project(self, v, max_cycles: Optional[int] = None) -> np.ndarray:
+        """Euclidean projection of v onto the cone.
+
+        A polyhedral cone is projected exactly, by Moreau's decomposition.
+        Dykstra's alternating projection runs instead when the nonnegative
+        least-squares solve stops at its iteration cap, for at most
+        ``DYKSTRA_MAX_CYCLES`` cycles, or when ``max_cycles`` is given, for
+        at most that many.
+        """
         v = np.asarray(v, dtype=float)
         if v.shape != (self.dim,):
             raise DimensionMismatch(f"point shape {v.shape} != ({self.dim},)")
@@ -155,7 +165,12 @@ class ConvexCone:
             return np.maximum(v, 0.0)
         if self.kind == "half_space":
             return _project_half_space(v, self.normal)
-        mu, _ = self._moreau(v)
+        if max_cycles is not None:
+            return self._project_dykstra(v, max_cycles)
+        try:
+            mu, _ = self._moreau(v)
+        except RuntimeError:  # the active-set iteration cap
+            return self._project_dykstra(v, DYKSTRA_MAX_CYCLES)
         p = v + self.rows.T @ mu
         # Active rows hold A_i p = 0 only to rounding.  Projecting onto
         # each row still violated removes that slack, and puts p exactly
@@ -171,14 +186,27 @@ class ConvexCone:
 
         -A' mu* is the projection of v onto the polar cone, so v + A' mu*
         is its projection onto the cone and the minimum is that
-        projection's norm.
+        projection's norm.  Raises scipy's ``RuntimeError`` when the solve
+        stops at its iteration cap.
         """
         from scipy.optimize import nnls  # costly import, needed only here
-        try:
-            return nnls(self.rows.T, -v)
-        except RuntimeError as exc:  # the active-set iteration cap
-            raise NoConvergence(f"polyhedral projection: nonnegative least "
-                                f"squares stopped at its cap ({exc})") from None
+        return nnls(self.rows.T, -v)
+
+    def _project_dykstra(self, v: np.ndarray, max_cycles: int) -> np.ndarray:
+        rows = self.rows
+        u = v.copy()
+        increments = np.zeros_like(rows)
+        for _ in range(max_cycles):
+            start = u.copy()
+            for i in range(rows.shape[0]):
+                y = u + increments[i]
+                u = _project_half_space(y, rows[i])
+                increments[i] = y - u
+            if np.max(np.abs(u - start)) < DYKSTRA_TOL:
+                return u
+        raise NoConvergence(
+            f"Dykstra projection did not settle within {max_cycles} cycles",
+            best=u)
 
     # -- structure -------------------------------------------------------
 

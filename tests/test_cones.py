@@ -5,6 +5,7 @@ import scipy.optimize
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from conemv import cones
 from conemv.cones import (
     ConvexCone,
     construct_tcie_cone,
@@ -155,17 +156,28 @@ class TestProject:
         assert np.linalg.norm(v - p) <= np.linalg.norm(v - q) + 1e-8
         assert np.linalg.norm(p - q) <= 1e-3 * max(1.0, np.linalg.norm(v))
 
-    def test_nnls_cap_raises_no_convergence(self, monkeypatch):
+    def test_cycle_cap_raises(self):
+        cone = ConvexCone.polyhedral(CASE3_ROWS)
+        with pytest.raises(NoConvergence):
+            cone.project(np.array([-2.0, -1.0, 0.5]), max_cycles=1)
+
+    def test_nnls_cap_falls_back_to_dykstra(self, monkeypatch):
+        cone = ConvexCone.polyhedral(CASE3_ROWS)
+        v = np.array([-2.0, -1.0, 0.5])
+        exact = cone.project(v)
+
         def capped(A, b):
             raise RuntimeError("Maximum number of iterations reached.")
 
         monkeypatch.setattr(scipy.optimize, "nnls", capped)
-        cone = ConvexCone.polyhedral(CASE3_ROWS)
-        with pytest.raises(NoConvergence, match="least squares") as exc:
-            cone.project(np.array([-2.0, -1.0, 0.5]))
-        assert "\n" not in str(exc.value)
-        with pytest.raises(NoConvergence):
-            cone.polar_contains(np.array([-2.0, -1.0, 0.5]))
+        np.testing.assert_allclose(cone.project(v), exact, atol=1e-9)
+        assert cone.polar_contains(v - exact)
+        assert not cone.polar_contains(v)
+        monkeypatch.setattr(cones, "DYKSTRA_MAX_CYCLES", 1)
+        with pytest.raises(NoConvergence,
+                           match="^Dykstra projection did not settle within "
+                                 "1 cycles$"):
+            cone.project(v)
 
     def test_idempotence(self):
         mean, _ = three_index_moments()
