@@ -8,17 +8,26 @@ Four variants cover the constraint families in scope:
 * ``polyhedral``   -- {u : A u >= 0} for a row matrix A.
 
 Every variant supports membership, membership of the polar cone
-{y : y'u <= 0 for all u in the cone}, and Euclidean projection.
-The first three variants project in closed form.  A polyhedral cone
-{u : A u >= 0} has the polar {-A' mu : mu >= 0}, and Moreau's decomposition
-v = proj_K(v) + proj_polar(v) gives its projection exactly,
+{y : y'u <= 0 for all u in the cone}, and projection, either Euclidean
+or in the norm |x|_H = sqrt(x'Hx) of a positive definite metric H.
+The first three variants project in closed form; in the metric H the
+half-space projection is v - (a'v / a'H^-1 a) H^-1 a when a'v < 0.  A
+polyhedral cone {u : A u >= 0} has the polar {-A' mu : mu >= 0}, and
+Moreau's decomposition v = proj_K(v) + proj_polar(v) gives its
+projection exactly,
 
     proj_K(v) = v + A' mu*,   mu* = argmin_{mu >= 0} |A' mu + v|,
 
-from one nonnegative least-squares solve (Lawson-Hanson).  A point lies
-in the polar cone exactly when it projects to the origin.  Should that
-solve stop at its iteration cap, Dykstra's alternating projection over
-the row half-spaces runs instead.
+from one nonnegative least-squares solve (Lawson-Hanson).  With H = LL'
+the H-metric projection is the Euclidean projection of w = L'v onto the
+transformed cone {w : A L^-T w >= 0}, mapped back by x = L^-T w:
+
+    proj^H_K(v) = v + H^-1 A' mu*,   mu* = argmin_{mu >= 0} |L^-1 A' mu + L'v|,
+
+and an orthant takes this route with A = I.  A point lies in the polar
+cone exactly when it projects to the origin.  Should that solve stop at
+its iteration cap, Dykstra's alternating projection over the row
+half-spaces, in the same metric, runs instead.
 """
 
 from __future__ import annotations
@@ -147,60 +156,75 @@ class ConvexCone:
 
     # -- projection ------------------------------------------------------
 
-    def project(self, v, max_cycles: Optional[int] = None) -> np.ndarray:
-        """Euclidean projection of v onto the cone.
+    def project(self, v, max_cycles: Optional[int] = None,
+                metric: Optional[np.ndarray] = None) -> np.ndarray:
+        """Projection of v onto the cone: Euclidean, or in the norm
+        |x|_H = sqrt(x'Hx) of a positive definite ``metric`` H.
 
-        A polyhedral cone is projected exactly, by Moreau's decomposition.
-        Dykstra's alternating projection runs instead when the nonnegative
-        least-squares solve stops at its iteration cap, for at most
-        ``DYKSTRA_MAX_CYCLES`` cycles, or when ``max_cycles`` is given, for
-        at most that many.
+        Orthant and polyhedral cones are projected exactly, by Moreau's
+        decomposition (the orthant clips instead when no metric is
+        given).  Dykstra's alternating projection runs instead when the
+        nonnegative least-squares solve stops at its iteration cap, for at
+        most ``DYKSTRA_MAX_CYCLES`` cycles, or when ``max_cycles`` is
+        given, for at most that many.
         """
         v = np.asarray(v, dtype=float)
         if v.shape != (self.dim,):
             raise DimensionMismatch(f"point shape {v.shape} != ({self.dim},)")
         if self.kind == "whole_space":
             return v.copy()
-        if self.kind == "orthant":
+        if self.kind == "orthant" and metric is None:
             return np.maximum(v, 0.0)
         if self.kind == "half_space":
-            return _project_half_space(v, self.normal)
+            return _project_half_space(v, self.normal, metric)
         if max_cycles is not None:
-            return self._project_dykstra(v, max_cycles)
+            return self._project_dykstra(v, max_cycles, metric)
         try:
-            mu, _ = self._moreau(v)
+            mu, _ = self._moreau(v, metric)
         except RuntimeError:  # the active-set iteration cap
-            return self._project_dykstra(v, DYKSTRA_MAX_CYCLES)
-        p = v + self.rows.T @ mu
+            return self._project_dykstra(v, DYKSTRA_MAX_CYCLES, metric)
+        rows = self._rows()
+        step = rows.T @ mu
+        p = v + (step if metric is None else np.linalg.solve(metric, step))
         # Active rows hold A_i p = 0 only to rounding.  Projecting onto
         # each row still violated removes that slack, and puts p exactly
         # on a face whose row is a coordinate axis, as the orthant's clip
         # does.
-        for i, slack in enumerate((self.rows @ p).tolist()):
+        for i, slack in enumerate((rows @ p).tolist()):
             if slack < 0.0:
-                p = _project_half_space(p, self.rows[i])
+                p = _project_half_space(p, rows[i])
         return p + 0.0  # + 0.0 clears signed zeros
 
-    def _moreau(self, v: np.ndarray) -> tuple[np.ndarray, float]:
-        """mu* >= 0 minimising |A' mu + v|, and that minimum.
+    def _rows(self) -> np.ndarray:
+        return np.eye(self.dim) if self.kind == "orthant" else self.rows
+
+    def _moreau(self, v: np.ndarray, metric: Optional[np.ndarray] = None
+                ) -> tuple[np.ndarray, float]:
+        """mu* >= 0 minimising |L^-1 A' mu + L'v| (L = I without a
+        metric, else the Cholesky factor of H = LL'), and that minimum.
 
         -A' mu* is the projection of v onto the polar cone, so v + A' mu*
         is its projection onto the cone and the minimum is that
-        projection's norm.  Raises scipy's ``RuntimeError`` when the solve
-        stops at its iteration cap.
+        projection's norm; in the metric, v + H^-1 A' mu* and its H-norm.
+        Raises scipy's ``RuntimeError`` when the solve stops at its
+        iteration cap.
         """
         from scipy.optimize import nnls  # costly import, needed only here
-        return nnls(self.rows.T, -v)
+        if metric is None:
+            return nnls(self._rows().T, -v)
+        chol = np.linalg.cholesky(metric)
+        return nnls(np.linalg.solve(chol, self._rows().T), -chol.T @ v)
 
-    def _project_dykstra(self, v: np.ndarray, max_cycles: int) -> np.ndarray:
-        rows = self.rows
+    def _project_dykstra(self, v: np.ndarray, max_cycles: int,
+                         metric: Optional[np.ndarray] = None) -> np.ndarray:
+        rows = self._rows()
         u = v.copy()
         increments = np.zeros_like(rows)
         for _ in range(max_cycles):
             start = u.copy()
             for i in range(rows.shape[0]):
                 y = u + increments[i]
-                u = _project_half_space(y, rows[i])
+                u = _project_half_space(y, rows[i], metric)
                 increments[i] = y - u
             if np.max(np.abs(u - start)) < DYKSTRA_TOL:
                 return u
@@ -228,11 +252,13 @@ class ConvexCone:
         return self._origin_only
 
 
-def _project_half_space(v: np.ndarray, a: np.ndarray) -> np.ndarray:
+def _project_half_space(v: np.ndarray, a: np.ndarray,
+                        metric: Optional[np.ndarray] = None) -> np.ndarray:
     inner = a @ v
     if inner >= 0.0:
         return v.copy()
-    return v - (inner / (a @ a)) * a
+    z = a if metric is None else np.linalg.solve(metric, a)
+    return v - (inner / (a @ z)) * z
 
 
 def construct_tcie_cone(mean_excess, tol: float = 1e-12) -> ConvexCone:

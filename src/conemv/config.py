@@ -164,7 +164,6 @@ def parse_config(data: dict) -> RunConfig:
     if optimizer != "projected_gradient":
         raise ConfigError(f"unknown optimizer {optimizer!r}")
     cfg.solver_options = SolverOptions(
-        optimizer=optimizer,
         tol=float(numerics.get("tol", 1e-8)),
         max_iter=int(numerics.get("max_iter", 5000)))
     if cfg.solver_options.tol <= 0 or cfg.solver_options.max_iter < 1:

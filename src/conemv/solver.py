@@ -13,11 +13,16 @@ and the recursion stores the constrained minimisers
     K_t^{+-} = argmin_{K in cone_t} h_t^{+-}(K),
     C_t^{+-} = h_t^{+-}(K_t^{+-}),         C_T^{+-} = 1.
 
-Both branch costs are convex and continuously differentiable with
+Both branch costs are convex, continuously differentiable and
+piecewise quadratic, with
 
-    grad h_t^{+-}(K) = 2 E[ c(K) P (P'K -+ 1) ],
+    grad h_t^{+-}(K) = 2 E[ c(K) P (P'K -+ 1) ],   H(K) = 2 E[ c(K) P P' ],
 
-where c(K) picks C_{t+1}^+ or C_{t+1}^- by the same indicator.  The
+where c(K) picks C_{t+1}^+ or C_{t+1}^- by the same indicator and H is
+the Hessian on the piece that holds K.  Each minimisation is projected
+Newton (scaled gradient projection, Bertsekas 1982): from k it tries
+k+ = proj^H(k - H^-1 grad) in the metric of H, backtracking by Armijo,
+and stops on the Euclidean projected-gradient residual.  The
 costs satisfy the exact identity h = L + grad h(K)'K / 2 against the
 linear form L(K) = E[c(K) (1 -+ P'K)], so at a minimiser satisfying
 complementarity the quadratic and linear evaluations agree; the
@@ -31,6 +36,8 @@ The frozen sample is stored in ascending row-norm order with per-block
 moments.  Rows with |P| |K| < 1 cannot cross to the minority branch, so
 the leading blocks that pass this test add c_maj E[(1 -+ P'K)^2] in
 closed form from their moments; only the other rows are read one by one.
+The Hessian likewise takes c_maj times the whole sample's moment plus
+(c_min - c_maj) sum p p' over the minority-branch rows.
 """
 
 from __future__ import annotations
@@ -47,7 +54,7 @@ from .market import MarketSpec
 from .rng import STREAM_SAA
 
 _STEP_FLOOR = 1e-18
-_BB_CLIP = (1e-10, 1e10)
+_RIDGE = 1e-8            # least metric eigenvalue, relative to the largest
 _SCREEN_BLOCK = 4096     # rows per entry of the screening table
 _SCREEN_MARGIN = 1e-12   # relative slack on |P| |K| < 1 for rounding
 
@@ -200,6 +207,7 @@ class Cost(NamedTuple):
     grad: np.ndarray   # grad h_t^{sign}(k)
     lin: float         # E[c(k) (1 -+ P'k)]
     rows_read: int     # rows the direct pass read
+    hess: np.ndarray   # 2 E[c(k) P P'], the Hessian on k's piece
 
 
 def _branch(y, sign, c_plus, c_minus):
@@ -209,14 +217,17 @@ def _branch(y, sign, c_plus, c_minus):
 
 
 def _h_and_grad(pts, w, sign, k, c_plus, c_minus, screen=None) -> Cost:
-    """The one cost evaluator: value, gradient and linear form at k.
+    """The one cost evaluator: value, gradient, linear form and Hessian
+    at k.
 
     ``pts`` holds the rows and ``w`` their weights (None for uniform
     1/N; weighted rows have no screen).  With a ``screen`` whose
     ``points`` are ``pts``, the leading rows that cannot cross add
     c_maj (v'Mv, Mv) in closed form, where M is their moment matrix and
     v = (1, -+k); the direct pass reads the rest.  Without one, every
-    row is read directly.
+    row is read directly.  The uniform Hessian is c_maj times the whole
+    sample's moment plus (c_min - c_maj) sum p p' over the rows on the
+    minority branch, all of which the direct pass reads.
     """
     skip, mom = (0, None) if screen is None else screen.split(k)
     rows = pts[skip:] if skip else pts
@@ -225,10 +236,14 @@ def _h_and_grad(pts, w, sign, k, c_plus, c_minus, screen=None) -> Cost:
     if w is not None:
         return Cost(float(w @ (coeff * resid)),
                     -2.0 * sign * (rows.T @ (w * coeff)),
-                    float(w @ coeff), rows.shape[0])
+                    float(w @ coeff), rows.shape[0],
+                    2.0 * (rows.T * (w * c)) @ rows)
     value, lin, grad = np.sum(coeff * resid), np.sum(coeff), rows.T @ coeff
+    c_maj, c_min = (c_plus, c_minus) if sign > 0 else (c_minus, c_plus)
+    minor = rows[c != c_maj]
+    whole = pts.T @ pts if screen is None else screen.moments[-1][1:, 1:]
+    hess = c_maj * whole + (c_min - c_maj) * (minor.T @ minor)
     if skip:
-        c_maj = c_plus if sign > 0 else c_minus
         v = np.concatenate(([1.0], -sign * k))
         mv = mom @ v
         value += c_maj * (v @ mv)
@@ -236,7 +251,7 @@ def _h_and_grad(pts, w, sign, k, c_plus, c_minus, screen=None) -> Cost:
         grad = grad + c_maj * mv[1:]
     n_rows = pts.shape[0]
     return Cost(float(value / n_rows), (-2.0 * sign / n_rows) * grad,
-                float(lin / n_rows), rows.shape[0])
+                float(lin / n_rows), rows.shape[0], (2.0 / n_rows) * hess)
 
 
 def _evaluate(backend, t, sign, k, c_plus_next, c_minus_next) -> Cost:
@@ -273,13 +288,11 @@ def linear_form(backend, t: int, sign: int, k, c_plus_next: float,
 
 @dataclass
 class SolverOptions:
-    optimizer: str = "projected_gradient"  # the only one accepted
     tol: float = 1e-8
     max_iter: int = 5000
     armijo_slope: float = 1e-4
     armijo_shrink: float = 0.5
     cross_tol_exact: float = 1e-6
-    vi_directions: int = 64
 
 
 @dataclass
@@ -318,18 +331,6 @@ def _zero_is_optimal(cone: ConvexCone, sign: int, exact_mean: np.ndarray,
     return cone.polar_contains(-grad0)
 
 
-def _vi_residual(project, k: np.ndarray, grad: np.ndarray,
-                 n_dirs: int) -> float:
-    """Smallest grad'(u - k) over a deterministic sample of cone points."""
-    gen = np.random.Generator(np.random.Philox(key=0xD1CE))
-    dirs = gen.standard_normal((n_dirs, k.shape[0]))
-    worst = np.inf
-    for d in dirs:
-        u = project(d)
-        worst = min(worst, float(grad @ (u - k)))
-    return worst
-
-
 def minimize_over_cone(backend, t: int, sign: int, cone: ConvexCone,
                        c_plus_next: float, c_minus_next: float,
                        exact_mean: np.ndarray,
@@ -339,12 +340,13 @@ def minimize_over_cone(backend, t: int, sign: int, cone: ConvexCone,
     """Constrained minimiser of h_t^{sign} over the cone.
 
     Tries the exact first-order test at the origin first, then runs
-    projected gradient.  Solutions with norm below ``zero_tol`` snap
+    projected Newton.  Solutions with norm below ``zero_tol`` snap
     to exactly zero, in which case the cost equals the next-period
     constant by construction.
+
+    ``vi_min`` is min grad'(u - k) over cone points u with |u| <= 1,
+    which is -|proj(-grad)| - grad'k exactly.
     """
-    if opts.optimizer != "projected_gradient":
-        raise ValueError(f"unknown optimizer {opts.optimizer!r}")
     c_at_zero = c_plus_next if sign > 0 else c_minus_next
     n = exact_mean.shape[0]
     if _zero_is_optimal(cone, sign, exact_mean, c_plus_next, c_minus_next):
@@ -357,14 +359,14 @@ def minimize_over_cone(backend, t: int, sign: int, cone: ConvexCone,
     def cost(k):
         c = _h_and_grad(pts, w, sign, k, c_plus_next, c_minus_next, screen)
         reads.append(c.rows_read)
-        return c.value, c.grad
+        return c.value, c.grad, c.hess
 
     projections = 0
 
-    def project(v):
+    def project(v, metric=None):
         nonlocal projections
         projections += 1
-        return cone.project(v)
+        return cone.project(v, metric=metric)
 
     k_unc = np.linalg.solve(exact_second, exact_mean)
     init = project(sign * k_unc)
@@ -375,55 +377,64 @@ def minimize_over_cone(backend, t: int, sign: int, cone: ConvexCone,
     if snapped:
         k = np.zeros(n)
         value = c_at_zero
-        _, grad = cost(k)
+        _, grad, _ = cost(k)
     pg_res = float(np.linalg.norm(k - project(k - grad)))
     comp = abs(float(grad @ k))
-    vi = _vi_residual(project, k, grad, opts.vi_directions)
+    vi = -float(np.linalg.norm(project(-grad))) - float(grad @ k)
     result = MinimizeResult(
-        k, value, iters, pg_res, comp, vi, converged, opts.optimizer,
+        k, value, iters, pg_res, comp, vi, converged, "projected_gradient",
         snapped_zero=snapped, evaluations=len(reads),
         rows_touched_share=sum(reads) / (len(reads) * pts.shape[0]),
         backtracks=backtracks, projections=projections)
     if not converged:
+        stalled = " stalled at the step floor" if iters < opts.max_iter else ""
         raise NoConvergence(
-            f"optimizer {opts.optimizer!r} exhausted {opts.max_iter} "
-            f"iterations at t={t} sign={sign:+d} (pg residual {pg_res:.3e})",
+            f"optimizer 'projected_gradient' exhausted {iters} iterations at "
+            f"t={t} sign={sign:+d}{stalled} (pg residual {pg_res:.3e})",
             best=result)
     return result
 
 
 def _projected_gradient(cost, project, init, opts):
-    """Projected gradient with Armijo backtracking on ``cost(k) -> (h, grad)``
-    over the cone that ``project`` maps onto.
+    """Projected Newton with Armijo backtracking on
+    ``cost(k) -> (h, grad, hess)`` over the cone that
+    ``project(v, metric=None)`` maps onto.
 
     Returns (k, h, grad, iterations, backtracks, converged).
 
-    The first trial step is 1.0; later iterations reuse a
-    Barzilai-Borwein estimate as the trial step, still safeguarded by
-    the same Armijo test, which keeps iteration counts modest on the
-    poorly scaled instances produced by long horizons.
+    Each iteration scales the gradient by the Hessian H, with a ridge
+    that lifts its least eigenvalue to ``_RIDGE`` times its largest when
+    it lies below (so that a rank-deficient sample still gives a
+    definite metric, and a well-conditioned H stays exact), and tries
+    proj^H(k - step H^-1 grad) in the metric of H, from step 1.0 down by
+    the Armijo test.  On a piecewise-quadratic cost the full step is the
+    exact minimiser over the cone of the quadratic piece holding k, so
+    poorly scaled costs take as few steps as well scaled ones.  The stop
+    test is the Euclidean residual |k - proj(k - grad)| <= tol.
     """
     k = init.astype(float).copy()
-    f, g = cost(k)
+    f, g, hess = cost(k)
     # The origin is always admissible; starting from the better of the
     # two guarantees the final cost never exceeds the next-period
     # constant, which the recursion's monotonicity invariant relies on.
-    f0, g0 = cost(np.zeros_like(k))
+    f0, g0, hess0 = cost(np.zeros_like(k))
     if f0 < f:
         k = np.zeros_like(k)
-        f, g = f0, g0
-    trial = 1.0
+        f, g, hess = f0, g0, hess0
     backtracks = 0
     for it in range(1, opts.max_iter + 1):
         pg_res = np.linalg.norm(k - project(k - g))
         if pg_res <= opts.tol:
             return k, f, g, it - 1, backtracks, True
-        step = trial
+        lam = np.linalg.eigvalsh(hess)
+        ridge = max(_RIDGE * lam[-1] - lam[0], 0.0)
+        metric = hess + ridge * np.eye(k.shape[0])
+        newton = np.linalg.solve(metric, g)
+        step = 1.0
         while True:
-            k_new = project(k - step * g)
-            d = k_new - k
-            slope = float(g @ d)
-            f_new, g_new = cost(k_new)
+            k_new = project(k - step * newton, metric=metric)
+            slope = float(g @ (k_new - k))
+            f_new, g_new, hess_new = cost(k_new)
             if f_new <= f + opts.armijo_slope * slope or step < _STEP_FLOOR:
                 break
             step *= opts.armijo_shrink
@@ -432,12 +443,7 @@ def _projected_gradient(cost, project, init, opts):
             # No admissible descent step.  Honest only if the projected
             # gradient is already small; otherwise report the stall.
             return k, f, g, it, backtracks, bool(pg_res <= 100.0 * opts.tol)
-        dk = k_new - k
-        dg = g_new - g
-        denom = float(dk @ dg)
-        trial = float(dk @ dk) / denom if denom > 0 else 1.0
-        trial = min(max(trial, _BB_CLIP[0]), _BB_CLIP[1])
-        k, f, g = k_new, f_new, g_new
+        k, f, g, hess = k_new, f_new, g_new, hess_new
     return k, f, g, opts.max_iter, backtracks, False
 
 

@@ -5,8 +5,11 @@ import io
 import json
 import subprocess
 import sys
+from pathlib import Path
 
 import pytest
+
+CONFIGS = Path(__file__).resolve().parents[1] / "configs"
 
 
 COIN_MARKET = {
@@ -74,6 +77,15 @@ class TestSolve:
         # The target cannot be reached with zero gain; solve still reports
         # the table and records the policy failure instead of dying.
         assert "error" in payload["policy"]
+
+    def test_two_samples_give_a_singular_hessian(self):
+        # Two SAA rows span a plane in three assets: the cost's Hessian is
+        # singular, and the solve still returns a table.
+        res = run_cli("solve", "--config",
+                      str(CONFIGS / "three_index_limited_short_gaussian.json"),
+                      "--samples", "2")
+        assert res.returncode == 0, res.stderr
+        assert len(json.loads(res.stdout)["c_plus"]) == 4
 
     def test_out_writes_file(self, tmp_path):
         path = write_config(tmp_path, coin_config())

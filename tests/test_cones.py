@@ -318,6 +318,93 @@ class TestExactProjection:
             assert cone.polar_contains(v)
 
 
+@st.composite
+def metric_case(draw):
+    """A cone of any kind in dimension 1-4 with its row matrix A (no rows
+    for the whole space), a point v, and a positive definite metric H
+    whose condition number reaches 1e8."""
+    kind = draw(st.sampled_from(cones.KINDS))
+    dim = draw(st.integers(1, 4))
+    log_cond = draw(st.sampled_from([0.0, 2.0, 5.0, 8.0]))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    q, _ = np.linalg.qr(rng.normal(size=(dim, dim)))
+    eig = 10.0 ** rng.uniform(0.0, log_cond, size=dim)
+    eig[0], eig[-1] = 1.0, 10.0 ** log_cond
+    metric = (q * eig) @ q.T * 10.0 ** rng.uniform(-3.0, 3.0)
+    metric = 0.5 * (metric + metric.T)
+    if kind == "whole_space":
+        cone, rows = ConvexCone.whole_space(dim), np.zeros((0, dim))
+    elif kind == "orthant":
+        cone, rows = ConvexCone.orthant(dim), np.eye(dim)
+    elif kind == "half_space":
+        rows = rng.normal(size=(1, dim))
+        cone = ConvexCone.half_space(rows[0])
+    else:
+        rows = rng.normal(size=(int(rng.integers(1, 6)), dim))
+        cone = ConvexCone.polyhedral(rows)
+    v = rng.normal(size=dim) * 10.0 ** rng.uniform(-3.0, 3.0)
+    return cone, rows, metric, v
+
+
+class TestMetricProjection:
+    """x = project(v, metric=H) minimises (x - v)'H(x - v) over the cone:
+    a multiplier mu >= 0 on the rows active at x certifies
+    H(x - v) = A'mu, A x >= 0 and mu'A x = 0."""
+
+    @settings(max_examples=400, deadline=None, derandomize=True)
+    @given(metric_case())
+    def test_kkt_certificate(self, case):
+        cone, rows, metric, v = case
+        x = cone.project(v, metric=metric)
+        # x is exact to rounding amplified by the metric's condition
+        tol = 1e-14 * np.linalg.cond(metric) * np.linalg.norm(v)
+        row_norms = np.linalg.norm(rows, axis=1)
+        ax = rows @ x
+        assert np.all(ax >= -tol * row_norms)
+        force = metric @ (x - v)
+        # The multiplier is found independently of the projection: NNLS
+        # on the rows that hold with equality at x.
+        active = np.abs(ax) <= 100.0 * tol * row_norms
+        mu = np.zeros(rows.shape[0])
+        if active.any():
+            mu[active], _ = scipy.optimize.nnls(rows[active].T, force)
+        assert np.all(mu >= 0.0)
+        assert abs(mu @ ax) <= tol * (mu @ row_norms)
+        assert np.linalg.norm(force - rows.T @ mu) <= (
+            10.0 * tol * np.linalg.norm(metric, 2))
+
+    @settings(max_examples=200, deadline=None, derandomize=True)
+    @given(metric_case())
+    def test_identity_metric_is_euclidean(self, case):
+        cone, _, metric, v = case
+        got = cone.project(v, metric=np.eye(cone.dim))
+        np.testing.assert_allclose(got, cone.project(v),
+                                   atol=1e-12 * np.linalg.norm(v))
+
+    def test_half_space_needs_no_least_squares(self, monkeypatch):
+        def forbidden(A, b):
+            raise AssertionError("half-space projection called nnls")
+
+        monkeypatch.setattr(scipy.optimize, "nnls", forbidden)
+        cone = ConvexCone.half_space([1.0, -2.0, 0.5])
+        metric = np.diag([1.0, 1e4, 1e-2])
+        x = cone.project(np.array([-3.0, 1.0, 2.0]), metric=metric)
+        assert abs(cone.normal @ x) <= 1e-12
+
+    def test_nnls_cap_falls_back_to_metric_dykstra(self, monkeypatch):
+        cone = ConvexCone.polyhedral(CASE3_ROWS)
+        metric = np.array([[4.0, 1.0, 0.0], [1.0, 2.0, 0.5], [0.0, 0.5, 1.0]])
+        v = np.array([-2.0, -1.0, 0.5])
+        exact = cone.project(v, metric=metric)
+
+        def capped(A, b):
+            raise RuntimeError("Maximum number of iterations reached.")
+
+        monkeypatch.setattr(scipy.optimize, "nnls", capped)
+        np.testing.assert_allclose(cone.project(v, metric=metric), exact,
+                                   atol=1e-9)
+
+
 class TestOriginOnly:
     def test_boxed_in_rows_detected(self):
         rows = np.array([[1.0, 0.0], [-1.0, 0.0], [0.0, 1.0], [0.0, -1.0]])

@@ -77,6 +77,29 @@ def test_screened_kernel_matches_full_pass(seed, sign, n_rows, kind):
         assert got.rows_read >= 1
 
 
+@settings(max_examples=40, deadline=None)
+@given(seed=st.integers(0, 2**32 - 1), sign=st.sampled_from([1, -1]),
+       n_rows=st.sampled_from([2, B - 1, 3 * B]),
+       scale=st.sampled_from([0.0, 1.0, 4.0, 1e6]))
+def test_hessian_matches_its_definition(seed, sign, n_rows, scale):
+    """2 E[c(k) P P'] on the screened, unscreened and weighted paths."""
+    rng = np.random.default_rng(seed)
+    n = int(rng.integers(1, 5))
+    screen = SampleScreen(rng.normal(scale=0.3, size=(n_rows, n)))
+    pts = screen.points
+    k = scale * rng.normal(size=n)
+    c_plus, c_minus = rng.uniform(0.05, 1.5, size=2)
+    y = pts @ k
+    c = np.where(y <= 1.0 if sign > 0 else y <= -1.0, c_plus, c_minus)
+    want = 2.0 * (pts.T * c) @ pts / n_rows
+    bound = 1e-12 * max(c_plus, c_minus) * np.mean(np.sum(pts ** 2, axis=1))
+    for got in (_h_and_grad(pts, None, sign, k, c_plus, c_minus, screen),
+                _h_and_grad(pts, None, sign, k, c_plus, c_minus),
+                _h_and_grad(pts, np.full(n_rows, 1.0 / n_rows), sign, k,
+                            c_plus, c_minus)):
+        assert np.max(np.abs(got.hess - want)) <= bound
+
+
 def test_without_screen_every_row_is_read():
     rng = np.random.default_rng(3)
     pts = rng.normal(scale=0.3, size=(500, 3))

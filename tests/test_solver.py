@@ -4,8 +4,9 @@ import json
 import numpy as np
 import pytest
 
+from conemv import solver
 from conemv.cones import ConvexCone
-from conemv.errors import BackendMismatch, NoConvergence
+from conemv.errors import BackendMismatch, InvalidMarket, NoConvergence
 from conemv.market import MarketSpec, PeriodDistribution
 from conemv.presets import (
     limited_short_cone,
@@ -14,6 +15,7 @@ from conemv.presets import (
     three_index_moments,
 )
 from conemv.solver import (
+    Cost,
     ExactDiscreteBackend,
     SaaBackend,
     SolverOptions,
@@ -46,6 +48,28 @@ def coin_market(horizon=1, rate=1.05):
 
 def exact_backend(market):
     return ExactDiscreteBackend(market)
+
+
+def tree_corpus_market(k):
+    """Market k of the benchmark's scenario-tree corpus and its fixed
+    cones, by the recipe of ``TreeSweep.corpus_market`` in
+    ``perfbench/workloads.py`` (corpus seed 0, workload index 3)."""
+    rng = np.random.default_rng([0, 3, k])
+    fixed = {"orthant": ConvexCone.orthant(3),
+             "limited_short": limited_short_cone()}
+    while True:
+        n_atoms = int(rng.integers(4, 7))
+        atoms = rng.uniform(-0.6, 0.9, size=(n_atoms, 3))
+        probs = rng.uniform(0.2, 1.0, size=n_atoms)
+        period = PeriodDistribution.discrete(atoms, probs / probs.sum())
+        market = MarketSpec.iid(3, float(rng.uniform(1.0, 1.08)), period)
+        try:
+            market.validate()
+        except InvalidMarket:
+            continue
+        if not any(c.polar_contains(period.mean) for c in fixed.values()):
+            break
+    return market, dict(fixed, half_space=ConvexCone.half_space(period.mean))
 
 
 class TestBranchCost:
@@ -172,11 +196,10 @@ class TestMinimizeOverCone:
         assert np.all(np.isfinite(best.k))
 
     def test_diagnostics_count_backtracks_and_projections(self):
-        # Projected gradient evaluates twice to start, once per accepted
+        # Projected Newton evaluates twice to start, once per accepted
         # step and once per backtrack (plus once after a zero snap); it
         # projects the start, once per residual test, once per trial
-        # step, and the residuals project once more plus once per VI
-        # direction.
+        # step, and the residuals project twice more (pg and VI).
         market = random_tree_market(seed=12, horizon=3, n_assets=3, n_atoms=5)
         opts = SolverOptions()
         table = backward_recursion(market, limited_short_cone(),
@@ -188,7 +211,7 @@ class TestMinimizeOverCone:
         for d in solved:
             its, back = d["iterations"], d["backtracks"]
             assert d["evaluations"] == 2 + its + back + d["snapped_zero"]
-            assert d["projections"] == 2 * its + back + 3 + opts.vi_directions
+            assert d["projections"] == 2 * its + back + 4
         again = json.loads(json.dumps(table.to_dict()))["diagnostics"]
         assert [(d.get("backtracks"), d.get("projections")) for d in again] \
             == [(d.get("backtracks"), d.get("projections"))
@@ -197,22 +220,57 @@ class TestMinimizeOverCone:
     def test_budget_exhaustion_reports_counters(self, three_gauss):
         backend = SaaBackend(three_gauss, 50_000, seed=1)
         mean, cov = three_index_moments()
-        opts = SolverOptions(tol=1e-14, max_iter=3)
+        opts = SolverOptions(tol=1e-14, max_iter=1)
         with pytest.raises(NoConvergence) as exc:
             minimize_over_cone(backend, 0, +1, limited_short_cone(), 1.0, 1.0,
                                mean, cov + np.outer(mean, mean), opts, 1e-9)
         best = exc.value.best
-        assert best.iterations == 3
-        assert best.evaluations == 2 + 3 + best.backtracks
-        assert best.projections == 1 + 3 + 3 + best.backtracks + 1 + 64
+        assert best.iterations == 1
+        assert best.evaluations == 2 + 1 + best.backtracks
+        assert best.projections == 1 + 1 + 1 + best.backtracks + 1 + 1
 
-    def test_unknown_optimizer_rejected(self):
-        market = coin_market()
-        with pytest.raises(ValueError):
-            minimize_over_cone(exact_backend(market), 0, +1,
+    def test_stall_reports_the_iterations_run(self, monkeypatch):
+        # A cost lowest at the origin whose gradient points away from it:
+        # no step passes the Armijo test, so the first iteration halves
+        # the step down to the floor.
+        def rising(pts, w, sign, k, c_plus, c_minus, screen=None):
+            n = k.shape[0]
+            return Cost(1.0 + float(np.any(k != 0.0)), np.full(n, -1.0), 1.0,
+                        pts.shape[0], np.eye(n))
+
+        monkeypatch.setattr(solver, "_h_and_grad", rising)
+        with pytest.raises(NoConvergence, match=(
+                r"^optimizer 'projected_gradient' exhausted 1 iterations at "
+                r"t=0 sign=\+1 stalled at the step floor \(pg residual "
+                r"1\.000e\+00\)$")) as exc:
+            minimize_over_cone(exact_backend(coin_market()), 0, +1,
                                ConvexCone.whole_space(1), 1.0, 1.0,
                                COIN.mean, COIN.second_moment(),
-                               SolverOptions(optimizer="newton"), 1e-9)
+                               SolverOptions(), 1e-9)
+        best = exc.value.best
+        assert best.iterations == 1 and not best.converged
+        assert best.snapped_zero  # the stall stays at the origin
+        assert best.evaluations == 2 + 1 + best.backtracks + 1
+        assert 2.0 ** -best.backtracks < 1e-18 <= 2.0 ** (1 - best.backtracks)
+
+    @pytest.mark.parametrize("k, labels", [
+        (14, ["half_space"]),
+        (27, ["orthant", "half_space", "limited_short"]),
+    ])
+    def test_badly_scaled_tree_markets_converge(self, k, labels):
+        # C0+ near 1e-6 scales these costs badly; steps in the Hessian's
+        # metric converge where raw gradient steps ran out of budget.
+        market, cones = tree_corpus_market(k)
+        opts = SolverOptions()
+        for label in labels:
+            table = backward_recursion(market, cones[label],
+                                       ExactDiscreteBackend(market), opts)
+            assert table.c_plus[0] < 1e-4
+            solved = [d for d in table.diagnostics
+                      if d.get("method") == "projected_gradient"]
+            assert solved
+            for d in solved:
+                assert d["pg_residual"] <= opts.tol
 
 
 class TestBackends:
@@ -340,6 +398,19 @@ class TestBackwardRecursion:
         np.testing.assert_array_equal(again.c_plus, table.c_plus)
         np.testing.assert_array_equal(again.c_minus, table.c_minus)
         assert again.horizon == table.horizon
+
+    def test_half_space_saa_iteration_ceiling(self, three_gauss):
+        # Each sign branch is a piecewise quadratic whose full Newton
+        # step lands on the minimiser of the current piece.
+        backend = SaaBackend(three_gauss, 200_000, seed=3)
+        table = backward_recursion(three_gauss, mean_half_space_cone(),
+                                   backend)
+        solved = [d for d in table.diagnostics
+                  if d.get("method") == "projected_gradient"]
+        assert len(solved) == 3
+        for d in solved:
+            assert d["iterations"] <= 3
+            assert d["evaluations"] <= 2 + 3 + 1
 
     def test_saa_recursion_is_deterministic(self, three_gauss):
         opts = SolverOptions()
