@@ -23,7 +23,7 @@ from .config import parse_config
 from .errors import ConemvError, ConfigError, InsufficientMemory, \
     InvalidMarket, InvalidTarget, TargetUnattainable
 from .errors import InvalidCone
-from .solver import backward_recursion
+from .solver import backward_recursion, require_memory
 
 _CONFIG_ERRORS = (ConfigError, InvalidMarket, InvalidCone, InsufficientMemory)
 
@@ -68,6 +68,13 @@ def _load_config(args):
             raise ConfigError(f"--samples must be >= 2, got {args.samples}")
         cfg.samples = args.samples
     return cfg
+
+
+def _require_path_memory(cfg, n_paths: int, extra: int) -> None:
+    """Refuse, before the solve, a path count whose (n_paths, T, n)
+    returns and ``extra`` further doubles a path do not fit."""
+    per_path = cfg.market.horizon * cfg.market.n_assets + extra
+    require_memory(8 * n_paths * per_path, f"{n_paths} paths")
 
 
 def _solve_table(cfg):
@@ -153,6 +160,8 @@ def cmd_frontier(args) -> int:
 
 def cmd_simulate(args) -> int:
     cfg = _load_config(args)
+    # wealth (T + 1) and the terminal statistics' temporaries (3)
+    _require_path_memory(cfg, args.paths, cfg.market.horizon + 4)
     table, _ = _solve_table(cfg)
     pol = _build_policy(cfg, table)
     ensemble = sim.simulate(pol, cfg.market, n_paths=args.paths,
@@ -219,6 +228,8 @@ def cmd_tcie(args) -> int:
 
 def cmd_vssm(args) -> int:
     cfg = _load_config(args)
+    # the running density and its temporaries
+    _require_path_memory(cfg, args.paths, 6)
     table, _ = _solve_table(cfg)
     payload = {"theoretical": {
         "mean": 1.0, "second_moment": 1.0 / table.c_plus[0]}}

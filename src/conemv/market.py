@@ -18,7 +18,11 @@ Each period's excess-return law is one of three families:
 * ``discrete``   -- finitely many atoms with probabilities.
 
 Sampling is driven by the counter-based streams in :mod:`conemv.rng`
-and is bit-reproducible for a given (seed, path index, period) triple.
+and is bit-reproducible for a given (seed, path index, period) triple:
+a path's draw is the same for every block that contains it and for
+every number of draw-pool workers.  The quantile transforms run over
+row chunks on that pool; the Cholesky product, the Student-t scaling
+and the mean shift run on the whole block in the calling thread.
 """
 
 from __future__ import annotations
@@ -27,7 +31,6 @@ from dataclasses import dataclass, field
 from typing import Optional, Sequence
 
 import numpy as np
-from scipy.special import gammaincinv, ndtri
 
 from . import rng
 from .errors import DimensionMismatch, InvalidMarket
@@ -35,6 +38,22 @@ from .errors import DimensionMismatch, InvalidMarket
 FAMILIES = ("gaussian", "student_t", "discrete")
 
 _ATOL = 1e-12
+
+
+# scipy.special is imported on first use: it is most of the package's
+# import time, and only sampling needs it.
+
+def ndtri(p: np.ndarray) -> np.ndarray:
+    """Standard normal quantiles of p, elementwise."""
+    from scipy import special
+    return rng.map_rows(special.ndtri, p)
+
+
+def gammaincinv(a: float, p: np.ndarray) -> np.ndarray:
+    """Inverse of the regularized lower incomplete gamma function in its
+    second argument, elementwise over p."""
+    from scipy import special
+    return rng.map_rows(lambda x, out: special.gammaincinv(a, x, out=out), p)
 
 
 @dataclass
@@ -151,7 +170,8 @@ class PeriodDistribution:
         """Draw excess returns for paths [lo, hi); shape (hi - lo, n).
 
         Deterministic in (seed, stream, period, path index); block
-        boundaries do not affect the values.
+        boundaries and the number of draw-pool workers do not affect the
+        values.
         """
         u = rng.uniform_block(seed, stream, period, lo, hi,
                               self._uniforms_per_path())
@@ -168,11 +188,19 @@ class PeriodDistribution:
                 scale = self.cov * (self.df - 2.0) / self.df
             self._chol = np.linalg.cholesky(scale)
         z = ndtri(u[:, :n])
-        x = z @ self._chol.T
+        rows = z.shape[0]
+        if rows == 1:
+            # OpenBLAS hands a one-row product to gemv, which rounds
+            # differently from the gemm that larger blocks take.
+            z = np.repeat(z, 2, axis=0)
+        x = (z @ self._chol.T)[:rows]
         if self.family == "student_t":
-            chi2 = 2.0 * gammaincinv(self.df / 2.0, u[:, n])
-            x /= np.sqrt(chi2 / self.df)[:, None]
-        return self.mean + x
+            chi2 = gammaincinv(self.df / 2.0, u[:, n])
+            chi2 *= 2.0
+            chi2 /= self.df
+            x /= np.sqrt(chi2, out=chi2)[:, None]
+        x += self.mean
+        return x
 
     def support_max_inner(self, k: np.ndarray) -> float:
         """Essential supremum of P'k (exact for discrete, else +inf).

@@ -1,4 +1,4 @@
-"""Counter-based random number streams.
+"""Counter-based random number streams and the draw pool.
 
 Every random draw in the package is addressed by (seed, stream, period,
 path index, slot).  Streams are built on the Philox 4x64 counter-based
@@ -9,9 +9,19 @@ bit-identical to sampling the block in one call.
 
 Philox advances in ticks of 4 output words, hence per-path strides are
 rounded up to a multiple of 4 doubles.
+
+Row-independent kernels of a draw (the Philox fill here, the quantile
+transforms in :mod:`conemv.market`) split a block larger than one chunk
+of ``_CHUNK_ROWS`` rows over a thread pool, one thread per CPU the
+process may run on.  Each chunk writes its own rows of one output, so
+the result is the same for every worker count.  The workers run only
+numpy and scipy kernels, which release the interpreter lock.
 """
 
 from __future__ import annotations
+
+import os
+import threading
 
 import numpy as np
 
@@ -20,6 +30,61 @@ STREAM_SAA = 1
 STREAM_SIM = 2
 
 _TICK = 4  # Philox outputs per counter increment
+_CHUNK_ROWS = 65_536  # rows per pool task
+
+_pool = None
+_pool_lock = threading.Lock()
+
+
+def _cpus() -> int:
+    """CPUs this process may run on."""
+    try:
+        return len(os.sched_getaffinity(0))
+    except AttributeError:  # no affinity masks on this platform
+        return os.cpu_count() or 1
+
+
+def _drop_pool() -> None:
+    # A forked child inherits the pool object but none of its threads.
+    global _pool, _pool_lock
+    _pool, _pool_lock = None, threading.Lock()
+
+
+if hasattr(os, "register_at_fork"):
+    os.register_at_fork(after_in_child=_drop_pool)
+
+
+def over_row_chunks(n_rows: int, fill) -> None:
+    """Call ``fill(lo, hi)`` so that the calls cover rows [0, n_rows).
+
+    A block of at most one chunk, or a process on one CPU, makes one
+    call in the calling thread.  Otherwise the chunks run on the pool,
+    created on first use, and every chunk has finished on return.
+    """
+    global _pool
+    workers = _cpus()
+    if n_rows <= _CHUNK_ROWS or workers <= 1:
+        fill(0, n_rows)
+        return
+    with _pool_lock:
+        if _pool is None:
+            from concurrent.futures import ThreadPoolExecutor
+            _pool = ThreadPoolExecutor(workers,
+                                       thread_name_prefix="conemv-draw")
+        pool = _pool
+    futures = [pool.submit(fill, lo, min(lo + _CHUNK_ROWS, n_rows))
+               for lo in range(0, n_rows, _CHUNK_ROWS)]
+    for future in futures:
+        future.result()
+
+
+def map_rows(kernel, x: np.ndarray) -> np.ndarray:
+    """``kernel(x)`` for an elementwise ufunc ``kernel(x, out=...)``,
+    computed over row chunks of x into one new array."""
+    out = np.empty(x.shape)
+    over_row_chunks(x.shape[0],
+                    lambda lo, hi: kernel(x[lo:hi], out=out[lo:hi]))
+    return out
 
 
 def path_stride(n_uniforms: int) -> int:
@@ -49,10 +114,21 @@ def uniform_block(seed: int, stream: int, period: int,
     if hi < lo:
         raise ValueError(f"empty block bounds: [{lo}, {hi})")
     stride = path_stride(n_uniforms)
-    bg = np.random.Philox(key=_key(seed, stream, period))
-    bg.advance(lo * (stride // _TICK))
-    u = np.random.Generator(bg).random((hi - lo) * stride)
-    u = u.reshape(hi - lo, stride)[:, :n_uniforms]
-    # random() yields [0, 1); shift the lattice into the open interval so
-    # inverse-CDF transforms never see an exact 0.
-    return u + 2.0**-54
+    key = _key(seed, stream, period)
+    out = np.empty((hi - lo, n_uniforms))
+
+    def fill(a, b):
+        bg = np.random.Philox(key=key)
+        bg.advance((lo + a) * (stride // _TICK))
+        rows = out[a:b]
+        if stride == n_uniforms:
+            np.random.Generator(bg).random(out=rows)
+        else:
+            rows[...] = np.random.Generator(bg).random(
+                (b - a, stride))[:, :n_uniforms]
+        # random() yields [0, 1); shift the lattice into the open
+        # interval so inverse-CDF transforms never see an exact 0.
+        rows += 2.0**-54
+
+    over_row_chunks(hi - lo, fill)
+    return out

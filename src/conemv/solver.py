@@ -143,6 +143,16 @@ def _available_bytes() -> Optional[int]:
         return None
 
 
+def require_memory(need: int, what: str) -> None:
+    """Raise :class:`InsufficientMemory` when ``need`` bytes for ``what``
+    exceed the available memory, before anything is allocated."""
+    avail = _available_bytes()
+    if avail is not None and need > avail:
+        raise InsufficientMemory(
+            f"{what} need about {need / 2**30:.1f} GiB; "
+            f"{avail / 2**30:.1f} GiB of memory is available")
+
+
 class SaaBackend:
     """Sample-average approximation with frozen per-period samples.
 
@@ -163,14 +173,11 @@ class SaaBackend:
         self.seed = int(seed)
         self._cache: dict[int, SampleScreen] = {}
         # T - 1 frozen samples plus the peak while the last is drawn
-        # (uniforms, normals, product, result: 4n + 1 doubles a row)
-        need = 8 * self.sample_count * ((market.horizon + 3)
-                                        * market.n_assets + 1)
-        avail = _available_bytes()
-        if avail is not None and need > avail:
-            raise InsufficientMemory(
-                f"{self.sample_count} SAA samples need about {need / 2**30:.1f}"
-                f" GiB; {avail / 2**30:.1f} GiB of memory is available")
+        # (uniforms, normals, their product and the Student-t scale:
+        # 3n + 2 doubles a row)
+        require_memory(8 * self.sample_count * ((market.horizon + 2)
+                                                * market.n_assets + 2),
+                       f"{self.sample_count} SAA samples")
 
     def screen(self, t: int) -> SampleScreen:
         if t not in self._cache:
@@ -422,10 +429,12 @@ def _projected_gradient(cost, project, init, opts):
         k = np.zeros_like(k)
         f, g, hess = f0, g0, hess0
     backtracks = 0
-    for it in range(1, opts.max_iter + 1):
+    for it in range(opts.max_iter + 1):
         pg_res = np.linalg.norm(k - project(k - g))
         if pg_res <= opts.tol:
-            return k, f, g, it - 1, backtracks, True
+            return k, f, g, it, backtracks, True
+        if it == opts.max_iter:
+            return k, f, g, it, backtracks, False
         lam = np.linalg.eigvalsh(hess)
         ridge = max(_RIDGE * lam[-1] - lam[0], 0.0)
         metric = hess + ridge * np.eye(k.shape[0])
@@ -442,9 +451,9 @@ def _projected_gradient(cost, project, init, opts):
         if step < _STEP_FLOOR:
             # No admissible descent step.  Honest only if the projected
             # gradient is already small; otherwise report the stall.
-            return k, f, g, it, backtracks, bool(pg_res <= 100.0 * opts.tol)
+            return (k, f, g, it + 1, backtracks,
+                    bool(pg_res <= 100.0 * opts.tol))
         k, f, g, hess = k_new, f_new, g_new, hess_new
-    return k, f, g, opts.max_iter, backtracks, False
 
 
 # ---------------------------------------------------------------------------

@@ -79,9 +79,19 @@ def density_factors(table: RecursionTable, returns: np.ndarray):
 
 
 def density_for_paths(table: RecursionTable, returns: np.ndarray) -> np.ndarray:
-    """Terminal densities for a batch of paths, shape (n_paths,)."""
-    _, partial = density_factors(table, returns)
-    return partial[:, -1] / table.c_plus[0]
+    """Terminal densities for a batch of paths, shape (n_paths,).
+
+    The recursion of :func:`density_factors`, keeping only the running
+    product.
+    """
+    returns = _check_returns(table, returns)
+    partial = np.ones(returns.shape[0])
+    for t in range(table.horizon):
+        y_plus = returns[:, t, :] @ table.k_plus[t]
+        y_minus = returns[:, t, :] @ table.k_minus[t]
+        partial *= np.where(partial >= 0.0, 1.0 - y_plus, 1.0 + y_minus)
+    partial /= table.c_plus[0]
+    return partial
 
 
 def density_along_path(table: RecursionTable, returns,

@@ -463,6 +463,12 @@ class TestBadCounts:
         res = run_cli("solve", "--config", path, "--samples", "10000000000")
         self.assert_config_error(res, "GiB")
 
+    @pytest.mark.parametrize("command", ["simulate", "vssm"])
+    def test_paths_beyond_memory(self, tmp_path, command):
+        path = write_config(tmp_path, coin_config())
+        res = run_cli(command, "--config", path, "--paths", "10000000000")
+        self.assert_config_error(res, "10000000000 paths need about")
+
     def test_solve_payload_carries_diagnostics(self, tmp_path):
         path = write_config(tmp_path, saa_config())
         res = run_cli("solve", "--config", path)

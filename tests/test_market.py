@@ -1,7 +1,14 @@
-"""Market construction, validation, moments, and path sampling."""
+"""Market construction, validation, moments, path sampling and the draw
+pool."""
+import os
+import signal
+import sys
+import time
+
 import numpy as np
 import pytest
 
+from conemv import rng
 from conemv.errors import DimensionMismatch, InvalidMarket
 from conemv.market import MarketSpec, PeriodDistribution, from_annual_table
 from conemv.presets import (
@@ -246,6 +253,14 @@ class TestSampling:
         ])
         np.testing.assert_array_equal(whole, split)
 
+    @pytest.mark.parametrize("family", ["gaussian", "student_t"])
+    def test_one_row_blocks_match_the_whole_block(self, family):
+        market = three_index_market(family)
+        whole = market.sample_block(0, seed=3, lo=0, hi=2_000)
+        ones = np.vstack([market.sample_block(0, seed=3, lo=i, hi=i + 1)
+                          for i in range(2_000)])
+        np.testing.assert_array_equal(ones, whole)
+
     def test_periods_draw_independent_streams(self):
         market = three_index_market("gaussian")
         a = market.sample_block(0, seed=4, lo=0, hi=100)
@@ -257,6 +272,104 @@ class TestSampling:
         a = market.sample_block(0, seed=4, lo=0, hi=100)
         b = market.sample_block(0, seed=5, lo=0, hi=100)
         assert not np.array_equal(a, b)
+
+
+DISCRETE_2 = PeriodDistribution.discrete(
+    [[-0.2, 0.1], [0.0, -0.3], [0.4, 0.25]], [0.3, 0.2, 0.5])
+POOL_MARKETS = {
+    "gaussian": three_index_market("gaussian"),
+    "student_t": three_index_market("student_t"),
+    # three uniforms a path in a stride of four
+    "discrete": MarketSpec(horizon=3, riskless_rates=[1.02] * 3,
+                           periods=[DISCRETE_2] * 3),
+}
+POOL_BLOCKS = [(0, 1), (5, 6), (7, 20), (1, 1_000), (12_345, 12_399)]
+
+
+@pytest.fixture
+def draw_pool(monkeypatch):
+    """Configure the draw pool: ``draw_pool(workers, chunk_rows)``.  A pool
+    started under the new setting is shut down after the test."""
+    def configure(workers, chunk_rows):
+        monkeypatch.setattr(rng, "_cpus", lambda: workers)
+        monkeypatch.setattr(rng, "_CHUNK_ROWS", chunk_rows)
+        monkeypatch.setattr(rng, "_pool", None)
+
+    yield configure
+    if rng._pool is not None:
+        rng._pool.shutdown()
+
+
+def draw_all(seed=11):
+    return {(name, t, lo, hi): market.sample_block(t, seed, lo, hi)
+            for name, market in POOL_MARKETS.items()
+            for t in range(3) for lo, hi in POOL_BLOCKS}
+
+
+class TestDrawPool:
+    @pytest.mark.parametrize("workers", [1, 2, 3])
+    def test_chunked_draws_equal_serial_draws(self, draw_pool, workers):
+        draw_pool(1, rng._CHUNK_ROWS)
+        serial = draw_all()
+        draw_pool(workers, 3)
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)  # interleave the chunks finely
+        try:
+            chunked = draw_all()
+        finally:
+            sys.setswitchinterval(interval)
+        assert (rng._pool is not None) == (workers > 1)
+        for key, draw in serial.items():
+            np.testing.assert_array_equal(chunked[key], draw, err_msg=str(key))
+
+    @pytest.mark.parametrize("n_uniforms", [3, 4])
+    def test_uniforms_are_one_philox_stream(self, draw_pool, n_uniforms):
+        draw_pool(2, 5)
+        lo, hi = 17, 60
+        u = rng.uniform_block(9, rng.STREAM_SIM, 2, lo, hi, n_uniforms)
+        bg = np.random.Philox(key=rng._key(9, rng.STREAM_SIM, 2))
+        bg.advance(lo)  # one Philox tick of four doubles a path
+        expected = np.random.Generator(bg).random((hi - lo) * 4)
+        expected = expected.reshape(hi - lo, 4)[:, :n_uniforms] + 2.0**-54
+        np.testing.assert_array_equal(u, expected)
+
+    def test_forked_child_draws_the_same_block(self, draw_pool):
+        draw_pool(2, 64)
+        market = POOL_MARKETS["student_t"]
+        expected = market.sample_block(1, 5, 0, 1_000)
+        assert rng._pool is not None
+        pid = os.fork()
+        if pid == 0:  # the child never returns into pytest
+            code = 1
+            try:
+                same = np.array_equal(market.sample_block(1, 5, 0, 1_000),
+                                      expected)
+                code = 0 if same else 3
+            finally:
+                os._exit(code)
+        deadline = time.monotonic() + 60.0
+        while True:
+            done, status = os.waitpid(pid, os.WNOHANG)
+            if done:
+                break
+            if time.monotonic() > deadline:
+                os.kill(pid, signal.SIGKILL)
+                os.waitpid(pid, 0)
+                pytest.fail("the forked child's draw did not finish in 60 s")
+            time.sleep(0.01)
+        assert os.waitstatus_to_exitcode(status) == 0
+
+    @pytest.mark.parametrize("workers, chunk_rows, rows", [
+        (2, rng._CHUNK_ROWS, 4_096),   # a tree-sweep simulation block
+        (2, 8, 8),                     # exactly one chunk
+        (1, 8, 1_000),                 # one CPU
+    ])
+    def test_small_draw_never_creates_the_pool(self, draw_pool, workers,
+                                               chunk_rows, rows):
+        draw_pool(workers, chunk_rows)
+        for market in POOL_MARKETS.values():
+            market.sample_block(0, 1, 0, rows)
+        assert rng._pool is None
 
 
 class TestSupportBounds:

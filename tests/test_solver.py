@@ -187,12 +187,14 @@ class TestMinimizeOverCone:
         mean, cov = three_index_moments()
         second = cov + np.outer(mean, mean)
         opts = SolverOptions(tol=1e-14, max_iter=1)
+        # With C+ = C- the cost is one quadratic, which the first Newton
+        # step minimises exactly; C+ != C- needs more than one step.
         with pytest.raises(NoConvergence) as exc:
             minimize_over_cone(backend, 0, +1, ConvexCone.whole_space(3),
-                               1.0, 1.0, mean, second, opts, 1e-9)
+                               0.9, 0.5, mean, second, opts, 1e-9)
         best = exc.value.best
         assert best is not None
-        assert not best.converged
+        assert not best.converged and best.pg_residual > opts.tol
         assert np.all(np.isfinite(best.k))
 
     def test_diagnostics_count_backtracks_and_projections(self):
@@ -217,17 +219,34 @@ class TestMinimizeOverCone:
             == [(d.get("backtracks"), d.get("projections"))
                 for d in table.diagnostics]
 
-    def test_budget_exhaustion_reports_counters(self, three_gauss):
+    @staticmethod
+    def kinked_solve(three_gauss, max_iter):
+        # C+ != C- puts a kink in the cost, and projected Newton takes
+        # three steps to reach tol = 1e-14 on this 50K-sample solve.
         backend = SaaBackend(three_gauss, 50_000, seed=1)
         mean, cov = three_index_moments()
-        opts = SolverOptions(tol=1e-14, max_iter=1)
+        opts = SolverOptions(tol=1e-14, max_iter=max_iter)
+        return minimize_over_cone(backend, 0, +1, limited_short_cone(), 0.9,
+                                  0.5, mean, cov + np.outer(mean, mean), opts,
+                                  1e-9)
+
+    def test_budget_exhaustion_reports_counters(self, three_gauss):
         with pytest.raises(NoConvergence) as exc:
-            minimize_over_cone(backend, 0, +1, limited_short_cone(), 1.0, 1.0,
-                               mean, cov + np.outer(mean, mean), opts, 1e-9)
+            self.kinked_solve(three_gauss, max_iter=1)
         best = exc.value.best
-        assert best.iterations == 1
+        assert best.iterations == 1 and not best.converged
+        assert best.pg_residual > 1e-14
         assert best.evaluations == 2 + 1 + best.backtracks
-        assert best.projections == 1 + 1 + 1 + best.backtracks + 1 + 1
+        # as for a converged solve: the residual is tested after the last
+        # budgeted step too
+        assert best.projections == 2 * 1 + best.backtracks + 4
+
+    def test_budget_of_exactly_the_iterations_needed(self, three_gauss):
+        needed = self.kinked_solve(three_gauss, max_iter=5000).iterations
+        assert needed > 1
+        result = self.kinked_solve(three_gauss, max_iter=needed)
+        assert result.converged and result.iterations == needed
+        assert result.pg_residual <= 1e-14
 
     def test_stall_reports_the_iterations_run(self, monkeypatch):
         # A cost lowest at the origin whose gradient points away from it:

@@ -80,6 +80,14 @@ class TestBranchBookkeeping:
             assert dens[i] == pytest.approx(
                 density_along_path(table, batch[i]).density, rel=1e-14)
 
+    def test_batch_keeps_the_running_product_of_factors(self):
+        table = toy_table()
+        batch = np.random.default_rng(3).normal(size=(500, 2, 1))
+        batch[:5, 0, 0] = 2.0  # B_0 = 0 exactly: a tie at the next step
+        _, partial = density_factors(table, batch)
+        np.testing.assert_array_equal(density_for_paths(table, batch),
+                                      partial[:, -1] / table.c_plus[0])
+
     def test_shape_validation(self):
         table = toy_table()
         with pytest.raises(DimensionMismatch):
