@@ -25,12 +25,16 @@ k+ = proj^H(k - H^-1 grad) in the metric of H, backtracking by Armijo,
 and stops on the Euclidean projected-gradient residual.  The
 costs satisfy the exact identity h = L + grad h(K)'K / 2 against the
 linear form L(K) = E[c(K) (1 -+ P'K)], so at a minimiser satisfying
-complementarity the quadratic and linear evaluations agree; the
-recursion cross-checks this at every step.
+complementarity the quadratic and linear evaluations agree.  The
+identity holds exactly on a frozen sample too, so |h - L| is a
+deterministic optimality residual on both backends, and the recursion
+requires |h - L| <= 100 tol at every solved branch.
 
-Expectations run through one of two backends: exact summation over
-discrete atoms, or sample-average approximation with one frozen sample
-matrix per period (common random numbers across all evaluations).
+Each backend owns its evaluator: ``backend.cost(t, sign, k, c_plus,
+c_minus)`` is the only way the solver reaches an expectation.  The
+exact backend sums over discrete atoms; sample-average approximation
+reads one frozen sample matrix per period (common random numbers across
+all evaluations), which tcie's crossing probabilities reuse.
 
 The frozen sample is stored in ascending row-norm order with per-block
 moments.  Rows with |P| |K| < 1 cannot cross to the minority branch, so
@@ -54,6 +58,8 @@ from .market import MarketSpec
 from .rng import STREAM_SAA
 
 _STEP_FLOOR = 1e-18
+_ARMIJO_SLOPE = 1e-4     # sufficient decrease, relative to the slope
+_ARMIJO_SHRINK = 0.5     # step factor per backtrack
 _RIDGE = 1e-8            # least metric eigenvalue, relative to the largest
 _SCREEN_BLOCK = 4096     # rows per entry of the screening table
 _SCREEN_MARGIN = 1e-12   # relative slack on |P| |K| < 1 for rounding
@@ -67,7 +73,6 @@ class ExactDiscreteBackend:
     """Exact expectations by summation over scenario atoms."""
 
     kind = "exact_discrete"
-    is_exact = True
 
     def __init__(self, market: MarketSpec):
         for t, p in enumerate(market.periods):
@@ -77,14 +82,14 @@ class ExactDiscreteBackend:
                     f"{p.family}")
         self.market = market
 
-    def points(self, t: int) -> np.ndarray:
-        return self.market.periods[t].atoms
+    def n_rows(self, t: int) -> int:
+        return self.market.periods[t].atoms.shape[0]
 
-    def weights(self, t: int) -> Optional[np.ndarray]:
-        return self.market.periods[t].probs
-
-    def screen(self, t: int) -> None:
-        return None  # every atom is read directly
+    def cost(self, t: int, sign: int, k, c_plus: float,
+             c_minus: float) -> Cost:
+        """Every atom is read directly, with its probability."""
+        p = self.market.periods[t]
+        return _h_and_grad(p.atoms, p.probs, sign, k, c_plus, c_minus)
 
     def describe(self) -> dict:
         return {"kind": self.kind}
@@ -163,7 +168,6 @@ class SaaBackend:
     """
 
     kind = "saa"
-    is_exact = False
 
     def __init__(self, market: MarketSpec, sample_count: int, seed: int):
         if sample_count < 2:
@@ -188,8 +192,14 @@ class SaaBackend:
     def points(self, t: int) -> np.ndarray:
         return self.screen(t).points
 
-    def weights(self, t: int) -> Optional[np.ndarray]:
-        return None  # uniform 1/N
+    def n_rows(self, t: int) -> int:
+        return self.sample_count
+
+    def cost(self, t: int, sign: int, k, c_plus: float,
+             c_minus: float) -> Cost:
+        screen = self.screen(t)
+        return _h_and_grad(screen.points, None, sign, k, c_plus, c_minus,
+                           screen)
 
     def describe(self) -> dict:
         return {"kind": self.kind, "samples": self.sample_count,
@@ -217,12 +227,6 @@ class Cost(NamedTuple):
     hess: np.ndarray   # 2 E[c(k) P P'], the Hessian on k's piece
 
 
-def _branch(y, sign, c_plus, c_minus):
-    """Residual 1 -+ y and the cost constant of its branch, per row."""
-    resid = 1.0 - y if sign > 0 else 1.0 + y
-    return resid, np.where(y <= sign, c_plus, c_minus)
-
-
 def _h_and_grad(pts, w, sign, k, c_plus, c_minus, screen=None) -> Cost:
     """The one cost evaluator: value, gradient, linear form and Hessian
     at k.
@@ -236,9 +240,12 @@ def _h_and_grad(pts, w, sign, k, c_plus, c_minus, screen=None) -> Cost:
     sample's moment plus (c_min - c_maj) sum p p' over the rows on the
     minority branch, all of which the direct pass reads.
     """
+    k = np.asarray(k, dtype=float)
     skip, mom = (0, None) if screen is None else screen.split(k)
     rows = pts[skip:] if skip else pts
-    resid, c = _branch(rows @ k, sign, c_plus, c_minus)
+    y = rows @ k
+    resid = 1.0 - y if sign > 0 else 1.0 + y
+    c = np.where(y <= sign, c_plus, c_minus)  # c(k), row by row
     coeff = c * resid
     if w is not None:
         return Cost(float(w @ (coeff * resid)),
@@ -261,22 +268,16 @@ def _h_and_grad(pts, w, sign, k, c_plus, c_minus, screen=None) -> Cost:
                 float(lin / n_rows), rows.shape[0], (2.0 / n_rows) * hess)
 
 
-def _evaluate(backend, t, sign, k, c_plus_next, c_minus_next) -> Cost:
-    return _h_and_grad(backend.points(t), backend.weights(t), sign,
-                       np.asarray(k, dtype=float), c_plus_next, c_minus_next,
-                       backend.screen(t))
-
-
 def eval_h(backend, t: int, sign: int, k, c_plus_next: float,
            c_minus_next: float) -> float:
     """Quadratic one-period cost h_t^{sign}(k)."""
-    return _evaluate(backend, t, sign, k, c_plus_next, c_minus_next).value
+    return backend.cost(t, sign, k, c_plus_next, c_minus_next).value
 
 
 def grad_h(backend, t: int, sign: int, k, c_plus_next: float,
            c_minus_next: float) -> np.ndarray:
     """Gradient of h_t^{sign} at k."""
-    return _evaluate(backend, t, sign, k, c_plus_next, c_minus_next).grad
+    return backend.cost(t, sign, k, c_plus_next, c_minus_next).grad
 
 
 def linear_form(backend, t: int, sign: int, k, c_plus_next: float,
@@ -286,7 +287,7 @@ def linear_form(backend, t: int, sign: int, k, c_plus_next: float,
     Coincides with eval_h at any point where grad h(k)'k = 0, in
     particular at every constrained minimiser.
     """
-    return _evaluate(backend, t, sign, k, c_plus_next, c_minus_next).lin
+    return backend.cost(t, sign, k, c_plus_next, c_minus_next).lin
 
 
 # ---------------------------------------------------------------------------
@@ -297,9 +298,6 @@ def linear_form(backend, t: int, sign: int, k, c_plus_next: float,
 class SolverOptions:
     tol: float = 1e-8
     max_iter: int = 5000
-    armijo_slope: float = 1e-4
-    armijo_shrink: float = 0.5
-    cross_tol_exact: float = 1e-6
 
 
 @dataclass
@@ -360,11 +358,10 @@ def minimize_over_cone(backend, t: int, sign: int, cone: ConvexCone,
         return MinimizeResult(np.zeros(n), c_at_zero, 0, 0.0, 0.0, 0.0,
                               True, "zero_test", snapped_zero=True)
 
-    pts, w, screen = backend.points(t), backend.weights(t), backend.screen(t)
     reads = []  # rows read directly, per evaluation
 
     def cost(k):
-        c = _h_and_grad(pts, w, sign, k, c_plus_next, c_minus_next, screen)
+        c = backend.cost(t, sign, k, c_plus_next, c_minus_next)
         reads.append(c.rows_read)
         return c.value, c.grad, c.hess
 
@@ -391,7 +388,7 @@ def minimize_over_cone(backend, t: int, sign: int, cone: ConvexCone,
     result = MinimizeResult(
         k, value, iters, pg_res, comp, vi, converged, "projected_gradient",
         snapped_zero=snapped, evaluations=len(reads),
-        rows_touched_share=sum(reads) / (len(reads) * pts.shape[0]),
+        rows_touched_share=sum(reads) / (len(reads) * backend.n_rows(t)),
         backtracks=backtracks, projections=projections)
     if not converged:
         stalled = " stalled at the step floor" if iters < opts.max_iter else ""
@@ -444,9 +441,9 @@ def _projected_gradient(cost, project, init, opts):
             k_new = project(k - step * newton, metric=metric)
             slope = float(g @ (k_new - k))
             f_new, g_new, hess_new = cost(k_new)
-            if f_new <= f + opts.armijo_slope * slope or step < _STEP_FLOOR:
+            if f_new <= f + _ARMIJO_SLOPE * slope or step < _STEP_FLOOR:
                 break
-            step *= opts.armijo_shrink
+            step *= _ARMIJO_SHRINK
             backtracks += 1
         if step < _STEP_FLOOR:
             # No admissible descent step.  Honest only if the projected
@@ -525,16 +522,6 @@ def default_zero_tol(exact_mean: np.ndarray, exact_second: np.ndarray) -> float:
     return 1e-7 * (1.0 + float(np.linalg.norm(k_unc)))
 
 
-def _cross_tol(backend, t, sign, k, c_plus, c_minus, opts) -> float:
-    if backend.is_exact:
-        return opts.cross_tol_exact
-    pts = backend.points(t)
-    resid, c = _branch(pts @ k, sign, c_plus, c_minus)
-    diff = c * resid * resid - c * resid
-    se = float(np.std(diff)) / np.sqrt(pts.shape[0])
-    return max(3.0 * se, 100.0 * opts.tol)
-
-
 def backward_recursion(market: MarketSpec, cones_by_period,
                        backend, opts: Optional[SolverOptions] = None
                        ) -> RecursionTable:
@@ -568,6 +555,7 @@ def backward_recursion(market: MarketSpec, cones_by_period,
     k_minus = np.zeros((T, n))
     zero_tols = np.zeros(T)
     diagnostics = []
+    gap_bound = 100.0 * opts.tol
 
     for t in reversed(range(T)):
         period = market.periods[t]
@@ -590,18 +578,21 @@ def backward_recursion(market: MarketSpec, cones_by_period,
                 backend, t, sign, cone, c_plus[t + 1], c_minus[t + 1],
                 mean, second, opts, zero_tols[t])
             if res.snapped_zero:
+                # h(0) = L(0) = the next constant, by construction
                 value = c_plus[t + 1] if sign > 0 else c_minus[t + 1]
+                gap = 0.0
             else:
+                # h - L = grad'K / 2 holds exactly on a frozen sample as
+                # on atoms, so one deterministic bound serves both backends
                 value = res.value
                 lin = linear_form(backend, t, sign, res.k,
                                   c_plus[t + 1], c_minus[t + 1])
-                tol = _cross_tol(backend, t, sign, res.k,
-                                 c_plus[t + 1], c_minus[t + 1], opts)
-                if abs(value - lin) > tol:
+                gap = abs(value - lin)
+                if gap > gap_bound:
                     raise ConsistencyError(
                         f"quadratic/linear cost mismatch at t={t} "
                         f"sign={sign:+d}: {value!r} vs {lin!r} "
-                        f"(tol {tol:.3e})")
+                        f"(tol {gap_bound:.3e})")
             k_store[t] = res.k
             c_store[t] = value
             diagnostics.append({
@@ -610,6 +601,7 @@ def backward_recursion(market: MarketSpec, cones_by_period,
                 "complementarity": res.complementarity,
                 "vi_min": res.vi_min, "method": res.method,
                 "snapped_zero": res.snapped_zero, "value": value,
+                "cross_gap": gap,
                 "evaluations": res.evaluations,
                 "rows_touched_share": res.rows_touched_share,
                 "backtracks": res.backtracks,

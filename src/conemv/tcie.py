@@ -27,7 +27,7 @@ import numpy as np
 from .errors import InsufficientConditioningEvents
 from .market import MarketSpec
 from .policy import mu_star
-from .solver import RecursionTable
+from .solver import RecursionTable, SaaBackend
 
 _SUP_TOL = 1e-10
 
@@ -115,21 +115,17 @@ def transition_probs(table: RecursionTable, market: MarketSpec, t: int,
                      seed: int = 0) -> TransitionProbs:
     """One-step threshold transition probabilities at period t.
 
-    Exact on discrete periods; otherwise Monte Carlo, reusing the
-    backend's frozen period samples when one is supplied.
+    Exact on discrete periods; otherwise Monte Carlo over the SAA
+    backend's frozen period sample, drawn here when none is supplied.
     """
     period = market.periods[t]
     if period.family == "discrete":
         pts, w = period.atoms, period.probs
         se = 0.0
-    elif backend is not None and not backend.is_exact:
+    else:
+        backend = backend or SaaBackend(market, n_samples, seed)
         pts, w = backend.points(t), None
         se = 0.5 / np.sqrt(pts.shape[0])
-    else:
-        from .rng import STREAM_SAA
-        pts = period.sample_block(seed, STREAM_SAA, t, 0, n_samples)
-        w = None
-        se = 0.5 / np.sqrt(n_samples)
 
     def prob(mask):
         return float(np.mean(mask)) if w is None else float(w @ mask)

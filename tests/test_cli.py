@@ -476,7 +476,7 @@ class TestBadCounts:
         diags = json.loads(res.stdout)["diagnostics"]
         assert {d["sign"] for d in diags} == {1, -1}
         assert all("evaluations" in d and "rows_touched_share" in d
-                   for d in diags)
+                   and "cross_gap" in d for d in diags)
 
 
 class TestNonFiniteInput:

@@ -194,8 +194,14 @@ def test_kept_gradient_equals_a_fresh_evaluation(three_gauss, sign):
 
 
 def test_exact_backend_reads_every_atom(tree_market):
+    """The exact backend has no screen: every atom is read directly,
+    even at a k small enough for a screen to skip them all."""
     backend = ExactDiscreteBackend(tree_market)
-    assert backend.screen(0) is None
+    period = tree_market.periods[0]
     k = np.array([0.3, -0.2])
-    got = _h_and_grad(backend.points(0), backend.weights(0), 1, k, 0.6, 0.9)
-    assert got.rows_read == backend.points(0).shape[0]
+    assert np.max(np.linalg.norm(period.atoms, axis=1)) * np.linalg.norm(k) < 1
+    got = backend.cost(0, 1, k, 0.6, 0.9)
+    assert got.rows_read == period.atoms.shape[0] == backend.n_rows(0)
+    want = _h_and_grad(period.atoms, period.probs, 1, k, 0.6, 0.9)
+    assert (got.value, got.lin) == (want.value, want.lin)
+    np.testing.assert_array_equal(got.grad, want.grad)

@@ -6,7 +6,8 @@ import pytest
 
 from conemv import solver
 from conemv.cones import ConvexCone
-from conemv.errors import BackendMismatch, InvalidMarket, NoConvergence
+from conemv.errors import (BackendMismatch, ConsistencyError, InvalidMarket,
+                           NoConvergence)
 from conemv.market import MarketSpec, PeriodDistribution
 from conemv.presets import (
     limited_short_cone,
@@ -295,9 +296,9 @@ class TestMinimizeOverCone:
 class TestBackends:
     def test_make_backend_dispatch(self, three_gauss):
         market = coin_market()
-        assert make_backend(market, "exact").is_exact
+        assert isinstance(make_backend(market, "exact"), ExactDiscreteBackend)
         saa = make_backend(three_gauss, "saa", sample_count=1000, seed=0)
-        assert not saa.is_exact
+        assert isinstance(saa, SaaBackend)
         assert saa.points(0).shape == (1000, 3)
 
     def test_make_backend_unknown(self, three_gauss):
@@ -441,6 +442,52 @@ class TestBackwardRecursion:
                                 opts)
         np.testing.assert_array_equal(t1.k_plus, t2.k_plus)
         np.testing.assert_array_equal(t1.c_plus, t2.c_plus)
+
+
+class TestCrossCheck:
+    """h - L = grad'K / 2 exactly, on a frozen sample as on atoms, so both
+    backends hold the solved branches to |h - L| <= 100 tol."""
+
+    @pytest.mark.parametrize("kind", ["exact", "saa"])
+    def test_cross_gap_within_bound(self, three_gauss, kind):
+        if kind == "exact":
+            market = random_tree_market(seed=12, horizon=3, n_assets=3,
+                                        n_atoms=5)
+            backend = ExactDiscreteBackend(market)
+        else:
+            market, backend = three_gauss, SaaBackend(three_gauss, 50_000, 4)
+        opts = SolverOptions()
+        table = backward_recursion(market, limited_short_cone(), backend,
+                                   opts)
+        solved = [d for d in table.diagnostics if "method" in d]
+        assert any(not d["snapped_zero"] for d in solved)
+        for d in solved:
+            assert 0.0 <= d["cross_gap"] <= 100.0 * opts.tol
+            if d["snapped_zero"]:
+                continue
+            t, sign = d["t"], d["sign"]
+            k = table.k_plus[t] if sign > 0 else table.k_minus[t]
+            lin = linear_form(backend, t, sign, k, table.c_plus[t + 1],
+                              table.c_minus[t + 1])
+            assert d["cross_gap"] == abs(d["value"] - lin)
+        again = json.loads(json.dumps(table.to_dict()))["diagnostics"]
+        assert [d.get("cross_gap") for d in again] \
+            == [d.get("cross_gap") for d in table.diagnostics]
+
+    def test_planted_mismatch_raises_on_saa(self, three_gauss, monkeypatch):
+        # 1e-5 is far inside three standard errors of a 20K-sample solve
+        # (the old SAA bound), but ten times 100 tol = 1e-6.
+        real = solver._h_and_grad
+
+        def planted(*args):
+            cost = real(*args)
+            return cost._replace(lin=cost.lin + 1e-5)
+
+        monkeypatch.setattr(solver, "_h_and_grad", planted)
+        with pytest.raises(ConsistencyError,
+                           match=r"quadratic/linear cost mismatch at t=2 "):
+            backward_recursion(three_gauss, mean_half_space_cone(),
+                               SaaBackend(three_gauss, 20_000, seed=3))
 
 
 class TestValueFunctionAndDual:
