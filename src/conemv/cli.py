@@ -20,9 +20,8 @@ from . import policy as policy_mod
 from . import sim, tcie, vssm
 from .cones import construct_tcie_cone
 from .config import parse_config
-from .errors import ConemvError, ConfigError, InsufficientMemory, \
-    InvalidMarket, InvalidTarget, TargetUnattainable
-from .errors import InvalidCone
+from .errors import (ConemvError, ConfigError, InsufficientMemory,
+                     InvalidCone, InvalidMarket, TargetUnattainable)
 from .solver import backward_recursion, require_memory
 
 _CONFIG_ERRORS = (ConfigError, InvalidMarket, InvalidCone, InsufficientMemory)
@@ -338,7 +337,7 @@ def main(argv=None) -> int:
     except _CONFIG_ERRORS as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
-    except (InvalidTarget, TargetUnattainable, ConemvError) as exc:
+    except ConemvError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1
 

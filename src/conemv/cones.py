@@ -32,13 +32,15 @@ half-spaces, in the same metric, runs instead.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
+from functools import cached_property
 from typing import Optional
 
 import numpy as np
 
 from .errors import (DimensionMismatch, InvalidCone, NoConvergence,
                      ZeroMeanExcess)
+from .market import freeze_arrays
 
 KINDS = ("whole_space", "orthant", "half_space", "polyhedral")
 
@@ -47,7 +49,7 @@ DYKSTRA_TOL = 1e-10
 DYKSTRA_MAX_CYCLES = 10_000
 
 
-@dataclass
+@dataclass(frozen=True, eq=False)
 class ConvexCone:
     """One cone, identified by ``kind`` and its defining data."""
 
@@ -55,7 +57,9 @@ class ConvexCone:
     dim: int
     normal: Optional[np.ndarray] = None   # half_space
     rows: Optional[np.ndarray] = None     # polyhedral
-    _origin_only: Optional[bool] = field(default=None, repr=False)
+
+    def __post_init__(self):
+        freeze_arrays(self, "normal", "rows")
 
     # -- constructors -------------------------------------------------
 
@@ -234,22 +238,32 @@ class ConvexCone:
 
     # -- structure -------------------------------------------------------
 
-    def is_origin_only(self, tol: float = 1e-9) -> bool:
-        """True iff the cone is the single point {0}.
-
-        proj(v) = 0 exactly when v lies in the polar cone, so the cone
-        reduces to the origin iff all of +-e_i project to zero (their
-        convex conic hull being the whole space).
-        """
-        if self._origin_only is None:
-            if self.kind in ("whole_space", "orthant", "half_space"):
-                self._origin_only = False
-            else:
-                eye = np.eye(self.dim)
-                self._origin_only = all(
-                    np.max(np.abs(self.project(sign * eye[i]))) <= tol
-                    for sign in (1.0, -1.0) for i in range(self.dim))
+    def is_origin_only(self) -> bool:
+        """True iff the cone is the single point {0}."""
         return self._origin_only
+
+    @cached_property
+    def _origin_only(self) -> bool:
+        # proj(v) = 0 iff v lies in the polar cone, so the cone is {0} iff
+        # all of +-e_i (whose conic hull is the whole space) project to 0.
+        # Lazy: a polyhedral projection imports scipy.optimize.
+        eye = np.eye(self.dim)
+        return all(np.max(np.abs(self.project(sign * eye[i]))) <= DEFAULT_TOL
+                   for sign in (1.0, -1.0) for i in range(self.dim))
+
+
+def cones_per_period(cones, horizon: int, dim: int) -> list[ConvexCone]:
+    """One cone per period: a single cone is broadcast over the horizon,
+    a sequence must hold one ``dim``-dimensional cone per period."""
+    cones = ([cones] * horizon if isinstance(cones, ConvexCone)
+             else list(cones))
+    if len(cones) != horizon:
+        raise InvalidCone(f"need {horizon} cones, got {len(cones)}")
+    for cone in cones:
+        if cone.dim != dim:
+            raise InvalidCone(
+                f"cone dimension {cone.dim} != market dimension {dim}")
+    return cones
 
 
 def _project_half_space(v: np.ndarray, a: np.ndarray,

@@ -14,13 +14,12 @@ Unknown keys anywhere are rejected so typos fail loudly.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field
 from typing import Optional
 
-import numpy as np
-
-from .cones import ConvexCone
-from .errors import ConfigError
+from .cones import ConvexCone, cones_per_period
+from .errors import ConfigError, DimensionMismatch
 from .market import MarketSpec, PeriodDistribution
 from .solver import SolverOptions, make_backend
 
@@ -60,6 +59,46 @@ def _reject_unknown(section: dict, allowed: set, name: str) -> None:
         raise ConfigError(f"unknown keys in {name!r}: {sorted(unknown)}")
 
 
+def _number(section: dict, key: str, default, kind=float):
+    """section[key], or ``default`` when absent, converted by ``kind``;
+    a value that does not convert to a finite number is a ConfigError."""
+    value = section.get(key, default)
+    try:
+        number = kind(value)
+        if math.isfinite(number):
+            return number
+    except (TypeError, ValueError, OverflowError):
+        pass
+    raise ConfigError(f"{key!r} must be a finite number, got {value!r}")
+
+
+def _parse_period(section: dict) -> PeriodDistribution:
+    family = section["family"]
+    if family == "discrete":
+        if "atoms" not in section:
+            raise ConfigError("discrete market needs 'atoms'")
+        atoms = section["atoms"]
+        try:
+            values = [a[0] for a in atoms]
+            probs = [a[1] for a in atoms]
+            return PeriodDistribution.discrete(values, probs)
+        except (TypeError, IndexError, ValueError) as exc:
+            raise ConfigError(
+                "'atoms' must be a list of [value_vector, probability] "
+                "pairs") from exc
+    if family not in ("gaussian", "student_t"):
+        raise ConfigError(f"unknown family {family!r}")
+    for key in ("mean", "covariance"):
+        if key not in section:
+            raise ConfigError(f"{family} market needs {key!r}")
+    mean, cov = section["mean"], section["covariance"]
+    if family == "gaussian":
+        return PeriodDistribution.gaussian(mean, cov)
+    if "df" not in section:
+        raise ConfigError("student_t market needs 'df'")
+    return PeriodDistribution.student_t(mean, cov, section["df"])
+
+
 def _parse_market(section) -> MarketSpec:
     if not isinstance(section, dict):
         raise ConfigError("'market' must be an object")
@@ -70,56 +109,27 @@ def _parse_market(section) -> MarketSpec:
     horizon = section["horizon"]
     if not isinstance(horizon, int) or horizon < 1:
         raise ConfigError(f"horizon must be a positive integer, got {horizon!r}")
-    rates = section["riskless_rates"]
-    family = section["family"]
-    if family == "discrete":
-        if "atoms" not in section:
-            raise ConfigError("discrete market needs 'atoms'")
-        atoms = section["atoms"]
-        try:
-            values = [a[0] for a in atoms]
-            probs = [a[1] for a in atoms]
-            period = PeriodDistribution.discrete(values, probs)
-        except (TypeError, IndexError) as exc:
-            raise ConfigError(
-                "'atoms' must be a list of [value_vector, probability] "
-                "pairs") from exc
-    elif family in ("gaussian", "student_t"):
-        for key in ("mean", "covariance"):
-            if key not in section:
-                raise ConfigError(f"{family} market needs {key!r}")
-        mean = np.asarray(section["mean"], dtype=float)
-        cov = np.asarray(section["covariance"], dtype=float)
-        if family == "gaussian":
-            period = PeriodDistribution.gaussian(mean, cov)
-        else:
-            if "df" not in section:
-                raise ConfigError("student_t market needs 'df'")
-            period = PeriodDistribution.student_t(mean, cov, section["df"])
-    else:
-        raise ConfigError(f"unknown family {family!r}")
-    market = MarketSpec(horizon, np.asarray(rates, dtype=float),
-                        [period] * horizon)
-    market.validate()
+    try:
+        market = MarketSpec(horizon, section["riskless_rates"],
+                            [_parse_period(section)] * horizon)
+        market.validate()
+    except (TypeError, ValueError, DimensionMismatch) as exc:
+        # non-numeric or ragged arrays, and shapes that do not fit
+        raise ConfigError(f"malformed market data: {exc}") from exc
     return market
 
 
 def _parse_cones(section, market: MarketSpec) -> list[ConvexCone]:
     n = market.n_assets
     fragments = section if isinstance(section, list) else [section]
-    if isinstance(section, list) and len(fragments) != market.horizon:
-        raise ConfigError(
-            f"cone list has {len(fragments)} entries for horizon "
-            f"{market.horizon}")
     cones = []
     for frag in fragments:
         if not isinstance(frag, dict):
             raise ConfigError("each cone fragment must be an object")
         _reject_unknown(frag, _CONE_KEYS, "cones")
         cones.append(ConvexCone.from_dict(frag, n))
-    if not isinstance(section, list):
-        cones = cones * market.horizon
-    return cones
+    return cones_per_period(cones if isinstance(section, list) else cones[0],
+                            market.horizon, n)
 
 
 def parse_config(data: dict) -> RunConfig:
@@ -141,15 +151,15 @@ def parse_config(data: dict) -> RunConfig:
     cfg.policy_kind = policy.get("kind", "precommitted")
     if cfg.policy_kind not in _POLICY_KINDS:
         raise ConfigError(f"unknown policy kind {cfg.policy_kind!r}")
-    cfg.x0 = float(policy.get("x0", 1.0))
-    cfg.d = float(policy.get("d", cfg.market.rho(0) * cfg.x0))
+    cfg.x0 = _number(policy, "x0", 1.0)
+    cfg.d = _number(policy, "d", cfg.market.rho(0) * cfg.x0)
     if cfg.policy_kind == "truncated":
         for key in ("k", "d_k", "x_k"):
             if key not in policy:
                 raise ConfigError(f"truncated policy needs {key!r}")
-        cfg.truncate_k = int(policy["k"])
-        cfg.truncate_d_k = float(policy["d_k"])
-        cfg.truncate_x_k = float(policy["x_k"])
+        cfg.truncate_k = _number(policy, "k", None, int)
+        cfg.truncate_d_k = _number(policy, "d_k", None)
+        cfg.truncate_x_k = _number(policy, "x_k", None)
 
     numerics = data.get("numerics", {})
     if not isinstance(numerics, dict):
@@ -158,14 +168,14 @@ def parse_config(data: dict) -> RunConfig:
     cfg.backend_kind = numerics.get("backend", "saa")
     if cfg.backend_kind not in ("exact", "saa"):
         raise ConfigError(f"unknown backend {cfg.backend_kind!r}")
-    cfg.samples = int(numerics.get("samples", 1_000_000))
-    cfg.seed = int(numerics.get("seed", 0))
+    cfg.samples = _number(numerics, "samples", 1_000_000, int)
+    cfg.seed = _number(numerics, "seed", 0, int)
     optimizer = numerics.get("optimizer", "projected_gradient")
     if optimizer != "projected_gradient":
         raise ConfigError(f"unknown optimizer {optimizer!r}")
     cfg.solver_options = SolverOptions(
-        tol=float(numerics.get("tol", 1e-8)),
-        max_iter=int(numerics.get("max_iter", 5000)))
+        tol=_number(numerics, "tol", 1e-8),
+        max_iter=_number(numerics, "max_iter", 5000, int))
     if cfg.solver_options.tol <= 0 or cfg.solver_options.max_iter < 1:
         raise ConfigError("numerics tol/max_iter out of range")
     if cfg.backend_kind == "saa" and cfg.samples < 2:

@@ -13,8 +13,8 @@ class DimensionMismatch(ConemvError):
     """Vector or matrix arguments have inconsistent shapes."""
 
 
-class InvalidCone(ConemvError):
-    """Cone specification is malformed."""
+class InvalidCone(ConemvError, ValueError):
+    """Cone specification is malformed, or does not fit the market."""
 
 
 class ZeroMeanExcess(ConemvError):

@@ -27,7 +27,7 @@ and the mean shift run on the whole block in the calling thread.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Optional, Sequence
 
 import numpy as np
@@ -56,7 +56,17 @@ def gammaincinv(a: float, p: np.ndarray) -> np.ndarray:
     return rng.map_rows(lambda x, out: special.gammaincinv(a, x, out=out), p)
 
 
-@dataclass
+def freeze_arrays(value, *names: str) -> None:
+    """Set the named array fields of frozen ``value`` to read-only copies."""
+    for name in names:
+        array = getattr(value, name)
+        if array is not None:
+            array = np.array(array, dtype=float)
+            array.flags.writeable = False
+            object.__setattr__(value, name, array)
+
+
+@dataclass(frozen=True, eq=False)
 class PeriodDistribution:
     """Law of the excess-return vector over a single period.
 
@@ -83,30 +93,29 @@ class PeriodDistribution:
     df: Optional[float] = None
     atoms: Optional[np.ndarray] = None
     probs: Optional[np.ndarray] = None
-    _chol: Optional[np.ndarray] = field(default=None, repr=False)
-    _cum: Optional[np.ndarray] = field(default=None, repr=False)
+
+    def __post_init__(self):
+        freeze_arrays(self, "mean", "cov", "atoms", "probs")
 
     # -- constructors -------------------------------------------------
 
     @classmethod
     def gaussian(cls, mean, cov) -> "PeriodDistribution":
-        mean = np.asarray(mean, dtype=float)
-        cov = np.asarray(cov, dtype=float)
         return cls("gaussian", mean, cov)
 
     @classmethod
     def student_t(cls, mean, cov, df: float) -> "PeriodDistribution":
-        mean = np.asarray(mean, dtype=float)
-        cov = np.asarray(cov, dtype=float)
         return cls("student_t", mean, cov, df=float(df))
 
     @classmethod
     def discrete(cls, atoms, probs) -> "PeriodDistribution":
         atoms = np.atleast_2d(np.asarray(atoms, dtype=float))
         probs = np.asarray(probs, dtype=float)
-        mean = probs @ atoms
-        centred = atoms - mean
-        cov = (centred * probs[:, None]).T @ centred
+        with np.errstate(invalid="ignore", over="ignore"):
+            # non-finite atoms or probabilities are for validate() to report
+            mean = probs @ atoms
+            centred = atoms - mean
+            cov = (centred * probs[:, None]).T @ centred
         return cls("discrete", mean, cov, atoms=atoms, probs=probs)
 
     # -- derived quantities -------------------------------------------
@@ -122,6 +131,10 @@ class PeriodDistribution:
     def validate(self) -> None:
         if self.family not in FAMILIES:
             raise InvalidMarket(f"unknown family {self.family!r}")
+        for name in ("atoms", "probs", "mean", "cov", "df"):
+            value = getattr(self, name)
+            if value is not None and not np.all(np.isfinite(value)):
+                raise InvalidMarket(f"{name} must be finite")
         mean = self.mean
         cov = self.cov
         if mean.ndim != 1:
@@ -177,23 +190,18 @@ class PeriodDistribution:
                               self._uniforms_per_path())
         n = self.n_assets
         if self.family == "discrete":
-            if self._cum is None:
-                self._cum = np.cumsum(self.probs)
-            idx = np.searchsorted(self._cum, u[:, 0], side="right")
+            idx = np.searchsorted(np.cumsum(self.probs), u[:, 0], side="right")
             idx = np.minimum(idx, len(self.probs) - 1)
             return self.atoms[idx]
-        if self._chol is None:
-            scale = self.cov
-            if self.family == "student_t":
-                scale = self.cov * (self.df - 2.0) / self.df
-            self._chol = np.linalg.cholesky(scale)
+        chol = np.linalg.cholesky(self.cov if self.family == "gaussian" else
+                                  self.cov * (self.df - 2.0) / self.df)
         z = ndtri(u[:, :n])
         rows = z.shape[0]
         if rows == 1:
             # OpenBLAS hands a one-row product to gemv, which rounds
             # differently from the gemm that larger blocks take.
             z = np.repeat(z, 2, axis=0)
-        x = (z @ self._chol.T)[:rows]
+        x = (z @ chol.T)[:rows]
         if self.family == "student_t":
             chi2 = gammaincinv(self.df / 2.0, u[:, n])
             chi2 *= 2.0
@@ -217,13 +225,17 @@ class PeriodDistribution:
         return np.inf
 
 
-@dataclass
+@dataclass(frozen=True, eq=False)
 class MarketSpec:
     """Horizon, riskless returns, and per-period excess-return laws."""
 
     horizon: int
     riskless_rates: np.ndarray
-    periods: list[PeriodDistribution]
+    periods: tuple[PeriodDistribution, ...]
+
+    def __post_init__(self):
+        freeze_arrays(self, "riskless_rates")
+        object.__setattr__(self, "periods", tuple(self.periods))
 
     @classmethod
     def iid(cls, horizon: int, riskless_rate: float,
@@ -239,11 +251,12 @@ class MarketSpec:
     def validate(self) -> None:
         if self.horizon < 1:
             raise InvalidMarket(f"horizon must be >= 1, got {self.horizon}")
-        self.riskless_rates = np.asarray(self.riskless_rates, dtype=float)
         if self.riskless_rates.shape != (self.horizon,):
             raise DimensionMismatch(
                 f"need {self.horizon} riskless rates, got shape "
                 f"{self.riskless_rates.shape}")
+        if not np.all(np.isfinite(self.riskless_rates)):
+            raise InvalidMarket("riskless rates must be finite")
         if np.any(self.riskless_rates <= 0):
             raise InvalidMarket("gross riskless returns must be positive")
         if len(self.periods) != self.horizon:

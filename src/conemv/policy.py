@@ -109,8 +109,7 @@ def time_consistent_aux(market: MarketSpec) -> TimeConsistentAux:
     d_factors = np.ones(T + 1)
     for t in reversed(range(T)):
         d_factors[t] = d_factors[t + 1] * (1.0 - b[t]) / b[t]
-    return TimeConsistentAux(T, np.asarray(market.riskless_rates, float),
-                             gains, b, d_factors)
+    return TimeConsistentAux(T, market.riskless_rates, gains, b, d_factors)
 
 
 def tc_frontier_point(aux: TimeConsistentAux, x0: float,

@@ -51,7 +51,7 @@ from typing import NamedTuple, Optional
 
 import numpy as np
 
-from .cones import ConvexCone
+from .cones import ConvexCone, cones_per_period
 from .errors import (BackendMismatch, ConsistencyError, InsufficientMemory,
                      NoConvergence, TargetUnattainable)
 from .market import MarketSpec
@@ -539,15 +539,7 @@ def backward_recursion(market: MarketSpec, cones_by_period,
     opts = opts or SolverOptions()
     market.validate()
     T, n = market.horizon, market.n_assets
-    if isinstance(cones_by_period, ConvexCone):
-        cones_list = [cones_by_period] * T
-    else:
-        cones_list = list(cones_by_period)
-        if len(cones_list) != T:
-            raise ValueError(f"need {T} cones, got {len(cones_list)}")
-    for cone in cones_list:
-        if cone.dim != n:
-            raise ValueError(f"cone dimension {cone.dim} != {n}")
+    cones_list = cones_per_period(cones_by_period, T, n)
 
     c_plus = np.ones(T + 1)
     c_minus = np.ones(T + 1)
@@ -620,7 +612,7 @@ def backward_recursion(market: MarketSpec, cones_by_period,
 
     return RecursionTable(
         horizon=T, n_assets=n,
-        rates=np.asarray(market.riskless_rates, dtype=float),
+        rates=market.riskless_rates,
         k_plus=k_plus, k_minus=k_minus, c_plus=c_plus, c_minus=c_minus,
         zero_tols=zero_tols, backend_info=backend.describe(),
         diagnostics=diagnostics)
@@ -651,7 +643,7 @@ def unconstrained_table(market: MarketSpec) -> RecursionTable:
         c[t] = (1.0 - b[t]) * c[t + 1]
     return RecursionTable(
         horizon=T, n_assets=n,
-        rates=np.asarray(market.riskless_rates, dtype=float),
+        rates=market.riskless_rates,
         k_plus=k_plus, k_minus=k_minus,
         c_plus=c.copy(), c_minus=c.copy(),
         zero_tols=zero_tols,

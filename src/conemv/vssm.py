@@ -27,7 +27,7 @@ from typing import Optional
 
 import numpy as np
 
-from .cones import ConvexCone
+from .cones import cones_per_period
 from .errors import BackendMismatch, DimensionMismatch
 from .market import MarketSpec
 from .solver import RecursionTable
@@ -222,10 +222,7 @@ def supermartingale_check(table: RecursionTable, market: MarketSpec,
     be discrete.
     """
     T = market.horizon
-    if isinstance(cones_by_period, ConvexCone):
-        cones_list = [cones_by_period] * T
-    else:
-        cones_list = list(cones_by_period)
+    cones_list = cones_per_period(cones_by_period, T, market.n_assets)
 
     returns, probs, paths = enumerate_tree(market)
     dens = density_for_paths(table, returns)

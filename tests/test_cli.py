@@ -497,6 +497,32 @@ class TestNonFiniteInput:
         assert len(lines) == 1 and lines[0].startswith("error:"), res.stderr
         assert "finite" in lines[0]
 
+    @pytest.mark.parametrize("market", [
+        {"riskless_rates": [float("nan"), 1.05]},
+        {"riskless_rates": [1.05, float("inf")]},
+        {"atoms": [[[float("-inf")], 0.5], [[0.2], 0.5]]},
+        {"atoms": [[[-0.1], float("nan")], [[0.2], 0.5]]},
+        {"family": "gaussian", "mean": [float("nan")],
+         "covariance": [[0.04]]},
+        {"family": "gaussian", "mean": [0.06],
+         "covariance": [[float("inf")]]},
+        {"family": "student_t", "mean": [0.06], "covariance": [[0.04]],
+         "df": float("nan")},
+        {"family": "student_t", "mean": [0.06], "covariance": [[0.04]],
+         "df": float("inf")},
+    ])
+    def test_non_finite_market(self, tmp_path, market):
+        cfg = coin_config()
+        cfg["market"].update(market)
+        if cfg["market"]["family"] != "discrete":
+            del cfg["market"]["atoms"]
+        path = write_config(tmp_path, cfg)
+        res = run_cli("solve", "--config", path)
+        assert res.returncode == 2, res.stdout
+        lines = res.stderr.strip().splitlines()
+        assert len(lines) == 1 and lines[0].startswith("error:"), res.stderr
+        assert "finite" in lines[0]
+
     def test_penalty_optimizer_rejected(self, tmp_path):
         cfg = coin_config()
         cfg["numerics"]["optimizer"] = "penalty"
@@ -505,3 +531,60 @@ class TestNonFiniteInput:
         assert res.returncode == 2
         lines = res.stderr.strip().splitlines()
         assert len(lines) == 1 and "unknown optimizer 'penalty'" in lines[0]
+
+
+class TestMalformedNumbers:
+    """Numeric config values that do not convert, or convert to a
+    non-finite number, exit 2 with one error line and no traceback."""
+
+    @pytest.mark.parametrize("section,key,value", [
+        ("market", "riskless_rates", "high"),
+        ("market", "riskless_rates", [[1.02], [1.02, 1.03]]),
+        ("market", "riskless_rates", [1.02]),
+        ("market", "mean", "high"),
+        ("market", "mean", [[0.06], 0.07]),
+        ("market", "covariance", "wide"),
+        ("market", "covariance", [[0.04, 0.0], [0.0]]),
+        ("market", "df", "five"),
+        ("policy", "d", "high"),
+        ("policy", "x0", float("inf")),
+        ("policy", "x0", None),
+        ("numerics", "samples", float("inf")),
+        ("numerics", "seed", "seven"),
+        ("numerics", "tol", float("nan")),
+        ("numerics", "tol", float("inf")),
+        ("numerics", "max_iter", float("-inf")),
+    ])
+    def test_exits_2_with_one_line(self, tmp_path, section, key, value):
+        cfg = coin_config()
+        if key in ("mean", "covariance", "df"):
+            cfg["market"] = {"horizon": 2, "riskless_rates": [1.02, 1.02],
+                             "family": "student_t", "mean": [0.06],
+                             "covariance": [[0.04]], "df": 5}
+        cfg[section][key] = value
+        path = write_config(tmp_path, cfg)
+        res = run_cli("solve", "--config", path)
+        assert res.returncode == 2, res.stdout
+        assert "Traceback" not in res.stderr
+        lines = res.stderr.strip().splitlines()
+        assert len(lines) == 1 and lines[0].startswith("error:"), res.stderr
+
+
+def test_config_and_backend_import_no_scipy_solvers():
+    """Parsing a polyhedral Student-t config and making its SAA backend
+    loads neither scipy.optimize nor scipy.special: the import cost
+    falls on the first projection and the first draw, and construction
+    computes nothing derived."""
+    config = CONFIGS / "three_index_limited_short_student_t.json"
+    code = (
+        "import json, sys\n"
+        "import conemv.cli\n"
+        "from conemv.config import parse_config\n"
+        f"cfg = parse_config(json.loads(open({str(config)!r}).read()))\n"
+        "cfg.make_backend()\n"
+        "print(sorted(m for m in ('scipy.optimize', 'scipy.special')\n"
+        "             if m in sys.modules))\n")
+    res = subprocess.run([sys.executable, "-c", code], capture_output=True,
+                         text=True, timeout=120)
+    assert res.returncode == 0, res.stderr
+    assert res.stdout.strip() == "[]"

@@ -1,4 +1,6 @@
 """Cone membership, polar membership, projection, and serialization."""
+import dataclasses
+
 import numpy as np
 import pytest
 import scipy.optimize
@@ -419,6 +421,50 @@ class TestOriginOnly:
         assert not ConvexCone.orthant(3).is_origin_only()
         assert not limited_short_cone().is_origin_only()
         assert not ConvexCone.whole_space(2).is_origin_only()
+
+    def test_answer_is_lazy_computed_once_and_takes_no_tolerance(
+            self, monkeypatch):
+        calls = []
+        project = ConvexCone.project
+        monkeypatch.setattr(ConvexCone, "project", lambda self, v, **kw:
+                            calls.append(v) or project(self, v, **kw))
+        boxed = ConvexCone.polyhedral([[1.0, 0.0], [-1.0, 0.0],
+                                       [0.0, 1.0], [0.0, -1.0]])
+        orthant = ConvexCone.polyhedral(np.eye(2))
+        assert calls == []
+        assert boxed.is_origin_only() and not orthant.is_origin_only()
+        assert len(calls) > 0
+        del calls[:]
+        assert boxed.is_origin_only() and not orthant.is_origin_only()
+        assert calls == []
+        with pytest.raises(TypeError):
+            orthant.is_origin_only(tol=10.0)
+
+
+class TestImmutability:
+    def cones(self):
+        return [ConvexCone.whole_space(2), ConvexCone.orthant(2),
+                ConvexCone.half_space([1.0, -0.5]),
+                ConvexCone.polyhedral([[1.0, 0.0], [0.3, 1.0]])]
+
+    def test_fields_cannot_be_assigned(self):
+        for cone in self.cones():
+            for f in dataclasses.fields(cone):
+                with pytest.raises(dataclasses.FrozenInstanceError):
+                    setattr(cone, f.name, getattr(cone, f.name))
+        assert [f.name for f in dataclasses.fields(ConvexCone)] == [
+            "kind", "dim", "normal", "rows"]
+
+    def test_arrays_are_read_only_copies(self):
+        normal = np.array([1.0, -0.5])
+        rows = np.array([[1.0, 0.0], [0.3, 1.0]])
+        half = ConvexCone("half_space", 2, normal=normal)
+        poly = ConvexCone("polyhedral", 2, rows=rows)
+        normal[0] = rows[0, 0] = -9.0
+        assert half.normal[0] == 1.0 and poly.rows[0, 0] == 1.0
+        for array in (half.normal, poly.rows):
+            with pytest.raises(ValueError):
+                array[0] = 0.0
 
 
 class TestTcieConstruction:

@@ -1,5 +1,6 @@
 """Market construction, validation, moments, path sampling and the draw
 pool."""
+import dataclasses
 import os
 import signal
 import sys
@@ -40,7 +41,8 @@ class TestThreeIndexCalibration:
         market.validate()
         assert market.horizon == 3
         assert market.n_assets == 3
-        assert market.iid
+        assert all(p is market.periods[0] for p in market.periods)
+        assert np.all(market.riskless_rates == market.riskless_rates[0])
 
     def test_mean_excess_returns(self):
         mean, _ = three_index_moments()
@@ -137,6 +139,96 @@ class TestValidation:
         with pytest.raises((InvalidMarket, DimensionMismatch)):
             MarketSpec(horizon=2, riskless_rates=[1.05, 1.05],
                        periods=[p1, p2]).validate()
+
+    @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+    @pytest.mark.parametrize("field", ["rates", "mean", "cov", "df",
+                                       "atoms", "probs"])
+    def test_non_finite_data_rejected(self, field, bad):
+        mean, cov, rates = [0.05, 0.06], [[0.04, 0.01], [0.01, 0.05]], [1.02]
+        atoms, probs = [[-0.1, 0.2], [0.3, -0.1], [0.1, 0.1]], [0.3, 0.3, 0.4]
+        if field == "rates":
+            rates = [bad]
+        elif field == "mean":
+            mean = [0.05, bad]
+        elif field == "cov":
+            cov = [[0.04, 0.01], [0.01, bad]]
+        elif field == "atoms":
+            atoms = [[-0.1, 0.2], [0.3, bad], [0.1, 0.1]]
+        elif field == "probs":
+            probs = [0.3, bad, 0.4]
+        if field in ("atoms", "probs"):
+            period = PeriodDistribution.discrete(atoms, probs)
+        else:
+            period = PeriodDistribution.student_t(
+                mean, cov, bad if field == "df" else 5.0)
+        market = MarketSpec(1, rates, [period])
+        name = "riskless rates" if field == "rates" else field
+        with pytest.raises(InvalidMarket, match=f"{name} must be finite"):
+            market.validate()
+
+
+class TestImmutability:
+    """Market values are frozen: no field can be reassigned, no array
+    written, and a caller's later writes to its own arrays do not reach
+    the value."""
+
+    def values(self):
+        gauss = PeriodDistribution.gaussian([0.05, 0.06],
+                                            [[0.04, 0.01], [0.01, 0.05]])
+        tree = PeriodDistribution.discrete([[-0.1, 0.2], [0.3, -0.1],
+                                            [0.1, 0.1]], [0.3, 0.3, 0.4])
+        return gauss, tree, MarketSpec(2, [1.02, 1.03], [gauss, tree])
+
+    def test_fields_cannot_be_assigned(self):
+        for value in self.values():
+            for f in dataclasses.fields(value):
+                with pytest.raises(dataclasses.FrozenInstanceError):
+                    setattr(value, f.name, getattr(value, f.name))
+
+    def test_arrays_are_read_only(self):
+        gauss, tree, market = self.values()
+        for array in (gauss.mean, gauss.cov, tree.atoms, tree.probs,
+                      market.riskless_rates):
+            with pytest.raises(ValueError):
+                array[0] = 0.0
+
+    def test_caller_arrays_are_copied(self):
+        mean = np.array([0.05, 0.06])
+        cov = np.array([[0.04, 0.01], [0.01, 0.05]])
+        rates = np.array([1.02])
+        periods = [PeriodDistribution.gaussian(mean, cov)]
+        market = MarketSpec(1, rates, periods)
+        mean[0], cov[0, 0], rates[0] = 9.0, 9.0, 9.0
+        periods.append(periods[0])
+        assert market.periods[0].mean[0] == 0.05
+        assert market.periods[0].cov[0, 0] == 0.04
+        assert market.riskless_rates[0] == 1.02
+        assert market.periods == (periods[0],)
+
+    def test_no_cache_fields(self):
+        names = {cls: [f.name for f in dataclasses.fields(cls)]
+                 for cls in (PeriodDistribution, MarketSpec)}
+        assert names == {
+            PeriodDistribution: ["family", "mean", "cov", "df", "atoms",
+                                 "probs"],
+            MarketSpec: ["horizon", "riskless_rates", "periods"]}
+
+    def test_validate_and_draws_leave_the_value_unchanged(self):
+        gauss, tree, market = self.values()
+        before = {k: v for k, v in vars(market).items()}
+        market.validate()
+        market.sample_block(0, 3, 0, 5)
+        market.sample_block(1, 3, 0, 5)
+        assert vars(market) == before
+        assert vars(gauss).keys() == {f.name for f in
+                                      dataclasses.fields(gauss)}
+
+    def test_replace_makes_a_validated_variant(self):
+        _, _, market = self.values()
+        shifted = dataclasses.replace(market, riskless_rates=[1.0, 1.0])
+        shifted.validate()
+        assert shifted.rho(0) == 1.0 and market.rho(0) == 1.02 * 1.03
+        assert shifted.periods is market.periods
 
 
 class TestMoments:

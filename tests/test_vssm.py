@@ -3,7 +3,7 @@ import numpy as np
 import pytest
 
 from conemv.cones import ConvexCone
-from conemv.errors import BackendMismatch, DimensionMismatch
+from conemv.errors import BackendMismatch, DimensionMismatch, InvalidCone
 from conemv.market import MarketSpec, PeriodDistribution
 from conemv.policy import mu_star, precommitted
 from conemv.sim import sample_returns, simulate
@@ -283,6 +283,20 @@ class TestSupermartingaleAudit:
                                        ConvexCone.orthant(2), tol=1e-7)
         n0 = tree_market.periods[0].atoms.shape[0]
         assert len(report.nodes) == 1 + n0
+
+    @pytest.mark.parametrize("cones", [[ConvexCone.orthant(2)],
+                                       [ConvexCone.orthant(2)] * 3,
+                                       ConvexCone.orthant(3)])
+    def test_cones_must_fit_the_market(self, tree_market, cones):
+        """The audit checks the cone list as the recursion does, rather
+        than failing on a short list and ignoring extra cones."""
+        backend = ExactDiscreteBackend(tree_market)
+        table = backward_recursion(tree_market, ConvexCone.orthant(2),
+                                   backend)
+        with pytest.raises(InvalidCone):
+            supermartingale_check(table, tree_market, cones)
+        with pytest.raises(InvalidCone):
+            backward_recursion(tree_market, cones, backend)
 
     def test_continuous_market_rejected(self, three_gauss,
                                         gauss_unc_table):
