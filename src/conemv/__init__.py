@@ -14,14 +14,13 @@ from .errors import (BackendMismatch, ConemvError, ConfigError,
                      InsufficientConditioningEvents, InsufficientMemory,
                      InvalidCone, InvalidMarket, InvalidTarget, NoConvergence,
                      TargetUnattainable, ZeroMeanExcess)
-from .market import (MarketSpec, PeriodDistribution, from_annual_table,
-                     moment_matched_atoms)
+from .market import MarketSpec, PeriodDistribution, from_annual_table
 from .policy import (Policy, frontier_point, induced_target, minimum_variance,
                      mu_star, precommitted, tc_frontier_point,
                      time_consistent, time_consistent_aux, truncated)
 from .solver import (ExactDiscreteBackend, RecursionTable, SaaBackend,
-                     SolverOptions, backward_recursion, dual_value, eval_h,
-                     grad_h, linear_form, make_backend, minimize_over_cone,
+                     SolverOptions, backward_recursion, dual_value,
+                     linear_form, make_backend, minimize_over_cone,
                      unconstrained_table, value_function)
 from .tcie import (TcieVerdict, check_tcie, conditional_consistency_check,
                    threshold, transition_probs)

@@ -94,6 +94,12 @@ def _build_policy(cfg, table):
                                 cfg.truncate_d_k)
 
 
+def _thresholds(cfg, table, mu: float) -> dict:
+    """Wealth thresholds (d - mu*)/rho_t for t = 0, ..., T."""
+    return {str(t): (cfg.d - mu) / table.rho(t)
+            for t in range(table.horizon + 1)}
+
+
 # ---------------------------------------------------------------------------
 # subcommands
 # ---------------------------------------------------------------------------
@@ -107,9 +113,7 @@ def cmd_solve(args) -> int:
             mu = policy_mod.mu_star(table, cfg.x0, cfg.d)
             payload["policy"] = {
                 "kind": "precommitted", "x0": cfg.x0, "d": cfg.d,
-                "mu_star": mu,
-                "thresholds": {t: (cfg.d - mu) / table.rho(t)
-                               for t in range(table.horizon + 1)},
+                "mu_star": mu, "thresholds": _thresholds(cfg, table, mu),
             }
         except TargetUnattainable as exc:
             payload["policy"] = {"kind": "precommitted", "x0": cfg.x0,
@@ -216,9 +220,7 @@ def cmd_tcie(args) -> int:
     }
     try:
         mu = policy_mod.mu_star(table, cfg.x0, cfg.d)
-        payload["thresholds"] = {
-            str(t): (cfg.d - mu) / table.rho(t)
-            for t in range(table.horizon + 1)}
+        payload["thresholds"] = _thresholds(cfg, table, mu)
     except TargetUnattainable:
         pass
     _emit_json(payload, args.out)

@@ -9,7 +9,8 @@ A configuration has four sections:
 * ``policy``   -- kind plus initial wealth and mean target;
 * ``numerics`` -- expectation backend, optimizer, tolerances.
 
-Unknown keys anywhere are rejected so typos fail loudly.
+Unknown keys anywhere are rejected so typos fail loudly, and so is a
+boolean anywhere: no key holds one.
 """
 
 from __future__ import annotations
@@ -59,17 +60,30 @@ def _reject_unknown(section: dict, allowed: set, name: str) -> None:
         raise ConfigError(f"unknown keys in {name!r}: {sorted(unknown)}")
 
 
+def _reject_booleans(node, path: str) -> None:
+    """No key holds a boolean: a JSON true or false is a ConfigError."""
+    if isinstance(node, bool):
+        raise ConfigError(f"{path} must not be a boolean, got {node}")
+    children = (node.items() if isinstance(node, dict)
+                else enumerate(node) if isinstance(node, list) else ())
+    for key, child in children:
+        _reject_booleans(child, f"{path}.{key}" if path else str(key))
+
+
 def _number(section: dict, key: str, default, kind=float):
-    """section[key], or ``default`` when absent, converted by ``kind``;
-    a value that does not convert to a finite number is a ConfigError."""
+    """section[key], or ``default`` when absent, as a finite float, or as
+    an int of integral value for ``kind=int``; else a ConfigError."""
     value = section.get(key, default)
     try:
-        number = kind(value)
-        if math.isfinite(number):
-            return number
+        number = float(value)
     except (TypeError, ValueError, OverflowError):
-        pass
-    raise ConfigError(f"{key!r} must be a finite number, got {value!r}")
+        number = math.nan
+    if kind is float and math.isfinite(number):
+        return number
+    if kind is int and number.is_integer():
+        return value if isinstance(value, int) else int(number)
+    what = "a finite number" if kind is float else "an integer"
+    raise ConfigError(f"{key!r} must be {what}, got {value!r}")
 
 
 def _parse_period(section: dict) -> PeriodDistribution:
@@ -106,8 +120,8 @@ def _parse_market(section) -> MarketSpec:
     for key in ("horizon", "riskless_rates", "family"):
         if key not in section:
             raise ConfigError(f"market is missing {key!r}")
-    horizon = section["horizon"]
-    if not isinstance(horizon, int) or horizon < 1:
+    horizon = _number(section, "horizon", None, int)
+    if horizon < 1:
         raise ConfigError(f"horizon must be a positive integer, got {horizon!r}")
     try:
         market = MarketSpec(horizon, section["riskless_rates"],
@@ -135,6 +149,7 @@ def _parse_cones(section, market: MarketSpec) -> list[ConvexCone]:
 def parse_config(data: dict) -> RunConfig:
     if not isinstance(data, dict):
         raise ConfigError("configuration must be a JSON object")
+    _reject_booleans(data, "")
     _reject_unknown(data, {"market", "cones", "policy", "numerics"},
                     "configuration")
     if "market" not in data:

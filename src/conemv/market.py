@@ -321,21 +321,3 @@ def from_annual_table(mean_returns: Sequence[float],
     mean = rates - float(riskless_rate)
     cov = np.outer(vols, vols) * corr
     return mean, cov
-
-
-def moment_matched_atoms(mean, cov) -> PeriodDistribution:
-    """Discrete law with exactly the given first two moments.
-
-    Uses the 2n symmetric sigma points mean +- sqrt(n) L_k (L the
-    Cholesky factor of cov), each with probability 1/(2n).  Useful when
-    an exact-expectation backend is needed for a market specified only
-    through moments.
-    """
-    mean = np.asarray(mean, dtype=float)
-    cov = np.asarray(cov, dtype=float)
-    n = mean.shape[0]
-    ell = np.linalg.cholesky(cov)
-    offsets = np.sqrt(n) * ell.T  # row k is sqrt(n) * k-th Cholesky column
-    atoms = np.vstack([mean + offsets, mean - offsets])
-    probs = np.full(2 * n, 1.0 / (2 * n))
-    return PeriodDistribution.discrete(atoms, probs)

@@ -30,6 +30,21 @@ from .solver import RecursionTable
 _C_ONE_TOL = 1e-12
 
 
+def _multiplier(table: RecursionTable, t: int, x: float, d: float,
+                target: str) -> float:
+    """gap / (1 - 1/C_t), gap = d - rho_t x, with C_t on the gap's
+    branch; ``target`` names d when that constant is one."""
+    gap = d - table.rho(t) * x
+    if gap == 0.0:
+        return 0.0
+    c = table.c_plus[t] if gap > 0 else table.c_minus[t]
+    if c >= 1.0 - _C_ONE_TOL:
+        raise TargetUnattainable(
+            f"{target} unreachable: cost constant is 1 on the "
+            f"{'upper' if gap > 0 else 'lower'} branch")
+    return gap / (1.0 - 1.0 / c)
+
+
 def mu_star(table: RecursionTable, x0: float, d: float) -> float:
     """Optimal mean-constraint multiplier for target d from wealth x0.
 
@@ -40,15 +55,7 @@ def mu_star(table: RecursionTable, x0: float, d: float) -> float:
         position changes the attainable mean) while d differs from the
         riskless roll-up rho_0 x0.
     """
-    gap = d - table.rho(0) * x0
-    if gap == 0.0:
-        return 0.0
-    c = table.c_plus[0] if gap > 0 else table.c_minus[0]
-    if c >= 1.0 - _C_ONE_TOL:
-        raise TargetUnattainable(
-            f"target {d} unreachable: cost constant is 1 on the "
-            f"{'upper' if gap > 0 else 'lower'} branch")
-    return gap / (1.0 - 1.0 / c)
+    return _multiplier(table, 0, x0, d, f"target {d}")
 
 
 class FrontierPoint(NamedTuple):
@@ -227,15 +234,8 @@ def truncated(table: RecursionTable, k: int, x_k: float, d_k: float) -> Policy:
     """Optimal policy of the truncated problem started at (k, x_k)."""
     if not 0 <= k < table.horizon:
         raise ValueError(f"k must lie in [0, {table.horizon}), got {k}")
-    gap = d_k - table.rho(k) * x_k
-    if gap == 0.0:
-        mu_k = 0.0
-    else:
-        c = table.c_plus[k] if gap > 0 else table.c_minus[k]
-        if c >= 1.0 - _C_ONE_TOL:
-            raise TargetUnattainable(
-                f"truncated target {d_k} unreachable from x_{k} = {x_k}")
-        mu_k = gap / (1.0 - 1.0 / c)
+    mu_k = _multiplier(table, k, x_k, d_k,
+                       f"truncated target {d_k} from x_{k} = {x_k}")
     return Policy("truncated", table.horizon, table.n_assets, k, x_k,
                   table=table, d=d_k, mu=mu_k)
 

@@ -56,36 +56,3 @@ def limited_short_cone() -> ConvexCone:
     return ConvexCone.polyhedral([[0.0, 1.0, 0.0],
                                   [0.0, 0.0, 1.0],
                                   [1.0, 1.0, 1.0]])
-
-
-def study_config(case: str, family: str = "gaussian",
-                 x0: float = 1.0, d: float = 1.35) -> dict:
-    """Full run configuration for one constraint case of the study.
-
-    ``case`` is one of ``unconstrained``, ``half_space``, ``polyhedral``.
-    """
-    mean, cov = three_index_moments()
-    market = {
-        "horizon": 3,
-        "riskless_rates": [1.0 + THREE_INDEX_RISKLESS] * 3,
-        "family": family,
-        "mean": mean.tolist(),
-        "covariance": cov.tolist(),
-    }
-    if family == "student_t":
-        market["df"] = 5
-    cones = {
-        "unconstrained": unconstrained_cone(),
-        "half_space": mean_half_space_cone(),
-        "polyhedral": limited_short_cone(),
-    }
-    if case not in cones:
-        raise ValueError(f"unknown case {case!r}")
-    return {
-        "market": market,
-        "cones": cones[case].to_dict(),
-        "policy": {"kind": "precommitted", "x0": x0, "d": d},
-        "numerics": {"backend": "saa", "samples": 1_000_000, "seed": 7,
-                     "optimizer": "projected_gradient", "tol": 1e-8,
-                     "max_iter": 5000},
-    }

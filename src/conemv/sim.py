@@ -41,7 +41,7 @@ class PathEnsemble:
 
 def simulate(policy: Policy, market: MarketSpec, n_paths: int = DEFAULT_PATHS,
              seed: int = 0, block: int = 250_000) -> PathEnsemble:
-    """Run the wealth recursion under the policy.
+    """Draw the returns and replay the wealth recursion on them.
 
     Paths are processed in blocks only for memory locality; the draws
     for path p at period t do not depend on the blocking.
@@ -51,16 +51,12 @@ def simulate(policy: Policy, market: MarketSpec, n_paths: int = DEFAULT_PATHS,
     t0 = policy.start_time
     wealth = np.empty((n_paths, T + 1))
     returns = np.zeros((n_paths, T, n))
-    wealth[:, :t0 + 1] = policy.x_start
     for lo in range(0, n_paths, block):
         hi = min(lo + block, n_paths)
-        x = np.full(hi - lo, float(policy.x_start))
         for t in range(t0, T):
-            p = market.sample_block(t, seed, lo, hi)
-            u = policy.control(t, x)
-            x = market.riskless_rates[t] * x + np.einsum("ij,ij->i", p, u)
-            returns[lo:hi, t] = p
-            wealth[lo:hi, t + 1] = x
+            returns[lo:hi, t] = market.sample_block(t, seed, lo, hi)
+        wealth[lo:hi] = replay_wealth(policy, market, returns[lo:hi],
+                                      policy.x_start)
     return PathEnsemble(wealth, returns, seed, policy.kind, start_time=t0)
 
 
@@ -156,6 +152,8 @@ def terminal_stats(ensemble: PathEnsemble) -> TerminalStats:
     """
     x = ensemble.wealth[:, -1]
     n = x.shape[0]
+    if n < 2:
+        raise ValueError(f"terminal statistics need at least 2 paths, got {n}")
     mean = float(x.mean())
     centred = x - mean
     m2 = float((centred ** 2).mean())

@@ -268,24 +268,12 @@ def _h_and_grad(pts, w, sign, k, c_plus, c_minus, screen=None) -> Cost:
                 float(lin / n_rows), rows.shape[0], (2.0 / n_rows) * hess)
 
 
-def eval_h(backend, t: int, sign: int, k, c_plus_next: float,
-           c_minus_next: float) -> float:
-    """Quadratic one-period cost h_t^{sign}(k)."""
-    return backend.cost(t, sign, k, c_plus_next, c_minus_next).value
-
-
-def grad_h(backend, t: int, sign: int, k, c_plus_next: float,
-           c_minus_next: float) -> np.ndarray:
-    """Gradient of h_t^{sign} at k."""
-    return backend.cost(t, sign, k, c_plus_next, c_minus_next).grad
-
-
 def linear_form(backend, t: int, sign: int, k, c_plus_next: float,
                 c_minus_next: float) -> float:
     """Piecewise-linear evaluation E[c(k) (1 -+ P'k)].
 
-    Coincides with eval_h at any point where grad h(k)'k = 0, in
-    particular at every constrained minimiser.
+    Coincides with ``backend.cost(...).value`` at any point where
+    grad h(k)'k = 0, in particular at every constrained minimiser.
     """
     return backend.cost(t, sign, k, c_plus_next, c_minus_next).lin
 
@@ -569,14 +557,12 @@ def backward_recursion(market: MarketSpec, cones_by_period,
             res = minimize_over_cone(
                 backend, t, sign, cone, c_plus[t + 1], c_minus[t + 1],
                 mean, second, opts, zero_tols[t])
-            if res.snapped_zero:
-                # h(0) = L(0) = the next constant, by construction
-                value = c_plus[t + 1] if sign > 0 else c_minus[t + 1]
-                gap = 0.0
-            else:
+            # a zero test or a snap returns h(0) = L(0) = the next
+            # constant, by construction
+            value, gap = res.value, 0.0
+            if not res.snapped_zero:
                 # h - L = grad'K / 2 holds exactly on a frozen sample as
                 # on atoms, so one deterministic bound serves both backends
-                value = res.value
                 lin = linear_form(backend, t, sign, res.k,
                                   c_plus[t + 1], c_minus[t + 1])
                 gap = abs(value - lin)

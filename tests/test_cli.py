@@ -534,8 +534,9 @@ class TestNonFiniteInput:
 
 
 class TestMalformedNumbers:
-    """Numeric config values that do not convert, or convert to a
-    non-finite number, exit 2 with one error line and no traceback."""
+    """Numeric config values that do not convert, convert to a
+    non-finite number, are booleans, or are fractional counts exit 2
+    with one error line and no traceback."""
 
     @pytest.mark.parametrize("section,key,value", [
         ("market", "riskless_rates", "high"),
@@ -554,6 +555,16 @@ class TestMalformedNumbers:
         ("numerics", "tol", float("nan")),
         ("numerics", "tol", float("inf")),
         ("numerics", "max_iter", float("-inf")),
+        ("market", "horizon", 2.5),
+        ("numerics", "samples", 2.9),
+        ("numerics", "seed", 7.8),
+        ("numerics", "max_iter", 10.5),
+        ("policy", "k", 1.7),
+        ("market", "horizon", True),
+        ("market", "riskless_rates", [1.02, True]),
+        ("numerics", "tol", True),
+        ("numerics", "seed", False),
+        ("policy", "x0", True),
     ])
     def test_exits_2_with_one_line(self, tmp_path, section, key, value):
         cfg = coin_config()
@@ -561,6 +572,8 @@ class TestMalformedNumbers:
             cfg["market"] = {"horizon": 2, "riskless_rates": [1.02, 1.02],
                              "family": "student_t", "mean": [0.06],
                              "covariance": [[0.04]], "df": 5}
+        if key == "k":
+            cfg["policy"] = {"kind": "truncated", "d_k": 1.1, "x_k": 1.0}
         cfg[section][key] = value
         path = write_config(tmp_path, cfg)
         res = run_cli("solve", "--config", path)

@@ -14,7 +14,7 @@ from conemv.rng import STREAM_SAA
 from conemv.solver import (ExactDiscreteBackend, RecursionTable, SaaBackend,
                            SampleScreen, SolverOptions, _SCREEN_BLOCK,
                            _h_and_grad, backward_recursion, default_zero_tol,
-                           grad_h, minimize_over_cone)
+                           minimize_over_cone)
 from conemv.cones import ConvexCone
 
 B = _SCREEN_BLOCK
@@ -188,7 +188,7 @@ def test_kept_gradient_equals_a_fresh_evaluation(three_gauss, sign):
     res = minimize_over_cone(backend, 0, sign, cone, 0.8, 0.9, period.mean,
                              second, SolverOptions(),
                              default_zero_tol(period.mean, second))
-    g = grad_h(backend, 0, sign, res.k, 0.8, 0.9)
+    g = backend.cost(0, sign, res.k, 0.8, 0.9).grad
     assert res.pg_residual == float(np.linalg.norm(res.k - cone.project(res.k - g)))
     assert res.complementarity == abs(float(g @ res.k))
 

@@ -10,8 +10,8 @@ from conftest import random_cone, random_tree_market
 from conemv.cones import ConvexCone
 from conemv.errors import NoConvergence, TargetUnattainable
 from conemv.policy import mu_star
-from conemv.solver import (backward_recursion, dual_value, eval_h, grad_h,
-                           linear_form, make_backend)
+from conemv.solver import (backward_recursion, dual_value, linear_form,
+                           make_backend)
 
 COMMON = dict(max_examples=120, deadline=None, derandomize=True,
               suppress_health_check=[HealthCheck.too_slow,
@@ -71,8 +71,8 @@ def test_quadratic_and_linear_costs_agree_at_optima(seed):
             continue
         t, sign = diag["t"], diag["sign"]
         k = table.k_plus[t] if sign == 1 else table.k_minus[t]
-        quad = eval_h(backend, t, sign, k,
-                      table.c_plus[t + 1], table.c_minus[t + 1])
+        quad = backend.cost(t, sign, k,
+                            table.c_plus[t + 1], table.c_minus[t + 1]).value
         lin = linear_form(backend, t, sign, k,
                           table.c_plus[t + 1], table.c_minus[t + 1])
         assert abs(quad - lin) <= 1e-6 * max(1.0, abs(quad))
@@ -91,14 +91,14 @@ def test_gradient_matches_central_differences(seed, sign):
     margins = np.abs(market.periods[0].atoms @ k - sign)
     assume(float(margins.min()) > 1e-3)
 
-    grad = grad_h(backend, 0, sign, k, cp, cm)
+    grad = backend.cost(0, sign, k, cp, cm).grad
     fd = np.empty_like(grad)
     step = 1e-6
     for i in range(k.shape[0]):
         e = np.zeros_like(k)
         e[i] = step
-        fd[i] = (eval_h(backend, 0, sign, k + e, cp, cm)
-                 - eval_h(backend, 0, sign, k - e, cp, cm)) / (2 * step)
+        fd[i] = (backend.cost(0, sign, k + e, cp, cm).value
+                 - backend.cost(0, sign, k - e, cp, cm).value) / (2 * step)
     assert np.linalg.norm(fd - grad) <= 1e-4 * max(1.0, np.linalg.norm(grad))
 
 

@@ -51,16 +51,20 @@ class TestDeterminism:
         b = simulate(pol, market, n_paths=4000, seed=6)
         assert not np.array_equal(a.wealth, b.wealth)
 
-    def test_block_size_does_not_change_draws(self, gauss2_policy):
+    def test_block_size_does_not_change_draws(self, gauss2_policy,
+                                              truncated_policy):
         # Blocking is a memory layout choice; path p at period t must get
-        # the same draw regardless of where the block boundaries fall.
-        market, table, pol = gauss2_policy
-        a = simulate(pol, market, n_paths=5000, seed=3, block=250_000)
-        b = simulate(pol, market, n_paths=5000, seed=3, block=1000)
-        c = simulate(pol, market, n_paths=5000, seed=3, block=1237)
-        assert np.array_equal(a.wealth, b.wealth)
-        assert np.array_equal(a.returns, b.returns)
-        assert np.array_equal(a.wealth, c.wealth)
+        # the same draw regardless of where the block boundaries fall,
+        # also for a policy that starts after time 0.
+        market = gauss2_policy[0]
+        for pol in (gauss2_policy[2], truncated_policy[2]):
+            a = simulate(pol, market, n_paths=5000, seed=3, block=250_000)
+            b = simulate(pol, market, n_paths=5000, seed=3, block=1000)
+            c = simulate(pol, market, n_paths=5000, seed=3, block=1237)
+            assert np.array_equal(a.wealth, b.wealth)
+            assert np.array_equal(a.returns, b.returns)
+            assert np.array_equal(a.wealth, c.wealth)
+            assert np.array_equal(a.returns, c.returns)
 
     def test_metadata_recorded(self, gauss2_policy):
         market, table, pol = gauss2_policy
@@ -270,6 +274,12 @@ class TestTerminalStats:
         assert stats.se_mean == pytest.approx(np.sqrt(m2 / 4), rel=1e-13)
         assert stats.se_variance == pytest.approx(
             np.sqrt((m4 - m2 ** 2) / 4), rel=1e-13)
+
+    def test_fewer_than_two_paths_rejected(self, gauss2_policy):
+        market, table, pol = gauss2_policy
+        ens = simulate(pol, market, n_paths=1, seed=0)
+        with pytest.raises(ValueError, match="at least 2 paths, got 1"):
+            terminal_stats(ens)
 
     def test_tree_simulation_moments(self, gauss2_policy):
         market, table, pol = gauss2_policy

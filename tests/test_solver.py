@@ -22,8 +22,6 @@ from conemv.solver import (
     SolverOptions,
     backward_recursion,
     dual_value,
-    eval_h,
-    grad_h,
     linear_form,
     make_backend,
     minimize_over_cone,
@@ -77,15 +75,15 @@ class TestBranchCost:
     def test_value_at_origin_picks_branch_constant(self):
         b = exact_backend(coin_market())
     # at K = 0 every sample sits on the no-flip branch
-        assert eval_h(b, 0, +1, np.zeros(1), 0.9, 1.0) == pytest.approx(0.9)
-        assert eval_h(b, 0, -1, np.zeros(1), 0.9, 1.0) == pytest.approx(1.0)
+        assert b.cost(0, +1, np.zeros(1), 0.9, 1.0).value == pytest.approx(0.9)
+        assert b.cost(0, -1, np.zeros(1), 0.9, 1.0).value == pytest.approx(1.0)
 
     def test_single_asset_example(self):
         b = exact_backend(coin_market())
         k = np.array([1.0])
-        assert eval_h(b, 0, +1, k, 1.0, 1.0) == pytest.approx(0.925,
-                                                              abs=1e-15)
-        g = grad_h(b, 0, +1, k, 1.0, 1.0)
+        assert b.cost(0, +1, k, 1.0, 1.0).value == pytest.approx(
+            0.925, abs=1e-15)
+        g = b.cost(0, +1, k, 1.0, 1.0).grad
         assert g[0] == pytest.approx(-0.05, abs=1e-15)
 
     def test_gradient_at_origin_closed_form(self):
@@ -95,9 +93,9 @@ class TestBranchCost:
                             periods=[period])
         b = exact_backend(market)
         mean = period.mean
-        np.testing.assert_allclose(grad_h(b, 0, +1, np.zeros(2), 0.7, 1.3),
+        np.testing.assert_allclose(b.cost(0, +1, np.zeros(2), 0.7, 1.3).grad,
                                    -2.0 * 0.7 * mean, atol=1e-14)
-        np.testing.assert_allclose(grad_h(b, 0, -1, np.zeros(2), 0.7, 1.3),
+        np.testing.assert_allclose(b.cost(0, -1, np.zeros(2), 0.7, 1.3).grad,
                                    2.0 * 1.3 * mean, atol=1e-14)
 
     def test_linear_form_equals_quadratic_at_origin(self):
@@ -110,7 +108,7 @@ class TestBranchCost:
         mean, cov = three_index_moments()
         second = cov + np.outer(mean, mean)
         k_unc = np.linalg.solve(second, mean)
-        val = eval_h(backend, 0, +1, k_unc, 1.0, 1.0)
+        val = backend.cost(0, +1, k_unc, 1.0, 1.0).value
         assert val == pytest.approx(1.0 - mean @ k_unc, abs=2e-3)
         assert val == pytest.approx(0.7854, abs=2e-3)
 
@@ -132,9 +130,9 @@ class TestBranchCost:
             if np.min(np.abs(atoms @ k - sign)) < 1e-3:
                 continue
             c_pair = tuple(rng.uniform(0.3, 1.0, size=2))
-            g = grad_h(b, 0, sign, k, *c_pair)
+            g = b.cost(0, sign, k, *c_pair).grad
             fd = central_fd_grad(
-                lambda kk: eval_h(b, 0, sign, kk, *c_pair), k, step=1e-5)
+                lambda kk: b.cost(0, sign, kk, *c_pair).value, k, step=1e-5)
             assert np.linalg.norm(fd - g) <= 1e-4 * max(1.0,
                                                         np.linalg.norm(g))
             checked += 1
