@@ -19,7 +19,7 @@ import numpy as np
 from . import policy as policy_mod
 from . import sim, tcie, vssm
 from .cones import construct_tcie_cone
-from .config import parse_config
+from .config import checked_seed, parse_config
 from .errors import (ConemvError, ConfigError, InsufficientMemory,
                      InvalidCone, InvalidMarket, TargetUnattainable)
 from .solver import backward_recursion, require_memory
@@ -61,7 +61,7 @@ def _load_config(args):
         raise ConfigError(f"config is not valid JSON: {exc}") from exc
     cfg = parse_config(data)
     if args.seed is not None:
-        cfg.seed = args.seed
+        cfg.seed = checked_seed(args.seed)
     if args.samples is not None:
         if args.samples < 2:
             raise ConfigError(f"--samples must be >= 2, got {args.samples}")

@@ -33,7 +33,6 @@ half-spaces, in the same metric, runs instead.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from functools import cached_property
 from typing import Optional
 
 import numpy as np
@@ -235,21 +234,6 @@ class ConvexCone:
         raise NoConvergence(
             f"Dykstra projection did not settle within {max_cycles} cycles",
             best=u)
-
-    # -- structure -------------------------------------------------------
-
-    def is_origin_only(self) -> bool:
-        """True iff the cone is the single point {0}."""
-        return self._origin_only
-
-    @cached_property
-    def _origin_only(self) -> bool:
-        # proj(v) = 0 iff v lies in the polar cone, so the cone is {0} iff
-        # all of +-e_i (whose conic hull is the whole space) project to 0.
-        # Lazy: a polyhedral projection imports scipy.optimize.
-        eye = np.eye(self.dim)
-        return all(np.max(np.abs(self.project(sign * eye[i]))) <= DEFAULT_TOL
-                   for sign in (1.0, -1.0) for i in range(self.dim))
 
 
 def cones_per_period(cones, horizon: int, dim: int) -> list[ConvexCone]:

@@ -10,7 +10,9 @@ A configuration has four sections:
 * ``numerics`` -- expectation backend, optimizer, tolerances.
 
 Unknown keys anywhere are rejected so typos fail loudly, and so is a
-boolean anywhere: no key holds one.
+boolean anywhere, or a string outside the name keys ``family``,
+``type``, ``kind``, ``backend`` and ``optimizer``: "1000" is not a
+number.
 """
 
 from __future__ import annotations
@@ -30,6 +32,7 @@ _CONE_KEYS = {"type", "normal", "A"}
 _POLICY_KEYS = {"kind", "x0", "d", "k", "d_k", "x_k"}
 _NUMERICS_KEYS = {"backend", "samples", "seed", "optimizer", "tol",
                   "max_iter"}
+_NAME_KEYS = {"family", "type", "kind", "backend", "optimizer"}
 _POLICY_KINDS = {"precommitted", "minimum_variance", "time_consistent",
                  "truncated"}
 
@@ -60,14 +63,18 @@ def _reject_unknown(section: dict, allowed: set, name: str) -> None:
         raise ConfigError(f"unknown keys in {name!r}: {sorted(unknown)}")
 
 
-def _reject_booleans(node, path: str) -> None:
-    """No key holds a boolean: a JSON true or false is a ConfigError."""
+def _reject_booleans_and_strings(node, path: str, key=None) -> None:
+    """No key holds a boolean, and only the name keys hold a string: a
+    JSON true or false anywhere, or a quoted number, is a ConfigError."""
     if isinstance(node, bool):
         raise ConfigError(f"{path} must not be a boolean, got {node}")
+    if isinstance(node, str) and key not in _NAME_KEYS:
+        raise ConfigError(f"{path} must not be a string, got {node!r}")
     children = (node.items() if isinstance(node, dict)
                 else enumerate(node) if isinstance(node, list) else ())
-    for key, child in children:
-        _reject_booleans(child, f"{path}.{key}" if path else str(key))
+    for name, child in children:
+        _reject_booleans_and_strings(
+            child, f"{path}.{name}" if path else str(name), name)
 
 
 def _number(section: dict, key: str, default, kind=float):
@@ -84,6 +91,14 @@ def _number(section: dict, key: str, default, kind=float):
         return value if isinstance(value, int) else int(number)
     what = "a finite number" if kind is float else "an integer"
     raise ConfigError(f"{key!r} must be {what}, got {value!r}")
+
+
+def checked_seed(seed: int) -> int:
+    """``seed`` if it fits the 64-bit word that keys the draws, else a
+    ConfigError."""
+    if not 0 <= seed < 2**64:
+        raise ConfigError(f"seed must lie in [0, 2**64), got {seed}")
+    return seed
 
 
 def _parse_period(section: dict) -> PeriodDistribution:
@@ -149,7 +164,7 @@ def _parse_cones(section, market: MarketSpec) -> list[ConvexCone]:
 def parse_config(data: dict) -> RunConfig:
     if not isinstance(data, dict):
         raise ConfigError("configuration must be a JSON object")
-    _reject_booleans(data, "")
+    _reject_booleans_and_strings(data, "")
     _reject_unknown(data, {"market", "cones", "policy", "numerics"},
                     "configuration")
     if "market" not in data:
@@ -184,7 +199,7 @@ def parse_config(data: dict) -> RunConfig:
     if cfg.backend_kind not in ("exact", "saa"):
         raise ConfigError(f"unknown backend {cfg.backend_kind!r}")
     cfg.samples = _number(numerics, "samples", 1_000_000, int)
-    cfg.seed = _number(numerics, "seed", 0, int)
+    cfg.seed = checked_seed(_number(numerics, "seed", 0, int))
     optimizer = numerics.get("optimizer", "projected_gradient")
     if optimizer != "projected_gradient":
         raise ConfigError(f"unknown optimizer {optimizer!r}")

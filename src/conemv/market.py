@@ -128,6 +128,10 @@ class PeriodDistribution:
         """E[P P']."""
         return self.cov + np.outer(self.mean, self.mean)
 
+    def unconstrained_gain(self) -> np.ndarray:
+        """E[P P']^-1 E[P], the one-period gain over the whole space."""
+        return np.linalg.solve(self.second_moment(), self.mean)
+
     def validate(self) -> None:
         if self.family not in FAMILIES:
             raise InvalidMarket(f"unknown family {self.family!r}")
@@ -169,7 +173,7 @@ class PeriodDistribution:
         # Exclude riskless-dominating degeneracies: B = E[P]'E[PP']^{-1}E[P]
         # equals 1 exactly when the excess return is a.s. a fixed multiple of
         # its mean direction, which makes the one-period problem arbitrary.
-        b = mean @ np.linalg.solve(second, mean)
+        b = mean @ self.unconstrained_gain()
         if b >= 1.0 - 1e-9:
             raise InvalidMarket(f"degenerate period: E[P]'E[PP']^-1 E[P] = {b!r}")
 

@@ -107,7 +107,7 @@ def time_consistent_aux(market: MarketSpec) -> TimeConsistentAux:
     gains = np.zeros((T, n))
     b = np.zeros(T)
     for t, period in enumerate(market.periods):
-        gains[t] = np.linalg.solve(period.second_moment(), period.mean)
+        gains[t] = period.unconstrained_gain()
         b[t] = float(period.mean @ gains[t])
         if b[t] <= 0.0:
             raise InvalidTarget(

@@ -97,9 +97,11 @@ def path_stride(n_uniforms: int) -> int:
 def _key(seed: int, stream: int, period: int) -> np.ndarray:
     # 128-bit Philox key: user seed in the first word, the stream tag and
     # period packed into the second.
+    if not 0 <= seed < 2**64:
+        raise ValueError(f"seed out of range [0, 2**64): {seed}")
     if not 0 <= period < 2**32:
         raise ValueError(f"period out of range: {period}")
-    return np.array([np.uint64(seed % 2**64),
+    return np.array([np.uint64(seed),
                      np.uint64((stream << 32) | period)], dtype=np.uint64)
 
 

@@ -54,7 +54,7 @@ import numpy as np
 from .cones import ConvexCone, cones_per_period
 from .errors import (BackendMismatch, ConsistencyError, InsufficientMemory,
                      NoConvergence, TargetUnattainable)
-from .market import MarketSpec
+from .market import MarketSpec, PeriodDistribution
 from .rng import STREAM_SAA
 
 _STEP_FLOOR = 1e-18
@@ -315,9 +315,9 @@ def _zero_is_optimal(cone: ConvexCone, sign: int, exact_mean: np.ndarray,
 
     At the origin every sample sits on one branch, so the gradient has
     the closed form -+ 2 c E[P].  Zero minimises the convex cost over
-    the cone iff -grad h(0) lies in the polar cone.  Deciding this with
-    the exact mean rather than the sampled one keeps structural zeros
-    (and the C = 1 bookkeeping built on them) immune to SAA noise.
+    the cone iff -grad h(0) lies in the polar cone, which for the cone
+    {0} is the whole space.  Deciding this with the exact mean rather
+    than the sampled one keeps structural zeros immune to SAA noise.
     """
     c0 = c_plus if sign > 0 else c_minus
     grad0 = -2.0 * sign * c0 * exact_mean
@@ -326,25 +326,23 @@ def _zero_is_optimal(cone: ConvexCone, sign: int, exact_mean: np.ndarray,
 
 def minimize_over_cone(backend, t: int, sign: int, cone: ConvexCone,
                        c_plus_next: float, c_minus_next: float,
-                       exact_mean: np.ndarray,
-                       exact_second: np.ndarray,
-                       opts: SolverOptions,
-                       zero_tol: float) -> MinimizeResult:
+                       opts: SolverOptions) -> MinimizeResult:
     """Constrained minimiser of h_t^{sign} over the cone.
 
-    Tries the exact first-order test at the origin first, then runs
-    projected Newton.  Solutions with norm below ``zero_tol`` snap
-    to exactly zero, in which case the cost equals the next-period
-    constant by construction.
+    Tries the exact first-order test at the origin first, with the
+    declared moments of ``backend.market.periods[t]``, then runs
+    projected Newton from the projected unconstrained gain.  Solutions
+    with norm below :func:`default_zero_tol` snap to exactly zero, in
+    which case the cost equals the next-period constant by construction.
 
     ``vi_min`` is min grad'(u - k) over cone points u with |u| <= 1,
     which is -|proj(-grad)| - grad'k exactly.
     """
+    period = backend.market.periods[t]
     c_at_zero = c_plus_next if sign > 0 else c_minus_next
-    n = exact_mean.shape[0]
-    if _zero_is_optimal(cone, sign, exact_mean, c_plus_next, c_minus_next):
-        return MinimizeResult(np.zeros(n), c_at_zero, 0, 0.0, 0.0, 0.0,
-                              True, "zero_test", snapped_zero=True)
+    if _zero_is_optimal(cone, sign, period.mean, c_plus_next, c_minus_next):
+        return MinimizeResult(np.zeros(period.n_assets), c_at_zero, 0, 0.0,
+                              0.0, 0.0, True, "zero_test", snapped_zero=True)
 
     reads = []  # rows read directly, per evaluation
 
@@ -360,14 +358,13 @@ def minimize_over_cone(backend, t: int, sign: int, cone: ConvexCone,
         projections += 1
         return cone.project(v, metric=metric)
 
-    k_unc = np.linalg.solve(exact_second, exact_mean)
-    init = project(sign * k_unc)
+    init = project(sign * period.unconstrained_gain())
     k, value, grad, iters, backtracks, converged = _projected_gradient(
         cost, project, init, opts)
 
-    snapped = bool(np.linalg.norm(k) <= zero_tol)
+    snapped = bool(np.linalg.norm(k) <= default_zero_tol(period))
     if snapped:
-        k = np.zeros(n)
+        k = np.zeros_like(k)
         value = c_at_zero
         _, grad, _ = cost(k)
     pg_res = float(np.linalg.norm(k - project(k - grad)))
@@ -505,9 +502,9 @@ class RecursionTable:
         )
 
 
-def default_zero_tol(exact_mean: np.ndarray, exact_second: np.ndarray) -> float:
-    k_unc = np.linalg.solve(exact_second, exact_mean)
-    return 1e-7 * (1.0 + float(np.linalg.norm(k_unc)))
+def default_zero_tol(period: PeriodDistribution) -> float:
+    """Norm below which a solved gain snaps to zero."""
+    return 1e-7 * (1.0 + float(np.linalg.norm(period.unconstrained_gain())))
 
 
 def backward_recursion(market: MarketSpec, cones_by_period,
@@ -538,25 +535,11 @@ def backward_recursion(market: MarketSpec, cones_by_period,
     gap_bound = 100.0 * opts.tol
 
     for t in reversed(range(T)):
-        period = market.periods[t]
-        mean = period.mean
-        second = period.second_moment()
-        zero_tols[t] = default_zero_tol(mean, second)
-        cone = cones_list[t]
-
-        if cone.is_origin_only():
-            # Only the riskless position is admissible; the recursion
-            # passes the constants through unchanged.
-            c_plus[t] = c_plus[t + 1]
-            c_minus[t] = c_minus[t + 1]
-            diagnostics.append({"t": t, "note": "origin_only_cone"})
-            continue
-
+        zero_tols[t] = default_zero_tol(market.periods[t])
         for sign, k_store, c_store in ((1, k_plus, c_plus),
                                        (-1, k_minus, c_minus)):
-            res = minimize_over_cone(
-                backend, t, sign, cone, c_plus[t + 1], c_minus[t + 1],
-                mean, second, opts, zero_tols[t])
+            res = minimize_over_cone(backend, t, sign, cones_list[t],
+                                     c_plus[t + 1], c_minus[t + 1], opts)
             # a zero test or a snap returns h(0) = L(0) = the next
             # constant, by construction
             value, gap = res.value, 0.0
@@ -618,12 +601,11 @@ def unconstrained_table(market: MarketSpec) -> RecursionTable:
     b = np.zeros(T)
     zero_tols = np.zeros(T)
     for t, period in enumerate(market.periods):
-        second = period.second_moment()
-        k_unc = np.linalg.solve(second, period.mean)
+        k_unc = period.unconstrained_gain()
         k_plus[t] = k_unc
         k_minus[t] = -k_unc
         b[t] = float(period.mean @ k_unc)
-        zero_tols[t] = default_zero_tol(period.mean, second)
+        zero_tols[t] = default_zero_tol(period)
     c = np.ones(T + 1)
     for t in reversed(range(T)):
         c[t] = (1.0 - b[t]) * c[t + 1]

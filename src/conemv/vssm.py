@@ -21,7 +21,6 @@ gives a pathwise duality check against simulation.
 
 from __future__ import annotations
 
-import itertools
 from dataclasses import dataclass, field
 from typing import Optional
 
@@ -166,21 +165,20 @@ def enumerate_tree(market: MarketSpec):
 
     Returns (returns, probs, index_paths): the path-by-period return
     array (M, T, n), the path probabilities (M,), and the atom index
-    tuples identifying each path.
+    tuples identifying each path, in lexicographic order, so that the
+    paths through one node at depth t form a contiguous block.
     """
-    for t, p in enumerate(market.periods):
+    periods = market.periods
+    for t, p in enumerate(periods):
         if p.family != "discrete":
             raise BackendMismatch(
                 f"tree enumeration needs discrete periods; period {t} is "
                 f"{p.family}")
-    T = market.horizon
-    atom_counts = [p.atoms.shape[0] for p in market.periods]
-    paths = list(itertools.product(*[range(m) for m in atom_counts]))
-    returns = np.array([[market.periods[t].atoms[idx[t]] for t in range(T)]
-                        for idx in paths])
-    probs = np.array([np.prod([market.periods[t].probs[idx[t]]
-                               for t in range(T)]) for idx in paths])
-    return returns, probs, paths
+    idx = np.indices([p.atoms.shape[0] for p in periods]).reshape(
+        market.horizon, -1)
+    returns = np.stack([p.atoms[i] for p, i in zip(periods, idx)], axis=1)
+    probs = np.prod([p.probs[i] for p, i in zip(periods, idx)], axis=0)
+    return returns, probs, list(zip(*idx.tolist()))
 
 
 def exact_density_moments(table: RecursionTable,
@@ -207,7 +205,7 @@ class NodeCheck:
 @dataclass
 class SupermartingaleReport:
     ok: bool
-    nodes: list	= field(default_factory=list)
+    nodes: list = field(default_factory=list)
 
     def worst_nodes(self) -> list:
         return [n for n in self.nodes if not n.ok]
@@ -229,15 +227,17 @@ def supermartingale_check(table: RecursionTable, market: MarketSpec,
 
     report = SupermartingaleReport(ok=True)
     for t in range(T):
-        groups: dict[tuple, list[int]] = {}
-        for i, idx in enumerate(paths):
-            groups.setdefault(idx[:t], []).append(i)
-        for prefix, members in groups.items():
-            w = probs[members]
+        # the paths through one node at depth t: a block of this many
+        size = int(np.prod([p.atoms.shape[0] for p in market.periods[t:]]))
+        for lo in range(0, len(paths), size):
+            hi = lo + size
+            w = probs[lo:hi]
             node_prob = float(w.sum())
             cond = w / node_prob
-            priced = (cond * dens[members]) @ returns[members, t, :]
+            # copied: a product with the strided view rounds differently
+            priced = (cond * dens[lo:hi]) @ returns[lo:hi, t].copy()
             ok = cones_list[t].polar_contains(priced, tol=tol)
-            report.nodes.append(NodeCheck(t, prefix, node_prob, priced, ok))
+            report.nodes.append(NodeCheck(t, paths[lo][:t], node_prob,
+                                          priced, ok))
             report.ok = report.ok and ok
     return report

@@ -565,6 +565,13 @@ class TestMalformedNumbers:
         ("numerics", "tol", True),
         ("numerics", "seed", False),
         ("policy", "x0", True),
+        ("numerics", "samples", "1000"),
+        ("policy", "x0", "1.5"),
+        ("market", "riskless_rates", [1.02, "1.02"]),
+        ("market", "mean", ["0.06"]),
+        ("cones", "normal", ["1.0"]),
+        ("numerics", "seed", -1),
+        ("numerics", "seed", 2**64),
     ])
     def test_exits_2_with_one_line(self, tmp_path, section, key, value):
         cfg = coin_config()
@@ -574,9 +581,28 @@ class TestMalformedNumbers:
                              "covariance": [[0.04]], "df": 5}
         if key == "k":
             cfg["policy"] = {"kind": "truncated", "d_k": 1.1, "x_k": 1.0}
+        if key == "normal":
+            cfg["cones"] = {"type": "half_space"}
         cfg[section][key] = value
         path = write_config(tmp_path, cfg)
-        res = run_cli("solve", "--config", path)
+        self.assert_exits_2(run_cli("solve", "--config", path))
+
+    @pytest.mark.parametrize("seed", [-1, 2**64])
+    def test_seed_flag_outside_the_key_word(self, tmp_path, seed):
+        path = write_config(tmp_path, coin_config())
+        res = run_cli("solve", "--config", path, "--seed", str(seed))
+        self.assert_exits_2(res)
+        assert "seed must lie in [0, 2**64)" in res.stderr
+
+    def test_largest_seed_accepted(self, tmp_path):
+        path = write_config(tmp_path, coin_config())
+        res = run_cli("simulate", "--config", path, "--paths", "1000",
+                      "--seed", str(2**64 - 1))
+        assert res.returncode == 0, res.stderr
+        assert json.loads(res.stdout)["seed"] == 2**64 - 1
+
+    @staticmethod
+    def assert_exits_2(res):
         assert res.returncode == 2, res.stdout
         assert "Traceback" not in res.stderr
         lines = res.stderr.strip().splitlines()

@@ -13,8 +13,7 @@ from conemv.presets import mean_half_space_cone
 from conemv.rng import STREAM_SAA
 from conemv.solver import (ExactDiscreteBackend, RecursionTable, SaaBackend,
                            SampleScreen, SolverOptions, _SCREEN_BLOCK,
-                           _h_and_grad, backward_recursion, default_zero_tol,
-                           minimize_over_cone)
+                           _h_and_grad, backward_recursion, minimize_over_cone)
 from conemv.cones import ConvexCone
 
 B = _SCREEN_BLOCK
@@ -182,12 +181,9 @@ def test_kept_gradient_equals_a_fresh_evaluation(three_gauss, sign):
     """The optimizer hands back the gradient of its last accepted step;
     the residuals built from it are bit-identical to a recomputation."""
     backend = SaaBackend(three_gauss, 50_000, seed=5)
-    period = three_gauss.periods[0]
-    second = period.second_moment()
     cone = ConvexCone.orthant(3)
-    res = minimize_over_cone(backend, 0, sign, cone, 0.8, 0.9, period.mean,
-                             second, SolverOptions(),
-                             default_zero_tol(period.mean, second))
+    res = minimize_over_cone(backend, 0, sign, cone, 0.8, 0.9,
+                             SolverOptions())
     g = backend.cost(0, sign, res.k, 0.8, 0.9).grad
     assert res.pg_residual == float(np.linalg.norm(res.k - cone.project(res.k - g)))
     assert res.complementarity == abs(float(g @ res.k))

@@ -365,6 +365,12 @@ class TestSampling:
         b = market.sample_block(0, seed=5, lo=0, hi=100)
         assert not np.array_equal(a, b)
 
+    @pytest.mark.parametrize("seed", [-1, 2**64])
+    def test_seed_outside_the_key_word_rejected(self, seed):
+        # reducing modulo 2**64 would give -1 the draws of 2**64 - 1
+        with pytest.raises(ValueError, match="seed out of range"):
+            rng.uniform_block(seed, rng.STREAM_SAA, 0, 0, 4, 3)
+
 
 DISCRETE_2 = PeriodDistribution.discrete(
     [[-0.2, 0.1], [0.0, -0.3], [0.4, 0.25]], [0.3, 0.2, 0.5])

@@ -149,19 +149,15 @@ class TestMinimizeOverCone:
         b = exact_backend(market)
         second = period.second_moment()
         res = minimize_over_cone(b, 0, +1, ConvexCone.whole_space(2),
-                                 1.0, 1.0, period.mean, second,
-                                 SolverOptions(), 1e-9)
+                                 1.0, 1.0, SolverOptions())
         k_star = np.linalg.solve(second, period.mean)
         np.testing.assert_allclose(res.k, k_star, atol=1e-8)
         assert res.converged
 
     def test_whole_space_saa_three_index(self, three_gauss):
         backend = SaaBackend(three_gauss, 1_000_000, seed=0)
-        mean, cov = three_index_moments()
-        second = cov + np.outer(mean, mean)
         res = minimize_over_cone(backend, 0, +1, ConvexCone.whole_space(3),
-                                 1.0, 1.0, mean, second, SolverOptions(),
-                                 1e-9)
+                                 1.0, 1.0, SolverOptions())
         np.testing.assert_allclose(res.k, [1.0580, -0.1207, 1.1052],
                                    atol=1e-2)
 
@@ -173,8 +169,7 @@ class TestMinimizeOverCone:
         assert np.all(period.mean >= 0.0)
         res = minimize_over_cone(exact_backend(market), 0, -1,
                                  ConvexCone.orthant(2), 0.8, 0.9,
-                                 period.mean, period.second_moment(),
-                                 SolverOptions(), 1e-9)
+                                 SolverOptions())
         assert res.snapped_zero
         assert res.method == "zero_test"
         assert res.iterations == 0
@@ -183,14 +178,12 @@ class TestMinimizeOverCone:
 
     def test_iteration_budget_exhaustion_reports_best(self, three_gauss):
         backend = SaaBackend(three_gauss, 50_000, seed=1)
-        mean, cov = three_index_moments()
-        second = cov + np.outer(mean, mean)
         opts = SolverOptions(tol=1e-14, max_iter=1)
         # With C+ = C- the cost is one quadratic, which the first Newton
         # step minimises exactly; C+ != C- needs more than one step.
         with pytest.raises(NoConvergence) as exc:
             minimize_over_cone(backend, 0, +1, ConvexCone.whole_space(3),
-                               0.9, 0.5, mean, second, opts, 1e-9)
+                               0.9, 0.5, opts)
         best = exc.value.best
         assert best is not None
         assert not best.converged and best.pg_residual > opts.tol
@@ -223,11 +216,9 @@ class TestMinimizeOverCone:
         # C+ != C- puts a kink in the cost, and projected Newton takes
         # three steps to reach tol = 1e-14 on this 50K-sample solve.
         backend = SaaBackend(three_gauss, 50_000, seed=1)
-        mean, cov = three_index_moments()
         opts = SolverOptions(tol=1e-14, max_iter=max_iter)
         return minimize_over_cone(backend, 0, +1, limited_short_cone(), 0.9,
-                                  0.5, mean, cov + np.outer(mean, mean), opts,
-                                  1e-9)
+                                  0.5, opts)
 
     def test_budget_exhaustion_reports_counters(self, three_gauss):
         with pytest.raises(NoConvergence) as exc:
@@ -263,8 +254,7 @@ class TestMinimizeOverCone:
                 r"1\.000e\+00\)$")) as exc:
             minimize_over_cone(exact_backend(coin_market()), 0, +1,
                                ConvexCone.whole_space(1), 1.0, 1.0,
-                               COIN.mean, COIN.second_moment(),
-                               SolverOptions(), 1e-9)
+                               SolverOptions())
         best = exc.value.best
         assert best.iterations == 1 and not best.converged
         assert best.snapped_zero  # the stall stays at the origin
@@ -346,8 +336,40 @@ class TestBackwardRecursion:
         np.testing.assert_array_equal(table.c_plus, np.ones(3))
         np.testing.assert_array_equal(table.c_minus, np.ones(3))
         np.testing.assert_array_equal(table.k_plus, np.zeros((2, 2)))
-        notes = {d.get("note") for d in table.diagnostics}
-        assert "origin_only_cone" in notes
+        np.testing.assert_array_equal(table.k_minus, np.zeros((2, 2)))
+        # the polar of {0} is the whole space: the zero test settles both
+        # branches of every period
+        assert [(d["t"], d["sign"], d["method"], d["iterations"])
+                for d in table.diagnostics] == [
+            (t, sign, "zero_test", 0) for t in (1, 0) for sign in (1, -1)]
+
+    def test_mixed_cone_list_solves_only_the_orthant_period(self):
+        market = random_tree_market(seed=5, horizon=3, n_assets=2,
+                                    n_atoms=4)
+        backend = ExactDiscreteBackend(market)
+        boxed = ConvexCone.polyhedral([[1.0, 0.0], [-1.0, 0.0],
+                                       [0.0, 1.0], [0.0, -1.0]])
+        orthant = ConvexCone.orthant(2)
+        table = backward_recursion(market, [boxed, orthant, boxed], backend)
+        by_period = {}
+        for d in table.diagnostics:
+            by_period.setdefault(d["t"], []).append(d)
+        for t in (0, 2):
+            np.testing.assert_array_equal(table.k_plus[t], np.zeros(2))
+            np.testing.assert_array_equal(table.k_minus[t], np.zeros(2))
+            assert table.c_plus[t] == table.c_plus[t + 1]
+            assert table.c_minus[t] == table.c_minus[t + 1]
+            assert [d["method"] for d in by_period[t]] == ["zero_test"] * 2
+        # with C_2 = C_3 = 1 passed through, period 1 is the orthant
+        # problem on its own
+        assert table.c_plus[2] == table.c_minus[2] == 1.0
+        assert not np.array_equal(table.k_plus[1], np.zeros(2))
+        for sign, k, c in ((1, table.k_plus, table.c_plus),
+                           (-1, table.k_minus, table.c_minus)):
+            alone = minimize_over_cone(backend, 1, sign, orthant, 1.0, 1.0,
+                                       SolverOptions())
+            np.testing.assert_array_equal(k[1], alone.k)
+            assert c[1] == alone.value
 
     @pytest.mark.parametrize("seed", [0, 1, 2])
     def test_orthant_cost_constants_match_brute_force(self, seed):

@@ -1,4 +1,6 @@
 """Density bookkeeping, moments, duality, and the supermartingale audit."""
+import itertools
+
 import numpy as np
 import pytest
 
@@ -26,7 +28,27 @@ from conemv.vssm import (
     theoretical_moments,
 )
 
-from conftest import random_cone, random_tree_market
+from conftest import random_cone, random_discrete_period, random_tree_market
+
+
+def uneven_tree_market():
+    """Three periods of 3, 4 and 5 atoms in two assets."""
+    rng = np.random.default_rng(21)
+    return MarketSpec(horizon=3, riskless_rates=[1.03] * 3,
+                      periods=[random_discrete_period(rng, 2, m)
+                               for m in (3, 4, 5)])
+
+
+def per_path_tree(market):
+    """Reference enumeration, one path at a time in product order."""
+    periods = market.periods
+    paths = list(itertools.product(*[range(p.atoms.shape[0])
+                                     for p in periods]))
+    returns = np.array([[p.atoms[i] for p, i in zip(periods, idx)]
+                        for idx in paths])
+    probs = np.array([np.prod([p.probs[i] for p, i in zip(periods, idx)])
+                      for idx in paths])
+    return returns, probs, paths
 
 
 def toy_table():
@@ -307,3 +329,35 @@ class TestSupermartingaleAudit:
     def test_enumeration_rejects_continuous(self, three_gauss):
         with pytest.raises(BackendMismatch):
             enumerate_tree(three_gauss)
+
+    def test_enumeration_matches_the_per_path_loop(self):
+        market = uneven_tree_market()
+        returns, probs, paths = enumerate_tree(market)
+        ref_returns, ref_probs, ref_paths = per_path_tree(market)
+        assert paths == ref_paths
+        np.testing.assert_array_equal(returns, ref_returns)
+        np.testing.assert_array_equal(probs, ref_probs)
+
+    def test_node_blocks_match_the_prefix_grouping(self):
+        """Each node's paths are one block of the product order; the
+        audit equals a grouping of the paths by their prefixes."""
+        market = uneven_tree_market()
+        cone = ConvexCone.orthant(2)
+        table = backward_recursion(market, cone, ExactDiscreteBackend(market))
+        returns, probs, paths = per_path_tree(market)
+        dens = density_for_paths(table, returns)
+        want = []
+        for t in range(market.horizon):
+            groups = {}
+            for i, idx in enumerate(paths):
+                groups.setdefault(idx[:t], []).append(i)
+            for prefix, members in groups.items():
+                w = probs[members]
+                priced = (w / w.sum() * dens[members]) @ returns[members, t]
+                want.append((t, prefix, float(w.sum()), priced))
+        nodes = supermartingale_check(table, market, cone).nodes
+        assert len(nodes) == len(want) == 1 + 3 + 3 * 4
+        for node, (t, prefix, prob, priced) in zip(nodes, want):
+            assert (node.t, node.prefix, node.probability) == (t, prefix,
+                                                               prob)
+            np.testing.assert_array_equal(node.priced_mean, priced)
