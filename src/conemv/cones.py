@@ -18,21 +18,26 @@ projection exactly,
 
     proj_K(v) = v + A' mu*,   mu* = argmin_{mu >= 0} |A' mu + v|,
 
-from one nonnegative least-squares solve (Lawson-Hanson).  With H = LL'
-the H-metric projection is the Euclidean projection of w = L'v onto the
+from one nonnegative least-squares solve, which the package does itself
+by Lawson and Hanson's active set (1974, ch. 23) on the dual problem
+min_{mu >= 0} mu'G mu / 2 + c'mu, G = AA', c = Av.  With H = LL' the
+H-metric projection is the Euclidean projection of w = L'v onto the
 transformed cone {w : A L^-T w >= 0}, mapped back by x = L^-T w:
 
     proj^H_K(v) = v + H^-1 A' mu*,   mu* = argmin_{mu >= 0} |L^-1 A' mu + L'v|,
 
 and an orthant takes this route with A = I.  A point lies in the polar
-cone exactly when it projects to the origin.  Should that solve stop at
-its iteration cap, Dykstra's alternating projection over the row
-half-spaces, in the same metric, runs instead.
+cone exactly when it projects to the origin, that is, when the least
+squares leave no residual.  Should the solve stop at its iteration cap,
+Dykstra's alternating projection over the row half-spaces, in the same
+metric, runs instead.
 """
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
+from operator import mul
 from typing import Optional
 
 import numpy as np
@@ -46,6 +51,9 @@ KINDS = ("whole_space", "orthant", "half_space", "polyhedral")
 DEFAULT_TOL = 1e-9
 DYKSTRA_TOL = 1e-10
 DYKSTRA_MAX_CYCLES = 10_000
+NNLS_ITER_PER_ROW = 3   # the least-squares iteration cap, per row of A
+NNLS_TOL = 1e-14        # least gain that lets a row join, relative to max |c|
+SCHUR_TOL = 1e-26       # least Schur complement of a joining unit row
 
 
 @dataclass(frozen=True, eq=False)
@@ -141,21 +149,26 @@ class ConvexCone:
 
         whole_space -> {0}; orthant -> nonpositive orthant;
         half_space(a) -> {lambda a : lambda <= 0}; polyhedral(A) ->
-        {-A' mu : mu >= 0}, the points that project to the origin.
+        {-A' mu : mu >= 0}, the points that project to the origin, which
+        the least-squares residual of :meth:`_moreau` decides.
         """
         y = np.asarray(y, dtype=float)
         if y.shape != (self.dim,):
             raise DimensionMismatch(f"point shape {y.shape} != ({self.dim},)")
-        scale = max(1.0, float(np.linalg.norm(y)))
         if self.kind == "whole_space":
             return bool(np.max(np.abs(y), initial=0.0) <= tol)
         if self.kind == "orthant":
             return bool(np.all(y <= tol))
+        scale = max(1.0, math.sqrt(y @ y))
         if self.kind == "half_space":
             a = self.normal
             lam = (a @ y) / (a @ a)
             return bool(lam <= tol and np.max(np.abs(y - lam * a)) <= tol * scale)
-        return bool(np.linalg.norm(self.project(y)) <= tol * scale)
+        try:
+            _, resid = self._moreau(y)
+        except NoConvergence:  # the least-squares iteration cap
+            resid = np.linalg.norm(self._project_dykstra(y, DYKSTRA_MAX_CYCLES))
+        return bool(resid <= tol * scale)
 
     # -- projection ------------------------------------------------------
 
@@ -183,20 +196,20 @@ class ConvexCone:
         if max_cycles is not None:
             return self._project_dykstra(v, max_cycles, metric)
         try:
-            mu, _ = self._moreau(v, metric)
-        except RuntimeError:  # the active-set iteration cap
+            p = self._moreau_split(v, metric)[1]
+        except NoConvergence:  # the least-squares iteration cap
             return self._project_dykstra(v, DYKSTRA_MAX_CYCLES, metric)
-        rows = self._rows()
-        step = rows.T @ mu
-        p = v + (step if metric is None else np.linalg.solve(metric, step))
         # Active rows hold A_i p = 0 only to rounding.  Projecting onto
         # each row still violated removes that slack, and puts p exactly
         # on a face whose row is a coordinate axis, as the orthant's clip
-        # does.
-        for i, slack in enumerate((rows @ p).tolist()):
+        # does.  The solver's lists stay lists until the end: at these
+        # sizes a numpy call costs more than the arithmetic.
+        for a in self._rows().tolist():
+            slack = sum(map(mul, a, p))
             if slack < 0.0:
-                p = _project_half_space(p, rows[i])
-        return p + 0.0  # + 0.0 clears signed zeros
+                step = slack / sum(map(mul, a, a))
+                p = [pk - step * ak for pk, ak in zip(p, a)]
+        return np.array([pk + 0.0 for pk in p])  # + 0.0 clears signed zeros
 
     def _rows(self) -> np.ndarray:
         return np.eye(self.dim) if self.kind == "orthant" else self.rows
@@ -209,14 +222,32 @@ class ConvexCone:
         -A' mu* is the projection of v onto the polar cone, so v + A' mu*
         is its projection onto the cone and the minimum is that
         projection's norm; in the metric, v + H^-1 A' mu* and its H-norm.
-        Raises scipy's ``RuntimeError`` when the solve stops at its
-        iteration cap.
+        Raises ``NoConvergence`` when the solve stops at its iteration
+        cap.
         """
-        from scipy.optimize import nnls  # costly import, needed only here
-        if metric is None:
-            return nnls(self._rows().T, -v)
-        chol = np.linalg.cholesky(metric)
-        return nnls(np.linalg.solve(chol, self._rows().T), -chol.T @ v)
+        mu, _, resid = self._moreau_split(v, metric)
+        return np.array(mu), resid
+
+    def _moreau_split(self, v: np.ndarray, metric: Optional[np.ndarray]
+                      ) -> tuple[list, list, float]:
+        """mu* and the minimum of :meth:`_moreau`, with the projection
+        x = v + H^-1 A' mu* as a list, before any clean-up of the rows
+        that x holds only to rounding."""
+        rows = self._rows()
+        if metric is not None:  # the Euclidean problem of L'v and A L^-T
+            chol = np.linalg.cholesky(metric)
+            back = np.linalg.inv(chol).T
+            rows, v = rows @ back, chol.T @ v
+        a = rows.tolist()
+        # Row i scaled by d_i = 1/|a_i| leaves the cone unchanged and
+        # gives G = AA' a unit diagonal.
+        d = [1.0 / math.sqrt(sum(map(mul, ai, ai))) for ai in a]
+        mu, x = _lawson_hanson([[di * e for e in ai] for di, ai in zip(d, a)],
+                               v.tolist())
+        resid = math.sqrt(sum(map(mul, x, x)))
+        if metric is not None:
+            x = (back @ x).tolist()
+        return list(map(mul, mu, d)), x, resid
 
     def _project_dykstra(self, v: np.ndarray, max_cycles: int,
                          metric: Optional[np.ndarray] = None) -> np.ndarray:
@@ -257,6 +288,109 @@ def _project_half_space(v: np.ndarray, a: np.ndarray,
         return v.copy()
     z = a if metric is None else np.linalg.solve(metric, a)
     return v - (inner / (a @ z)) * z
+
+
+def _lawson_hanson(rows: list, v: list) -> tuple[list, list]:
+    """mu >= 0 minimising |v + sum_i mu_i rows_i| for unit ``rows``, and
+    that sum x: Lawson and Hanson's active set (1974, ch. 23) on lists.
+
+    In the terms of the module docstring the gain of row i is
+    -(G mu + c)_i = -A_i x, and the passive rows P, with mu_P > 0, solve
+    G_PP mu_P = -c_P through A_P' = QR as R mu_P = -Q'v.  The row of
+    largest gain above ``NNLS_TOL`` max |c| joins P unless its Schur
+    complement on P, |q|^2 for its part q orthogonal to P, is at most
+    ``SCHUR_TOL``: then it lies in their span (more rows than
+    dimensions, or an origin-only cone) and the next row is tried.  A
+    solution with an entry <= 0 moves mu toward it until an entry
+    reaches zero, drops the rows at zero and solves again.  Raises
+    ``NoConvergence`` after ``NNLS_ITER_PER_ROW`` solves per row rather
+    than return an uncertified mu.
+    """
+    m = len(rows)
+    mu = [0.0] * m
+    passive: list[int] = []
+    qr = _PassiveQR(v)
+    gain = [-sum(map(mul, r, v)) for r in rows]
+    x = v
+    tol = NNLS_TOL * max(map(abs, gain))
+    cap, solves = NNLS_ITER_PER_ROW * m, 0
+    while True:
+        w = max(gain)
+        if w <= tol:
+            return mu, x
+        j = gain.index(w)
+        q, s, col = qr.orthogonalize(rows[j])
+        if j in passive or s <= SCHUR_TOL:  # try the others in turn
+            for j in sorted(range(m), key=gain.__getitem__, reverse=True):
+                if gain[j] <= tol:
+                    return mu, x
+                if j not in passive:
+                    q, s, col = qr.orthogonalize(rows[j])
+                    if s > SCHUR_TOL:
+                        break
+            else:
+                return mu, x
+        qr.append(q, s, col)
+        passive.append(j)
+        while True:
+            solves += 1
+            if solves > cap:
+                raise NoConvergence("nonnegative least squares stopped at "
+                                    f"its cap of {cap} iterations")
+            z = qr.solve()
+            if not z or min(z) > 0.0:
+                break
+            # Step toward z until a passive entry reaches zero; drop it.
+            alpha = min(mu[i] / (mu[i] - zi)
+                        for i, zi in zip(passive, z) if zi <= 0.0)
+            for i, zi in zip(passive, z):
+                reached = zi <= 0.0 and mu[i] / (mu[i] - zi) <= alpha
+                mu[i] = 0.0 if reached else mu[i] + alpha * (zi - mu[i])
+            passive = [i for i in passive if mu[i] > 0.0]
+            qr = _PassiveQR(v)
+            for i in passive:
+                qr.append(*qr.orthogonalize(rows[i]))
+        x = v
+        for i, zi in zip(passive, z):
+            mu[i] = zi
+            x = [xk + zi * rk for xk, rk in zip(x, rows[i])]
+        gain = [-sum(map(mul, r, x)) for r in rows]
+
+
+class _PassiveQR:
+    """A_P' = QR for the passive rows A_P, by Gram-Schmidt, and Q'v."""
+
+    def __init__(self, v: list):
+        self.v, self.basis, self.upper, self.qv = v, [], [], []
+
+    def orthogonalize(self, a: list) -> tuple[list, float, list]:
+        """The part q of a orthogonal to Q, |q|^2, and a's coefficients
+        on Q, by modified Gram-Schmidt run twice."""
+        col = [0.0] * len(self.basis)
+        for _ in range(2 if self.basis else 0):
+            for k, b in enumerate(self.basis):
+                t = sum(map(mul, b, a))
+                col[k] += t
+                a = [ae - t * be for ae, be in zip(a, b)]
+        return a, sum(map(mul, a, a)), col
+
+    def append(self, q: list, s: float, col: list) -> None:
+        """Extend the factors by a row that :meth:`orthogonalize` split."""
+        norm = math.sqrt(s)
+        self.basis.append([e / norm for e in q])
+        self.upper.append(col + [norm])  # R, column by column
+        self.qv.append(sum(map(mul, self.basis[-1], self.v)))
+
+    def solve(self) -> list:
+        """z with R z = -Q'v, by back substitution."""
+        upper, qv = self.upper, self.qv
+        z = [0.0] * len(qv)
+        for k in reversed(range(len(z))):
+            t = qv[k]
+            for h in range(k + 1, len(z)):
+                t += upper[h][k] * z[h]
+            z[k] = -t / upper[k][k]
+        return z
 
 
 def construct_tcie_cone(mean_excess, tol: float = 1e-12) -> ConvexCone:

@@ -611,9 +611,9 @@ class TestMalformedNumbers:
 
 def test_config_and_backend_import_no_scipy_solvers():
     """Parsing a polyhedral Student-t config and making its SAA backend
-    loads neither scipy.optimize nor scipy.special: the import cost
-    falls on the first projection and the first draw, and construction
-    computes nothing derived."""
+    loads neither scipy.optimize nor scipy.special: no conemv path loads
+    the first, the import cost of the second falls on the first draw,
+    and construction computes nothing derived."""
     config = CONFIGS / "three_index_limited_short_student_t.json"
     code = (
         "import json, sys\n"
@@ -627,3 +627,39 @@ def test_config_and_backend_import_no_scipy_solvers():
                          text=True, timeout=120)
     assert res.returncode == 0, res.stderr
     assert res.stdout.strip() == "[]"
+
+
+def test_no_run_imports_scipy_optimize():
+    """The package solves its least-squares problems itself: neither the
+    limited-short Student-t `solve` and `vssm` commands nor an exact
+    solve and supermartingale audit on a random polyhedral cone load
+    scipy.optimize."""
+    config = CONFIGS / "three_index_limited_short_student_t.json"
+    code = (
+        "import contextlib, io, sys\n"
+        "import numpy as np\n"
+        "import conemv.cli\n"
+        "from conemv import solver, vssm\n"
+        "from conemv.cones import ConvexCone\n"
+        "from conemv.market import MarketSpec, PeriodDistribution\n"
+        "loaded = []\n"
+        f"argv = ['--config', {str(config)!r}, '--samples', '2000']\n"
+        "for command, extra in (('solve', []), ('vssm', ['--paths', '20000'])):\n"
+        "    with contextlib.redirect_stdout(io.StringIO()):\n"
+        "        code = conemv.cli.main([command, *argv, *extra])\n"
+        "    assert code == 0, command\n"
+        "    loaded.append('scipy.optimize' in sys.modules)\n"
+        "rng = np.random.default_rng(7)\n"
+        "period = PeriodDistribution.discrete(rng.uniform(-0.3, 0.6, (5, 3)),\n"
+        "                                     np.full(5, 0.2))\n"
+        "market = MarketSpec.iid(3, 1.02, period)\n"
+        "cone = ConvexCone.polyhedral(rng.normal(size=(4, 3)))\n"
+        "table = solver.backward_recursion(\n"
+        "    market, cone, solver.ExactDiscreteBackend(market))\n"
+        "vssm.supermartingale_check(table, market, cone)\n"
+        "loaded.append('scipy.optimize' in sys.modules)\n"
+        "print(loaded)\n")
+    res = subprocess.run([sys.executable, "-c", code], capture_output=True,
+                         text=True, timeout=300)
+    assert res.returncode == 0, res.stderr
+    assert res.stdout.strip() == "[False, False, False]"

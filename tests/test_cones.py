@@ -168,10 +168,7 @@ class TestProject:
         v = np.array([-2.0, -1.0, 0.5])
         exact = cone.project(v)
 
-        def capped(A, b):
-            raise RuntimeError("Maximum number of iterations reached.")
-
-        monkeypatch.setattr(scipy.optimize, "nnls", capped)
+        monkeypatch.setattr(cones, "NNLS_ITER_PER_ROW", 0)
         np.testing.assert_allclose(cone.project(v), exact, atol=1e-9)
         assert cone.polar_contains(v - exact)
         assert not cone.polar_contains(v)
@@ -381,10 +378,10 @@ class TestMetricProjection:
                                    atol=1e-12 * np.linalg.norm(v))
 
     def test_half_space_needs_no_least_squares(self, monkeypatch):
-        def forbidden(A, b):
+        def forbidden(rows, v):
             raise AssertionError("half-space projection called nnls")
 
-        monkeypatch.setattr(scipy.optimize, "nnls", forbidden)
+        monkeypatch.setattr(cones, "_lawson_hanson", forbidden)
         cone = ConvexCone.half_space([1.0, -2.0, 0.5])
         metric = np.diag([1.0, 1e4, 1e-2])
         x = cone.project(np.array([-3.0, 1.0, 2.0]), metric=metric)
@@ -396,12 +393,71 @@ class TestMetricProjection:
         v = np.array([-2.0, -1.0, 0.5])
         exact = cone.project(v, metric=metric)
 
-        def capped(A, b):
-            raise RuntimeError("Maximum number of iterations reached.")
-
-        monkeypatch.setattr(scipy.optimize, "nnls", capped)
+        monkeypatch.setattr(cones, "NNLS_ITER_PER_ROW", 0)
         np.testing.assert_allclose(cone.project(v, metric=metric), exact,
                                    atol=1e-9)
+
+
+@st.composite
+def nnls_case(draw):
+    """Rows and a point from :func:`polyhedral_case` (rank-deficient row
+    sets with more rows than dimensions, rows scaled over six decades,
+    origin-only cones), with no metric or a positive definite one whose
+    condition number reaches 1e8."""
+    rows, v = draw(polyhedral_case())
+    log_cond = draw(st.sampled_from([None, 0.0, 2.0, 5.0, 8.0]))
+    if log_cond is None:
+        return rows, v, None
+    dim = len(v)
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    q, _ = np.linalg.qr(rng.normal(size=(dim, dim)))
+    eig = 10.0 ** rng.uniform(0.0, log_cond, size=dim)
+    eig[0], eig[-1] = 1.0, 10.0 ** log_cond
+    metric = (q * eig) @ q.T * 10.0 ** rng.uniform(-3.0, 3.0)
+    return rows, v, 0.5 * (metric + metric.T)
+
+
+class TestLawsonHanson:
+    """The in-package least-squares solve against scipy's ``nnls``, an
+    independent, compiled Lawson-Hanson on Householder transformations,
+    given the same problem min_{mu >= 0} |L^-1 A' mu + L'v| (H = LL')."""
+
+    @settings(max_examples=400, deadline=None, derandomize=True)
+    @given(nnls_case())
+    def test_agrees_with_scipy_nnls(self, case):
+        rows, v, metric = case
+        mu, resid = ConvexCone.polyhedral(rows)._moreau(v, metric)
+        h = np.eye(len(v)) if metric is None else metric
+        chol = np.linalg.cholesky(h)
+        lhs, rhs = np.linalg.solve(chol, rows.T), -chol.T @ v
+        ref_mu, ref_resid = scipy.optimize.nnls(lhs, rhs)
+
+        def objective(m):
+            return float(np.sum((lhs @ m - rhs) ** 2))
+
+        assert abs(objective(mu) - objective(ref_mu)) <= 1e-12 * objective(
+            np.zeros_like(mu))
+        # the residual is exact to rounding amplified by the metric's
+        # condition
+        cond = np.linalg.cond(h)
+        assert resid == pytest.approx(
+            ref_resid, abs=1e-14 * max(100.0, cond) * np.linalg.norm(rhs))
+        assert np.all(mu >= 0.0)
+        # x lies in the cone, and a row with mu_i > 0 holds with equality
+        x = v + np.linalg.solve(h, rows.T @ mu)
+        tol = 1e-14 * cond * np.linalg.norm(v)
+        row_norms = np.linalg.norm(rows, axis=1)
+        assert np.all(rows @ x >= -tol * row_norms)
+        assert abs(mu @ (rows @ x)) <= tol * (mu @ row_norms)
+
+    def test_cap_raises(self, monkeypatch):
+        cone = ConvexCone.polyhedral(CASE3_ROWS)
+        v = np.array([-2.0, -1.0, 0.5])
+        monkeypatch.setattr(cones, "NNLS_ITER_PER_ROW", 0)
+        with pytest.raises(NoConvergence,
+                           match="^nonnegative least squares stopped at its "
+                                 "cap of 0 iterations$"):
+            cone._moreau(v)
 
 
 class TestOriginOnly:
