@@ -110,8 +110,8 @@ def uniform_block(seed: int, stream: int, period: int,
     """Open-interval uniforms for paths [lo, hi) at one period.
 
     Returns an array of shape (hi - lo, n_uniforms) with entries in
-    (0, 1).  Path p always receives the same numbers regardless of the
-    block boundaries used to reach it.
+    [2^-54, 1 - 2^-53].  Path p always receives the same numbers
+    regardless of the block boundaries used to reach it.
     """
     if hi < lo:
         raise ValueError(f"empty block bounds: [{lo}, {hi})")
@@ -128,9 +128,15 @@ def uniform_block(seed: int, stream: int, period: int,
         else:
             rows[...] = np.random.Generator(bg).random(
                 (b - a, stride))[:, :n_uniforms]
-        # random() yields [0, 1); shift the lattice into the open
-        # interval so inverse-CDF transforms never see an exact 0.
-        rows += 2.0**-54
+        _into_open_interval(rows)
 
     over_row_chunks(hi - lo, fill)
     return out
+
+
+def _into_open_interval(rows: np.ndarray) -> None:
+    """Shift ``random()``'s lattice {k 2^-53} into (0, 1) in place, so
+    inverse-CDF transforms never see an exact 0 or 1.  The shift rounds
+    the top point up to 1.0, and the clamp moves only that point back."""
+    rows += 2.0**-54
+    np.minimum(rows, 1.0 - 2.0**-53, out=rows)

@@ -359,15 +359,16 @@ def minimize_over_cone(backend, t: int, sign: int, cone: ConvexCone,
         return cone.project(v, metric=metric)
 
     init = project(sign * period.unconstrained_gain())
-    k, value, grad, iters, backtracks, converged = _projected_gradient(
-        cost, project, init, opts)
+    (k, value, grad, pg_res, iters, backtracks,
+     converged) = _projected_gradient(cost, project, init, opts)
 
     snapped = bool(np.linalg.norm(k) <= default_zero_tol(period))
     if snapped:
         k = np.zeros_like(k)
         value = c_at_zero
         _, grad, _ = cost(k)
-    pg_res = float(np.linalg.norm(k - project(k - grad)))
+        pg_res = np.linalg.norm(k - project(k - grad))
+    pg_res = float(pg_res)
     comp = abs(float(grad @ k))
     vi = -float(np.linalg.norm(project(-grad))) - float(grad @ k)
     result = MinimizeResult(
@@ -389,7 +390,8 @@ def _projected_gradient(cost, project, init, opts):
     ``cost(k) -> (h, grad, hess)`` over the cone that
     ``project(v, metric=None)`` maps onto.
 
-    Returns (k, h, grad, iterations, backtracks, converged).
+    Returns (k, h, grad, residual, iterations, backtracks, converged),
+    where residual is |k - proj(k - grad)| at the returned k.
 
     Each iteration scales the gradient by the Hessian H, with a ridge
     that lifts its least eigenvalue to ``_RIDGE`` times its largest when
@@ -414,9 +416,9 @@ def _projected_gradient(cost, project, init, opts):
     for it in range(opts.max_iter + 1):
         pg_res = np.linalg.norm(k - project(k - g))
         if pg_res <= opts.tol:
-            return k, f, g, it, backtracks, True
+            return k, f, g, pg_res, it, backtracks, True
         if it == opts.max_iter:
-            return k, f, g, it, backtracks, False
+            return k, f, g, pg_res, it, backtracks, False
         lam = np.linalg.eigvalsh(hess)
         ridge = max(_RIDGE * lam[-1] - lam[0], 0.0)
         metric = hess + ridge * np.eye(k.shape[0])
@@ -433,7 +435,7 @@ def _projected_gradient(cost, project, init, opts):
         if step < _STEP_FLOOR:
             # No admissible descent step.  Honest only if the projected
             # gradient is already small; otherwise report the stall.
-            return (k, f, g, it + 1, backtracks,
+            return (k, f, g, pg_res, it + 1, backtracks,
                     bool(pg_res <= 100.0 * opts.tol))
         k, f, g, hess = k_new, f_new, g_new, hess_new
 

@@ -8,7 +8,9 @@ import time
 
 import numpy as np
 import pytest
+from scipy import special
 
+from conemv import market as market_module
 from conemv import rng
 from conemv.errors import DimensionMismatch, InvalidMarket
 from conemv.market import MarketSpec, PeriodDistribution, from_annual_table
@@ -370,6 +372,65 @@ class TestSampling:
         # reducing modulo 2**64 would give -1 the draws of 2**64 - 1
         with pytest.raises(ValueError, match="seed out of range"):
             rng.uniform_block(seed, rng.STREAM_SAA, 0, 0, 4, 3)
+
+
+class TestOpenInterval:
+    def test_lattice_ends_map_inside_the_open_interval(self):
+        top = 1.0 - 2.0**-53  # random()'s largest value
+        assert top + 2.0**-54 == 1.0  # where the plain shift lands it
+        rows = np.array([[0.0, top - 2.0**-53, top]])
+        rng._into_open_interval(rows)
+        # the point below the top shifts as every other point does
+        np.testing.assert_array_equal(
+            rows, [[2.0**-54, top - 2.0**-53 + 2.0**-54, top]])
+
+
+def shifted_lattice(n):
+    """n evenly spaced points of random()'s lattice {k 2^-53}, both ends
+    included, shifted into (0, 1) as ``rng.uniform_block`` does."""
+    k = np.arange(n, dtype=np.int64) * ((2**53 - 1) // (n - 1))
+    u = k * 2.0**-53
+    rng._into_open_interval(u)
+    return u
+
+
+class TestChiSquareQuantile:
+    """``market.gammaincinv`` against scipy, which it replaces by a table."""
+    SHAPES = [1.005, 1.01, 1.5, 2.5, 3.0, 10.0, 50.0, 100.0, 1e4, 5e5]
+
+    @staticmethod
+    def around_half():
+        # the table's nodes switch from gammaincinv to gammainccinv at
+        # z = 0, between the nodes at -h/2 and h/2
+        h = 2.0 * market_module._TABLE_Z / (market_module._TABLE_NODES - 1)
+        return np.concatenate([
+            special.ndtr(np.linspace(-2.0 * h, 2.0 * h, 201)),
+            np.nextafter(0.5, [0.0, 1.0]), [0.5]])
+
+    @pytest.mark.parametrize("a", SHAPES)
+    def test_agrees_with_scipy(self, a):
+        u = np.concatenate([shifted_lattice(1_000_000),
+                            [2.0**-54, 1.0 - 2.0**-53], self.around_half()])
+        assert u.min() == 2.0**-54 and u.max() == 1.0 - 2.0**-53
+        np.testing.assert_allclose(market_module.gammaincinv(a, u),
+                                   special.gammaincinv(a, u), rtol=5e-14,
+                                   atol=0)
+
+    @pytest.mark.parametrize("a", [1.005, 2.5, 5e5])
+    def test_one_element_calls_equal_the_whole_array(self, a):
+        u = np.concatenate([shifted_lattice(1_001), self.around_half()])
+        whole = market_module.gammaincinv(a, u)
+        ones = [market_module.gammaincinv(a, u[i:i + 1])[0]
+                for i in range(u.size)]
+        np.testing.assert_array_equal(ones, whole)
+
+    def test_values_outside_the_table_come_from_scipy(self):
+        outside = np.array([0.0, 1e-300, 1e-20, 1.0, np.nan])
+        u = np.insert(outside, 2, 0.3)  # one table value among them
+        got = market_module.gammaincinv(2.5, u)
+        np.testing.assert_array_equal(np.delete(got, 2),
+                                      special.gammaincinv(2.5, outside))
+        assert got[2] == market_module.gammaincinv(2.5, u[2:3])[0]
 
 
 DISCRETE_2 = PeriodDistribution.discrete(

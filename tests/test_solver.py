@@ -193,7 +193,8 @@ class TestMinimizeOverCone:
         # Projected Newton evaluates twice to start, once per accepted
         # step and once per backtrack (plus once after a zero snap); it
         # projects the start, once per residual test, once per trial
-        # step, and the residuals project twice more (pg and VI).
+        # step, and once more for the VI residual.  The pg residual is the
+        # last residual test's, recomputed only after a zero snap.
         market = random_tree_market(seed=12, horizon=3, n_assets=3, n_atoms=5)
         opts = SolverOptions()
         table = backward_recursion(market, limited_short_cone(),
@@ -205,7 +206,7 @@ class TestMinimizeOverCone:
         for d in solved:
             its, back = d["iterations"], d["backtracks"]
             assert d["evaluations"] == 2 + its + back + d["snapped_zero"]
-            assert d["projections"] == 2 * its + back + 4
+            assert d["projections"] == 2 * its + back + 3 + d["snapped_zero"]
         again = json.loads(json.dumps(table.to_dict()))["diagnostics"]
         assert [(d.get("backtracks"), d.get("projections")) for d in again] \
             == [(d.get("backtracks"), d.get("projections"))
@@ -229,7 +230,7 @@ class TestMinimizeOverCone:
         assert best.evaluations == 2 + 1 + best.backtracks
         # as for a converged solve: the residual is tested after the last
         # budgeted step too
-        assert best.projections == 2 * 1 + best.backtracks + 4
+        assert best.projections == 2 * 1 + best.backtracks + 3
 
     def test_budget_of_exactly_the_iterations_needed(self, three_gauss):
         needed = self.kinked_solve(three_gauss, max_iter=5000).iterations
