@@ -10,6 +10,7 @@ from __future__ import annotations
 
 import argparse
 import csv
+import dataclasses
 import io
 import json
 import sys
@@ -33,6 +34,11 @@ def _json_default(obj):
     if isinstance(obj, np.ndarray):
         return obj.tolist()
     raise TypeError(f"not JSON serializable: {type(obj)!r}")
+
+
+def _fields(record, drop: str) -> dict:
+    """A library record as a JSON object, without the field ``drop``."""
+    return {k: v for k, v in dataclasses.asdict(record).items() if k != drop}
 
 
 def _emit(text: str, out_path) -> None:
@@ -169,26 +175,15 @@ def cmd_simulate(args) -> int:
     pol = _build_policy(cfg, table)
     ensemble = sim.simulate(pol, cfg.market, n_paths=args.paths,
                             seed=cfg.seed)
-    stats = sim.terminal_stats(ensemble)
     payload = {
         "policy": cfg.policy_kind,
         "n_paths": ensemble.n_paths,
         "seed": cfg.seed,
-        "terminal": {
-            "mean": stats.mean, "variance": stats.variance,
-            "se_mean": stats.se_mean, "se_variance": stats.se_variance,
-        },
+        "terminal": _fields(sim.terminal_stats(ensemble), "n_paths"),
     }
     if pol.kind in ("precommitted", "truncated"):
-        thresholds = sim.policy_thresholds(pol)
-        report = sim.exceedance_prob(ensemble, thresholds)
-        payload["exceedance"] = {
-            "probability": report.probability,
-            "standard_error": report.standard_error,
-            "first_crossing_counts": {str(t): c for t, c
-                                      in report.first_crossing_counts.items()},
-            "thresholds": {str(t): v for t, v in report.thresholds.items()},
-        }
+        report = sim.exceedance_prob(ensemble, sim.policy_thresholds(pol))
+        payload["exceedance"] = _fields(report, "n_paths")
     _emit_json(payload, args.out)
     return 0
 
@@ -196,28 +191,10 @@ def cmd_simulate(args) -> int:
 def cmd_tcie(args) -> int:
     cfg = _load_config(args)
     table, backend = _solve_table(cfg)
-    verdict = tcie.check_tcie(table, cfg.market)
-    probs = [tcie.transition_probs(table, cfg.market, t, backend=backend)
-             for t in range(table.horizon)]
-    payload = {
-        "is_tcie": verdict.is_tcie,
-        "reason": verdict.reason,
-        "flip_period": verdict.flip_period,
-        "first_violation_period": verdict.first_violation_period,
-        "evidence": verdict.evidence,
-        "periods": [{
-            "t": p.t, "ess_sup_plus": p.ess_sup_plus,
-            "can_cross": p.can_cross, "k_minus_norm": p.k_minus_norm,
-            "c_minus": p.c_minus,
-            "transition": {
-                "stay_below": probs[p.t].stay_below,
-                "cross_up": probs[p.t].cross_up,
-                "return_from_above": probs[p.t].return_from_above,
-                "stay_above": probs[p.t].stay_above,
-                "standard_error": probs[p.t].standard_error,
-            },
-        } for p in verdict.periods],
-    }
+    payload = dataclasses.asdict(tcie.check_tcie(table, cfg.market))
+    for period in payload["periods"]:
+        period["transition"] = _fields(tcie.transition_probs(
+            table, cfg.market, period["t"], backend=backend), "t")
     try:
         mu = policy_mod.mu_star(table, cfg.x0, cfg.d)
         payload["thresholds"] = _thresholds(cfg, table, mu)
@@ -232,8 +209,8 @@ def cmd_vssm(args) -> int:
     # the running density and its temporaries
     _require_path_memory(cfg, args.paths, 6)
     table, _ = _solve_table(cfg)
-    payload = {"theoretical": {
-        "mean": 1.0, "second_moment": 1.0 / table.c_plus[0]}}
+    mean, second = vssm.theoretical_moments(table)
+    payload = {"theoretical": {"mean": mean, "second_moment": second}}
     if cfg.backend_kind == "exact":
         mean, second = vssm.exact_density_moments(table, cfg.market)
         report = vssm.supermartingale_check(table, cfg.market, cfg.cones)

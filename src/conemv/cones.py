@@ -29,8 +29,7 @@ transformed cone {w : A L^-T w >= 0}, mapped back by x = L^-T w:
 and an orthant takes this route with A = I.  A point lies in the polar
 cone exactly when it projects to the origin, that is, when the least
 squares leave no residual.  Should the solve stop at its iteration cap,
-Dykstra's alternating projection over the row half-spaces, in the same
-metric, runs instead.
+it raises ``NoConvergence``; there is no fallback.
 """
 
 from __future__ import annotations
@@ -50,7 +49,6 @@ KINDS = ("whole_space", "orthant", "half_space", "polyhedral")
 
 DEFAULT_TOL = 1e-9
 DYKSTRA_TOL = 1e-10
-DYKSTRA_MAX_CYCLES = 10_000
 NNLS_ITER_PER_ROW = 3   # the least-squares iteration cap, per row of A
 NNLS_TOL = 1e-14        # least gain that lets a row join, relative to max |c|
 SCHUR_TOL = 1e-26       # least Schur complement of a joining unit row
@@ -80,7 +78,7 @@ class ConvexCone:
 
     @classmethod
     def half_space(cls, normal) -> "ConvexCone":
-        a = np.asarray(normal, dtype=float)
+        a = _float_array(normal, "half_space normal")
         if not np.all(np.isfinite(a)):
             raise InvalidCone("half_space normal must be finite")
         if a.ndim != 1 or np.linalg.norm(a) == 0.0:
@@ -89,7 +87,10 @@ class ConvexCone:
 
     @classmethod
     def polyhedral(cls, rows) -> "ConvexCone":
-        a = np.atleast_2d(np.asarray(rows, dtype=float))
+        a = np.atleast_2d(_float_array(rows, "polyhedral rows"))
+        if a.ndim != 2:
+            raise InvalidCone("polyhedral rows must form a matrix, got "
+                              f"{a.ndim} dimensions")
         if a.size == 0:
             raise InvalidCone("polyhedral cone needs at least one row")
         if not np.all(np.isfinite(a)):
@@ -150,7 +151,7 @@ class ConvexCone:
         whole_space -> {0}; orthant -> nonpositive orthant;
         half_space(a) -> {lambda a : lambda <= 0}; polyhedral(A) ->
         {-A' mu : mu >= 0}, the points that project to the origin, which
-        the least-squares residual of :meth:`_moreau` decides.
+        the least-squares residual of :meth:`_moreau_split` decides.
         """
         y = np.asarray(y, dtype=float)
         if y.shape != (self.dim,):
@@ -164,11 +165,7 @@ class ConvexCone:
             a = self.normal
             lam = (a @ y) / (a @ a)
             return bool(lam <= tol and np.max(np.abs(y - lam * a)) <= tol * scale)
-        try:
-            _, resid = self._moreau(y)
-        except NoConvergence:  # the least-squares iteration cap
-            resid = np.linalg.norm(self._project_dykstra(y, DYKSTRA_MAX_CYCLES))
-        return bool(resid <= tol * scale)
+        return bool(self._moreau_split(y)[2] <= tol * scale)
 
     # -- projection ------------------------------------------------------
 
@@ -179,10 +176,9 @@ class ConvexCone:
 
         Orthant and polyhedral cones are projected exactly, by Moreau's
         decomposition (the orthant clips instead when no metric is
-        given).  Dykstra's alternating projection runs instead when the
-        nonnegative least-squares solve stops at its iteration cap, for at
-        most ``DYKSTRA_MAX_CYCLES`` cycles, or when ``max_cycles`` is
-        given, for at most that many.
+        given); the least-squares solve raises ``NoConvergence`` at its
+        cap, with no fallback.  ``max_cycles`` runs Dykstra's projection
+        instead, for ``perfbench/tests/test_ledger.py`` alone.
         """
         v = np.asarray(v, dtype=float)
         if v.shape != (self.dim,):
@@ -195,10 +191,7 @@ class ConvexCone:
             return _project_half_space(v, self.normal, metric)
         if max_cycles is not None:
             return self._project_dykstra(v, max_cycles, metric)
-        try:
-            p = self._moreau_split(v, metric)[1]
-        except NoConvergence:  # the least-squares iteration cap
-            return self._project_dykstra(v, DYKSTRA_MAX_CYCLES, metric)
+        p = self._moreau_split(v, metric)[1]
         # Active rows hold A_i p = 0 only to rounding.  Projecting onto
         # each row still violated removes that slack, and puts p exactly
         # on a face whose row is a coordinate axis, as the orthant's clip
@@ -214,25 +207,12 @@ class ConvexCone:
     def _rows(self) -> np.ndarray:
         return np.eye(self.dim) if self.kind == "orthant" else self.rows
 
-    def _moreau(self, v: np.ndarray, metric: Optional[np.ndarray] = None
-                ) -> tuple[np.ndarray, float]:
-        """mu* >= 0 minimising |L^-1 A' mu + L'v| (L = I without a
-        metric, else the Cholesky factor of H = LL'), and that minimum.
-
-        -A' mu* is the projection of v onto the polar cone, so v + A' mu*
-        is its projection onto the cone and the minimum is that
-        projection's norm; in the metric, v + H^-1 A' mu* and its H-norm.
-        Raises ``NoConvergence`` when the solve stops at its iteration
-        cap.
-        """
-        mu, _, resid = self._moreau_split(v, metric)
-        return np.array(mu), resid
-
-    def _moreau_split(self, v: np.ndarray, metric: Optional[np.ndarray]
+    def _moreau_split(self, v: np.ndarray, metric: Optional[np.ndarray] = None
                       ) -> tuple[list, list, float]:
-        """mu* and the minimum of :meth:`_moreau`, with the projection
-        x = v + H^-1 A' mu* as a list, before any clean-up of the rows
-        that x holds only to rounding."""
+        """mu* >= 0 minimising |L^-1 A' mu + L'v| (L = I, or H = LL'), the
+        projection x = v + H^-1 A' mu* before the clean-up of rows it holds
+        only to rounding, and the minimum, x's (H-)norm; mu* and x are lists.
+        Raises ``NoConvergence`` at the solve's iteration cap."""
         rows = self._rows()
         if metric is not None:  # the Euclidean problem of L'v and A L^-T
             chol = np.linalg.cholesky(metric)
@@ -279,6 +259,15 @@ def cones_per_period(cones, horizon: int, dim: int) -> list[ConvexCone]:
             raise InvalidCone(
                 f"cone dimension {cone.dim} != market dimension {dim}")
     return cones
+
+
+def _float_array(data, what: str) -> np.ndarray:
+    """``data`` as floats; ``InvalidCone`` if ragged or not numeric."""
+    try:
+        return np.asarray(data, dtype=float)
+    except (TypeError, ValueError) as exc:
+        raise InvalidCone(f"{what} must be a rectangular array of "
+                          "numbers") from exc
 
 
 def _project_half_space(v: np.ndarray, a: np.ndarray,

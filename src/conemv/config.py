@@ -188,6 +188,9 @@ def parse_config(data: dict) -> RunConfig:
             if key not in policy:
                 raise ConfigError(f"truncated policy needs {key!r}")
         cfg.truncate_k = _number(policy, "k", None, int)
+        if not 0 <= cfg.truncate_k < market.horizon:
+            raise ConfigError("truncated policy's k must lie in "
+                              f"[0, {market.horizon}), got {cfg.truncate_k}")
         cfg.truncate_d_k = _number(policy, "d_k", None)
         cfg.truncate_x_k = _number(policy, "x_k", None)
 
@@ -198,6 +201,10 @@ def parse_config(data: dict) -> RunConfig:
     cfg.backend_kind = numerics.get("backend", "saa")
     if cfg.backend_kind not in ("exact", "saa"):
         raise ConfigError(f"unknown backend {cfg.backend_kind!r}")
+    family = market.periods[0].family
+    if cfg.backend_kind == "exact" and family != "discrete":
+        raise ConfigError(
+            f"exact backend needs a discrete market, not {family}")
     cfg.samples = _number(numerics, "samples", 1_000_000, int)
     cfg.seed = checked_seed(_number(numerics, "seed", 0, int))
     optimizer = numerics.get("optimizer", "projected_gradient")

@@ -21,6 +21,7 @@ gives a pathwise duality check against simulation.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field
 from typing import Optional
 
@@ -29,7 +30,7 @@ import numpy as np
 from .cones import cones_per_period
 from .errors import BackendMismatch, DimensionMismatch
 from .market import MarketSpec
-from .solver import RecursionTable
+from .solver import RecursionTable, require_memory
 
 
 @dataclass
@@ -174,8 +175,12 @@ def enumerate_tree(market: MarketSpec):
             raise BackendMismatch(
                 f"tree enumeration needs discrete periods; period {t} is "
                 f"{p.family}")
-    idx = np.indices([p.atoms.shape[0] for p in periods]).reshape(
-        market.horizon, -1)
+    counts = [p.atoms.shape[0] for p in periods]
+    # the index, return and probability arrays, before any is built
+    m = math.prod(counts)
+    require_memory(8 * m * (market.horizon * (market.n_assets + 1) + 1),
+                   f"{m} tree paths")
+    idx = np.indices(counts).reshape(market.horizon, -1)
     returns = np.stack([p.atoms[i] for p, i in zip(periods, idx)], axis=1)
     probs = np.prod([p.probs[i] for p, i in zip(periods, idx)], axis=0)
     return returns, probs, list(zip(*idx.tolist()))

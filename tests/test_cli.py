@@ -6,8 +6,11 @@ import json
 import subprocess
 import sys
 from pathlib import Path
+from types import SimpleNamespace
 
 import pytest
+
+from conemv import cli, solver
 
 CONFIGS = Path(__file__).resolve().parents[1] / "configs"
 
@@ -182,6 +185,20 @@ class TestConfigErrors:
         res = run_cli("solve", "--config", path)
         assert res.returncode == 2
 
+    @pytest.mark.parametrize("family", ["gaussian", "student_t"])
+    def test_exact_backend_on_a_continuous_market(self, tmp_path, family):
+        cfg = coin_config()
+        cfg["market"] = {"horizon": 1, "riskless_rates": [1.02],
+                         "family": family, "mean": [0.06],
+                         "covariance": [[0.04]], "df": 5}
+        if family == "gaussian":
+            del cfg["market"]["df"]
+        path = write_config(tmp_path, cfg)
+        res = run_cli("solve", "--config", path)
+        assert res.returncode == 2
+        assert res.stderr == ("error: exact backend needs a discrete "
+                              f"market, not {family}\n")
+
     def test_csv_format_rejected_outside_frontier(self, tmp_path):
         path = write_config(tmp_path, coin_config())
         res = run_cli("solve", "--config", path, "--format", "csv")
@@ -278,13 +295,16 @@ class TestSimulate:
         res = run_cli("simulate", "--config", path, "--paths", "2000")
         assert res.returncode == 0, res.stderr
         payload = json.loads(res.stdout)
+        assert list(payload) == ["policy", "n_paths", "seed", "terminal",
+                                 "exceedance"]
         assert payload["policy"] == "precommitted"
         assert payload["n_paths"] == 2000
         term = payload["terminal"]
-        assert set(term) == {"mean", "variance", "se_mean", "se_variance"}
+        assert list(term) == ["mean", "variance", "se_mean", "se_variance"]
         exc = payload["exceedance"]
-        assert set(exc) == {"probability", "standard_error",
-                            "first_crossing_counts", "thresholds"}
+        assert list(exc) == ["probability", "standard_error",
+                             "first_crossing_counts", "thresholds"]
+        assert set(exc["first_crossing_counts"]) == {"1"}
         assert set(exc["thresholds"]) == {"1"}
         assert 0.0 <= exc["probability"] <= 1.0
 
@@ -322,6 +342,15 @@ class TestTcie:
         res = run_cli("tcie", "--config", path)
         assert res.returncode == 0, res.stderr
         payload = json.loads(res.stdout)
+        assert list(payload) == ["is_tcie", "reason", "flip_period",
+                                 "first_violation_period", "evidence",
+                                 "periods", "thresholds"]
+        for period in payload["periods"]:
+            assert list(period) == ["t", "ess_sup_plus", "can_cross",
+                                    "k_minus_norm", "c_minus", "transition"]
+            assert list(period["transition"]) == [
+                "stay_below", "cross_up", "return_from_above", "stay_above",
+                "standard_error"]
         assert payload["is_tcie"] is True
         assert payload["reason"] == "condition_18"
         assert payload["flip_period"] is None
@@ -469,6 +498,21 @@ class TestBadCounts:
         res = run_cli(command, "--config", path, "--paths", "10000000000")
         self.assert_config_error(res, "10000000000 paths need about")
 
+    def test_tree_beyond_memory(self, tmp_path, monkeypatch, capsys):
+        """vssm refuses to enumerate the 6**12 paths of a 12-period tree
+        of 6 atoms before it allocates them."""
+        atoms = [[[r], p] for r, p in zip([-0.1, -0.05, 0.0, 0.05, 0.1, 0.2],
+                                          [0.25, 0.25] + [0.125] * 4)]
+        cfg = coin_config(market={"horizon": 12, "riskless_rates": [1.02] * 12,
+                                  "family": "discrete", "atoms": atoms})
+        monkeypatch.setattr(solver, "_available_bytes", lambda: 64 * 2**30)
+        code = cli.main(["vssm", "--config", write_config(tmp_path, cfg),
+                         "--paths", "2"])
+        out, err = capsys.readouterr()
+        self.assert_config_error(
+            SimpleNamespace(returncode=code, stdout=out, stderr=err),
+            f"{6**12} tree paths need about")
+
     def test_solve_payload_carries_diagnostics(self, tmp_path):
         path = write_config(tmp_path, saa_config())
         res = run_cli("solve", "--config", path)
@@ -535,8 +579,8 @@ class TestNonFiniteInput:
 
 class TestMalformedNumbers:
     """Numeric config values that do not convert, convert to a
-    non-finite number, are booleans, or are fractional counts exit 2
-    with one error line and no traceback."""
+    non-finite number, are booleans, are fractional counts or lie outside
+    their range exit 2 with one error line and no traceback."""
 
     @pytest.mark.parametrize("section,key,value", [
         ("market", "riskless_rates", "high"),
@@ -572,6 +616,11 @@ class TestMalformedNumbers:
         ("cones", "normal", ["1.0"]),
         ("numerics", "seed", -1),
         ("numerics", "seed", 2**64),
+        ("policy", "k", -1),
+        ("policy", "k", 2),
+        ("cones", "normal", [[1.0], [1.0, 2.0]]),
+        ("cones", "A", [[1, 0, 0], [1, 0]]),
+        ("cones", "A", [[[1], [0], [0]]]),
     ])
     def test_exits_2_with_one_line(self, tmp_path, section, key, value):
         cfg = coin_config()
@@ -583,6 +632,8 @@ class TestMalformedNumbers:
             cfg["policy"] = {"kind": "truncated", "d_k": 1.1, "x_k": 1.0}
         if key == "normal":
             cfg["cones"] = {"type": "half_space"}
+        if key == "A":
+            cfg["cones"] = {"type": "polyhedral"}
         cfg[section][key] = value
         path = write_config(tmp_path, cfg)
         self.assert_exits_2(run_cli("solve", "--config", path))

@@ -4,8 +4,10 @@ import itertools
 import numpy as np
 import pytest
 
+from conemv import solver
 from conemv.cones import ConvexCone
-from conemv.errors import BackendMismatch, DimensionMismatch, InvalidCone
+from conemv.errors import (BackendMismatch, DimensionMismatch,
+                           InsufficientMemory, InvalidCone)
 from conemv.market import MarketSpec, PeriodDistribution
 from conemv.policy import mu_star, precommitted
 from conemv.sim import sample_returns, simulate
@@ -337,6 +339,17 @@ class TestSupermartingaleAudit:
         assert paths == ref_paths
         np.testing.assert_array_equal(returns, ref_returns)
         np.testing.assert_array_equal(probs, ref_probs)
+
+    def test_enumeration_refuses_a_tree_beyond_memory(self, monkeypatch):
+        market = uneven_tree_market()
+        # 60 paths: (3, 60) indices, (60, 3, 2) returns and 60 probabilities
+        need = 8 * (3 * 60 + 60 * 3 * 2 + 60)
+        monkeypatch.setattr(solver, "_available_bytes", lambda: need - 1)
+        with pytest.raises(InsufficientMemory,
+                           match="^60 tree paths need about "):
+            enumerate_tree(market)
+        monkeypatch.setattr(solver, "_available_bytes", lambda: need)
+        assert len(enumerate_tree(market)[2]) == 60
 
     def test_node_blocks_match_the_prefix_grouping(self):
         """Each node's paths are one block of the product order; the
