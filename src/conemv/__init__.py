@@ -24,8 +24,8 @@ from .solver import (ExactDiscreteBackend, RecursionTable, SaaBackend,
                      unconstrained_table, value_function)
 from .tcie import (TcieVerdict, check_tcie, conditional_consistency_check,
                    threshold, transition_probs)
-from .vssm import (DensityPath, conditional_expectation, density_along_path,
-                   density_for_paths, duality_terminal_wealth,
+from .vssm import (conditional_expectation, density_for_paths,
+                   density_factors, duality_terminal_wealth,
                    exact_density_moments, implied_wealth_path,
                    supermartingale_check, theoretical_moments)
 

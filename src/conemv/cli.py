@@ -26,6 +26,9 @@ from .errors import (ConemvError, ConfigError, InsufficientMemory,
 from .solver import backward_recursion, require_memory
 
 _CONFIG_ERRORS = (ConfigError, InvalidMarket, InvalidCone, InsufficientMemory)
+# a frontier point's grid value, row and output text: at most 1.4 KiB
+# under tracemalloc, with JSON output and every row kept
+_FRONTIER_POINT_BYTES = 2048
 
 
 def _json_default(obj):
@@ -130,6 +133,8 @@ def cmd_solve(args) -> int:
 
 def cmd_frontier(args) -> int:
     cfg = _load_config(args)
+    require_memory(_FRONTIER_POINT_BYTES * args.points,
+                   f"{args.points} frontier points")
     table, _ = _solve_table(cfg)
     aux = None
     try:

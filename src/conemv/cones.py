@@ -43,7 +43,7 @@ import numpy as np
 
 from .errors import (DimensionMismatch, InvalidCone, NoConvergence,
                      ZeroMeanExcess)
-from .market import freeze_arrays
+from .market import float_array, freeze_arrays
 
 KINDS = ("whole_space", "orthant", "half_space", "polyhedral")
 
@@ -64,7 +64,7 @@ class ConvexCone:
     rows: Optional[np.ndarray] = None     # polyhedral
 
     def __post_init__(self):
-        freeze_arrays(self, "normal", "rows")
+        freeze_arrays(self, "normal", "rows", error=InvalidCone)
 
     # -- constructors -------------------------------------------------
 
@@ -78,7 +78,7 @@ class ConvexCone:
 
     @classmethod
     def half_space(cls, normal) -> "ConvexCone":
-        a = _float_array(normal, "half_space normal")
+        a = float_array(normal, "half_space normal", InvalidCone)
         if not np.all(np.isfinite(a)):
             raise InvalidCone("half_space normal must be finite")
         if a.ndim != 1 or np.linalg.norm(a) == 0.0:
@@ -87,7 +87,7 @@ class ConvexCone:
 
     @classmethod
     def polyhedral(cls, rows) -> "ConvexCone":
-        a = np.atleast_2d(_float_array(rows, "polyhedral rows"))
+        a = np.atleast_2d(float_array(rows, "polyhedral rows", InvalidCone))
         if a.ndim != 2:
             raise InvalidCone("polyhedral rows must form a matrix, got "
                               f"{a.ndim} dimensions")
@@ -261,15 +261,6 @@ def cones_per_period(cones, horizon: int, dim: int) -> list[ConvexCone]:
     return cones
 
 
-def _float_array(data, what: str) -> np.ndarray:
-    """``data`` as floats; ``InvalidCone`` if ragged or not numeric."""
-    try:
-        return np.asarray(data, dtype=float)
-    except (TypeError, ValueError) as exc:
-        raise InvalidCone(f"{what} must be a rectangular array of "
-                          "numbers") from exc
-
-
 def _project_half_space(v: np.ndarray, a: np.ndarray,
                         metric: Optional[np.ndarray] = None) -> np.ndarray:
     inner = a @ v
@@ -382,7 +373,7 @@ class _PassiveQR:
         return z
 
 
-def construct_tcie_cone(mean_excess, tol: float = 1e-12) -> ConvexCone:
+def construct_tcie_cone(mean_excess) -> ConvexCone:
     """Largest half-space cone whose constrained problem stays
     time-consistent in efficiency: {u : E[P]'u >= 0}.
 
@@ -391,6 +382,6 @@ def construct_tcie_cone(mean_excess, tol: float = 1e-12) -> ConvexCone:
     efficient policy remains efficient at every intermediate date.
     """
     a = np.asarray(mean_excess, dtype=float)
-    if np.max(np.abs(a), initial=0.0) <= tol:
+    if np.max(np.abs(a), initial=0.0) <= 1e-12:
         raise ZeroMeanExcess("mean excess return is numerically zero")
     return ConvexCone.half_space(a)

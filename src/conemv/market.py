@@ -25,12 +25,14 @@ row chunks on that pool; the Cholesky product, the Student-t scaling
 and the mean shift run on the whole block in the calling thread.  The
 Student-t chi-square quantile is a quintic Hermite table of its
 logarithm in ndtri(u), built once per df (:func:`gammaincinv`), within
-5e-14 relative of ``scipy.special.gammaincinv``.
+5e-14 relative of ``scipy.special.gammaincinv`` for df up to 1e6; larger
+df take scipy's values.
 """
 
 from __future__ import annotations
 
 import functools
+import numbers
 from dataclasses import dataclass
 from typing import Optional, Sequence
 
@@ -54,6 +56,7 @@ def ndtri(p: np.ndarray) -> np.ndarray:
 
 
 _TABLE_Z, _TABLE_NODES = 9.0, 8_192  # nodes on z = ndtri(p) in [-9, 9]
+_TABLE_MAX_A = 5e5  # largest shape the table is verified at (df 1e6)
 _SUB_ROWS = 4_096  # elements per pass over the table
 
 
@@ -94,8 +97,13 @@ def gammaincinv(a: float, p: np.ndarray) -> np.ndarray:
     ``_quantile_table(a)`` at ndtri(p), within 5e-14 relative of
     ``scipy.special.gammaincinv``; other p go to scipy.  The table is
     built from a alone, so a value depends neither on the array holding
-    it nor on the number of draw-pool workers."""
+    it nor on the number of draw-pool workers.  Shapes above
+    ``_TABLE_MAX_A`` take scipy's values throughout: the table's slope
+    exponent cancels catastrophically as a grows and is NaN from about
+    a = 5e19 upward."""
     from scipy import special
+    if a > _TABLE_MAX_A:
+        return rng.map_rows(functools.partial(special.gammaincinv, a), p)
     coef = _quantile_table(float(a))
     pieces = coef.shape[1]
 
@@ -125,12 +133,30 @@ def gammaincinv(a: float, p: np.ndarray) -> np.ndarray:
     return rng.map_rows(fill, p)
 
 
-def freeze_arrays(value, *names: str) -> None:
-    """Set the named array fields of frozen ``value`` to read-only copies."""
+def float_array(data, what: str, error=InvalidMarket) -> np.ndarray:
+    """``data`` as a new float array; ``error`` unless it is a
+    rectangular array of real numbers, which a boolean or a numeric
+    string is not."""
+    kind = data.dtype.kind if isinstance(data, np.ndarray) else "O"
+    try:
+        if kind == "O" and all(
+                isinstance(x, numbers.Real) and not isinstance(x, bool)
+                for x in np.asarray(data, dtype=object).flat):
+            kind = "f"
+        if kind in "iuf":
+            return np.array(data, dtype=float)
+    except (TypeError, ValueError, OverflowError):
+        pass
+    raise error(f"{what} must be a rectangular array of numbers")
+
+
+def freeze_arrays(value, *names: str, error=InvalidMarket) -> None:
+    """Set the named array fields of frozen ``value`` to read-only float
+    copies; ``error`` if one is not an array of numbers."""
     for name in names:
         array = getattr(value, name)
         if array is not None:
-            array = np.array(array, dtype=float)
+            array = float_array(array, name, error)
             array.flags.writeable = False
             object.__setattr__(value, name, array)
 
@@ -178,8 +204,8 @@ class PeriodDistribution:
 
     @classmethod
     def discrete(cls, atoms, probs) -> "PeriodDistribution":
-        atoms = np.atleast_2d(np.asarray(atoms, dtype=float))
-        probs = np.asarray(probs, dtype=float)
+        atoms = np.atleast_2d(float_array(atoms, "atoms"))
+        probs = float_array(probs, "probs")
         with np.errstate(invalid="ignore", over="ignore"):
             # non-finite atoms or probabilities are for validate() to report
             mean = probs @ atoms

@@ -46,7 +46,7 @@ The Hessian likewise takes c_maj times the whole sample's moment plus
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, fields
 from typing import NamedTuple, Optional
 
 import numpy as np
@@ -208,7 +208,7 @@ class SaaBackend:
 
 def make_backend(market: MarketSpec, backend: str = "saa",
                  sample_count: int = 1_000_000, seed: int = 0):
-    if backend in ("exact", "exact_discrete"):
+    if backend == "exact":
         return ExactDiscreteBackend(market)
     if backend == "saa":
         return SaaBackend(market, sample_count, seed)
@@ -290,15 +290,20 @@ class SolverOptions:
 
 @dataclass
 class MinimizeResult:
+    """One solved branch.  Every field after ``k`` and ``converged`` is
+    also the branch's entry in ``RecursionTable.diagnostics``, in this
+    order."""
+
     k: np.ndarray
-    value: float
+    converged: bool
     iterations: int
     pg_residual: float
     complementarity: float
     vi_min: float
-    converged: bool
     method: str
-    snapped_zero: bool = False
+    snapped_zero: bool
+    value: float
+    cross_gap: float = 0.0          # |h - L| at k, set by the recursion
     evaluations: int = 0            # cost evaluations
     rows_touched_share: float = 0.0  # mean share of rows read directly
     backtracks: int = 0             # rejected Armijo trial steps
@@ -341,8 +346,8 @@ def minimize_over_cone(backend, t: int, sign: int, cone: ConvexCone,
     period = backend.market.periods[t]
     c_at_zero = c_plus_next if sign > 0 else c_minus_next
     if _zero_is_optimal(cone, sign, period.mean, c_plus_next, c_minus_next):
-        return MinimizeResult(np.zeros(period.n_assets), c_at_zero, 0, 0.0,
-                              0.0, 0.0, True, "zero_test", snapped_zero=True)
+        return MinimizeResult(np.zeros(period.n_assets), True, 0, 0.0, 0.0,
+                              0.0, "zero_test", True, c_at_zero)
 
     reads = []  # rows read directly, per evaluation
 
@@ -372,8 +377,8 @@ def minimize_over_cone(backend, t: int, sign: int, cone: ConvexCone,
     comp = abs(float(grad @ k))
     vi = -float(np.linalg.norm(project(-grad))) - float(grad @ k)
     result = MinimizeResult(
-        k, value, iters, pg_res, comp, vi, converged, "projected_gradient",
-        snapped_zero=snapped, evaluations=len(reads),
+        k, converged, iters, pg_res, comp, vi, "projected_gradient", snapped,
+        value, evaluations=len(reads),
         rows_touched_share=sum(reads) / (len(reads) * backend.n_rows(t)),
         backtracks=backtracks, projections=projections)
     if not converged:
@@ -540,46 +545,32 @@ def backward_recursion(market: MarketSpec, cones_by_period,
         zero_tols[t] = default_zero_tol(market.periods[t])
         for sign, k_store, c_store in ((1, k_plus, c_plus),
                                        (-1, k_minus, c_minus)):
+            c_next = c_store[t + 1]
             res = minimize_over_cone(backend, t, sign, cones_list[t],
                                      c_plus[t + 1], c_minus[t + 1], opts)
             # a zero test or a snap returns h(0) = L(0) = the next
             # constant, by construction
-            value, gap = res.value, 0.0
             if not res.snapped_zero:
                 # h - L = grad'K / 2 holds exactly on a frozen sample as
                 # on atoms, so one deterministic bound serves both backends
                 lin = linear_form(backend, t, sign, res.k,
                                   c_plus[t + 1], c_minus[t + 1])
-                gap = abs(value - lin)
-                if gap > gap_bound:
+                res.cross_gap = abs(res.value - lin)
+                if res.cross_gap > gap_bound:
                     raise ConsistencyError(
                         f"quadratic/linear cost mismatch at t={t} "
-                        f"sign={sign:+d}: {value!r} vs {lin!r} "
+                        f"sign={sign:+d}: {res.value!r} vs {lin!r} "
                         f"(tol {gap_bound:.3e})")
-            k_store[t] = res.k
-            c_store[t] = value
-            diagnostics.append({
-                "t": t, "sign": sign, "iterations": res.iterations,
-                "pg_residual": res.pg_residual,
-                "complementarity": res.complementarity,
-                "vi_min": res.vi_min, "method": res.method,
-                "snapped_zero": res.snapped_zero, "value": value,
-                "cross_gap": gap,
-                "evaluations": res.evaluations,
-                "rows_touched_share": res.rows_touched_share,
-                "backtracks": res.backtracks,
-                "projections": res.projections,
-            })
-
-        next_plus, next_minus = c_plus[t + 1], c_minus[t + 1]
-        for c_now, c_next, label in ((c_plus[t], next_plus, "+"),
-                                     (c_minus[t], next_minus, "-")):
-            if not (0.0 < c_now <= c_next * (1.0 + 1e-12) + 1e-15):
+            k_store[t], c_store[t] = res.k, res.value
+            if not (0.0 < c_store[t] <= c_next * (1.0 + 1e-12) + 1e-15):
                 raise ConsistencyError(
-                    f"cost constant out of range at t={t} sign={label}: "
-                    f"{c_now!r} vs next {c_next!r}")
-        c_plus[t] = min(c_plus[t], next_plus)
-        c_minus[t] = min(c_minus[t], next_minus)
+                    f"cost constant out of range at t={t} "
+                    f"sign={'+' if sign > 0 else '-'}: "
+                    f"{c_store[t]!r} vs next {c_next!r}")
+            c_store[t] = min(c_store[t], c_next)
+            diagnostics.append({"t": t, "sign": sign, **{
+                f.name: getattr(res, f.name) for f in fields(res)
+                if f.name not in ("k", "converged")}})
 
     return RecursionTable(
         horizon=T, n_assets=n,

@@ -30,6 +30,7 @@ from .policy import mu_star
 from .solver import RecursionTable, SaaBackend
 
 _SUP_TOL = 1e-10
+_MIN_COUNT = 100  # paths a conditioning cell needs to be judged
 
 
 @dataclass
@@ -158,15 +159,14 @@ class ConsistencyReport:
 
 def conditional_consistency_check(ensemble, table: RecursionTable,
                                   market: MarketSpec, x0: float, d: float,
-                                  backend=None,
-                                  min_count: int = 100) -> ConsistencyReport:
+                                  backend=None) -> ConsistencyReport:
     """Compare simulated one-step threshold transitions with theory.
 
     For paths strictly below the threshold at t the probability of
     staying (weakly) below at t+1 must equal Pr(P'K^+ <= 1); strictly
     above, the probability of returning equals Pr(P'K^- <= -1); paths
     exactly on the threshold stay there.  Cells with fewer than
-    ``min_count`` paths are recorded but not judged; if no cell is
+    ``_MIN_COUNT`` paths are recorded but not judged; if no cell is
     checkable the ensemble is too small to say anything.
     """
     mu = mu_star(table, x0, d)
@@ -186,7 +186,7 @@ def conditional_consistency_check(ensemble, table: RecursionTable,
         for side, mask, theo in (("below", below, probs.stay_below),
                                  ("above", above, probs.return_from_above)):
             count = int(mask.sum())
-            if count < min_count:
+            if count < _MIN_COUNT:
                 report.cells.append(ConditioningCell(
                     t, side, count, None, theo, None, False, True))
                 continue
@@ -211,5 +211,5 @@ def conditional_consistency_check(ensemble, table: RecursionTable,
             any_checked = True
     if not any_checked:
         raise InsufficientConditioningEvents(
-            f"no conditioning set reached {min_count} paths")
+            f"no conditioning set reached {_MIN_COUNT} paths")
     return report

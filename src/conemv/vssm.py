@@ -21,9 +21,10 @@ gives a pathwise duality check against simulation.
 
 from __future__ import annotations
 
+import itertools
 import math
+import sys
 from dataclasses import dataclass, field
-from typing import Optional
 
 import numpy as np
 
@@ -33,19 +34,10 @@ from .market import MarketSpec
 from .solver import RecursionTable, require_memory
 
 
-@dataclass
-class DensityPath:
-    """Density bookkeeping along one return path."""
-
-    b_factors: np.ndarray         # (T,)
-    partial_products: np.ndarray  # (T+1,), [t] = prod_{i<t} B_i
-    density: float
-    step_ratios: Optional[np.ndarray] = None  # (T,), conditional ratios
-
-
 def _check_returns(table: RecursionTable, returns: np.ndarray) -> np.ndarray:
     returns = np.asarray(returns, dtype=float)
-    if returns.shape[-2:] != (table.horizon, table.n_assets):
+    if returns.ndim != 3 or returns.shape[1:] != (table.horizon,
+                                                  table.n_assets):
         raise DimensionMismatch(
             f"returns shape {returns.shape} incompatible with horizon "
             f"{table.horizon} and {table.n_assets} assets")
@@ -92,29 +84,6 @@ def density_for_paths(table: RecursionTable, returns: np.ndarray) -> np.ndarray:
         partial *= np.where(partial >= 0.0, 1.0 - y_plus, 1.0 + y_minus)
     partial /= table.c_plus[0]
     return partial
-
-
-def density_along_path(table: RecursionTable, returns,
-                       with_step_ratios: bool = False) -> DensityPath:
-    """Full density decomposition along a single path (T, n)."""
-    returns = _check_returns(table, np.asarray(returns, dtype=float))
-    if returns.ndim != 2:
-        raise DimensionMismatch("density_along_path expects a single path")
-    b, partial = density_factors(table, returns[None])
-    b, partial = b[0], partial[0]
-    ratios = None
-    if with_step_ratios:
-        T = table.horizon
-        ratios = np.empty(T)
-        for t in range(T):
-            sign_now = partial[t] >= 0.0
-            sign_next = partial[t + 1] >= 0.0
-            c_now = table.c_plus[t] if sign_now else table.c_minus[t]
-            c_next = (table.c_plus[t + 1] if sign_next
-                      else table.c_minus[t + 1])
-            ratios[t] = b[t] * c_next / c_now
-    return DensityPath(b, partial, float(partial[-1] / table.c_plus[0]),
-                       step_ratios=ratios)
 
 
 def conditional_expectation(table: RecursionTable, b_prefix) -> float:
@@ -176,14 +145,22 @@ def enumerate_tree(market: MarketSpec):
                 f"tree enumeration needs discrete periods; period {t} is "
                 f"{p.family}")
     counts = [p.atoms.shape[0] for p in periods]
-    # the index, return and probability arrays, before any is built
-    m = math.prod(counts)
-    require_memory(8 * m * (market.horizon * (market.n_assets + 1) + 1),
+    m, T, n = math.prod(counts), market.horizon, market.n_assets
+    # per path: its returns and probability, and its index tuple with
+    # the list slot, the list's growth margin and the allocator's slack
+    require_memory(m * (8 * (T * n + 1) + sys.getsizeof((0,) * T) + 24),
                    f"{m} tree paths")
-    idx = np.indices(counts).reshape(market.horizon, -1)
-    returns = np.stack([p.atoms[i] for p, i in zip(periods, idx)], axis=1)
-    probs = np.prod([p.probs[i] for p, i in zip(periods, idx)], axis=0)
-    return returns, probs, list(zip(*idx.tolist()))
+    returns = np.empty((m, T, n))
+    probs = np.ones(m)
+    # views in which path (i_0, ..., i_T-1) sits at that index
+    by_index = returns.reshape(*counts, T, n)
+    prob_by_index = probs.reshape(counts)
+    for t, p in enumerate(periods):
+        shape = [1] * T
+        shape[t] = counts[t]
+        by_index[..., t, :] = p.atoms.reshape(*shape, n)
+        prob_by_index *= p.probs.reshape(shape)
+    return returns, probs, list(itertools.product(*map(range, counts)))
 
 
 def exact_density_moments(table: RecursionTable,

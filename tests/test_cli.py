@@ -1,6 +1,7 @@
 """End-to-end CLI checks through subprocess, exact small markets only."""
 
 import csv
+import dataclasses
 import io
 import json
 import subprocess
@@ -89,6 +90,17 @@ class TestSolve:
                       "--samples", "2")
         assert res.returncode == 0, res.stderr
         assert len(json.loads(res.stdout)["c_plus"]) == 4
+
+    def test_huge_student_t_df_solves(self, tmp_path):
+        # every finite df > 2 is accepted, and draws finite chi-squares
+        cfg = json.loads((CONFIGS / "three_index_limited_short_student_t.json")
+                         .read_text())
+        cfg["market"]["df"] = 1e300
+        res = run_cli("solve", "--config", write_config(tmp_path, cfg),
+                      "--samples", "2000")
+        assert res.returncode == 0, res.stderr
+        c_plus = json.loads(res.stdout)["c_plus"]
+        assert all(0.0 < c <= 1.0 for c in c_plus)
 
     def test_out_writes_file(self, tmp_path):
         path = write_config(tmp_path, coin_config())
@@ -482,6 +494,23 @@ class TestBadCounts:
                       "--mean-max", "1.2", "--points", "-1")
         self.assert_config_error(res, "--points")
 
+    def test_frontier_points_beyond_memory(self, tmp_path, monkeypatch,
+                                           capsys):
+        path = write_config(tmp_path, coin_config())
+        argv = ["frontier", "--config", path, "--mean-min", "1.0",
+                "--mean-max", "1.2", "--points", "1000",
+                "--include-lower-branch"]
+        need = 1000 * cli._FRONTIER_POINT_BYTES
+        monkeypatch.setattr(solver, "_available_bytes", lambda: need - 1)
+        code = cli.main(argv)
+        out, err = capsys.readouterr()
+        self.assert_config_error(
+            SimpleNamespace(returncode=code, stdout=out, stderr=err),
+            "1000 frontier points need about")
+        monkeypatch.setattr(solver, "_available_bytes", lambda: need)
+        assert cli.main(argv) == 0
+        assert len(capsys.readouterr().out.splitlines()) == 1001
+
     def test_samples_one(self, tmp_path):
         path = write_config(tmp_path, saa_config())
         res = run_cli("solve", "--config", path, "--samples", "1")
@@ -521,6 +550,11 @@ class TestBadCounts:
         assert {d["sign"] for d in diags} == {1, -1}
         assert all("evaluations" in d and "rows_touched_share" in d
                    and "cross_gap" in d for d in diags)
+        # every field of the solver's record reaches the payload, in order
+        keys = ["t", "sign"] + [f.name for f in
+                                dataclasses.fields(solver.MinimizeResult)
+                                if f.name not in ("k", "converged")]
+        assert all(list(d) == keys for d in diags)
 
 
 class TestNonFiniteInput:

@@ -555,6 +555,18 @@ class TestSerialization:
         with pytest.raises(InvalidCone):
             ConvexCone.polyhedral(np.zeros((0, 3)))
 
+    @pytest.mark.parametrize("make", [
+        lambda: ConvexCone.half_space(["1.0", True, "2"]),
+        lambda: ConvexCone.half_space([1.0, True, 2.0]),
+        lambda: ConvexCone.half_space(np.array([True, False, True])),
+        lambda: ConvexCone.polyhedral([[1.0, "0"], [0.0, 1.0]]),
+        lambda: ConvexCone.polyhedral([[1.0, 0.0], [False, 1.0]]),
+        lambda: ConvexCone("half_space", 2, normal=[1.0, "2"]),
+    ])
+    def test_booleans_and_strings_rejected(self, make):
+        with pytest.raises(InvalidCone, match="array of numbers"):
+            make()
+
     @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
     def test_non_finite_normal_rejected(self, bad):
         with pytest.raises(InvalidCone, match="finite"):

@@ -93,6 +93,26 @@ class TestValidation:
         with pytest.raises(InvalidMarket):
             PeriodDistribution.gaussian([0.05, 0.05], cov).validate()
 
+    @pytest.mark.parametrize("make", [
+        lambda: PeriodDistribution.gaussian(["0.1", True], np.eye(2)),
+        lambda: PeriodDistribution.gaussian([0.1, True], np.eye(2)),
+        lambda: PeriodDistribution.gaussian([0.1, 0.2], [[1, "0"], [0, 1]]),
+        lambda: PeriodDistribution.student_t(np.array([True]), [[1.0]], 5),
+        lambda: PeriodDistribution.discrete([[0.1], [True]], [0.5, 0.5]),
+        lambda: PeriodDistribution.discrete([[0.1], [0.2]], ["0.5", 0.5]),
+        lambda: MarketSpec(1, ["1.02"], [PeriodDistribution.gaussian(
+            [0.05], [[0.04]])]),
+    ])
+    def test_booleans_and_strings_rejected(self, make):
+        with pytest.raises(InvalidMarket, match="array of numbers"):
+            make()
+
+    def test_numeric_arrays_of_any_real_type_accepted(self):
+        period = PeriodDistribution.gaussian(
+            [np.float32(0.5), 1], np.array([[1, 0], [0, 2]], dtype=np.int8))
+        np.testing.assert_array_equal(period.mean, [0.5, 1.0])
+        assert period.cov.dtype == float
+
     def test_student_t_needs_finite_variance(self):
         with pytest.raises(InvalidMarket):
             PeriodDistribution.student_t([0.05], [[0.04]], df=2.0).validate()
@@ -423,6 +443,26 @@ class TestChiSquareQuantile:
         ones = [market_module.gammaincinv(a, u[i:i + 1])[0]
                 for i in range(u.size)]
         np.testing.assert_array_equal(ones, whole)
+
+    @pytest.mark.parametrize("a", [np.nextafter(5e5, 1e6), 5e19, 5e299])
+    def test_shapes_beyond_the_table_take_scipys_values(self, a):
+        # the table's slope exponent is NaN from a = 5e19 upward
+        u = np.concatenate([shifted_lattice(100_001),
+                            [2.0**-54, 1.0 - 2.0**-53]])
+        got = market_module.gammaincinv(a, u)
+        assert np.all(np.isfinite(got))
+        np.testing.assert_array_equal(got, special.gammaincinv(a, u))
+
+    def test_huge_df_draws_the_gaussian_sample(self):
+        # chi2 / df rounds to 1 at df 1e300, and both laws read the same
+        # uniforms through the same Cholesky factor
+        mean, cov = three_index_moments()
+        t = PeriodDistribution.student_t(mean, cov, 1e300)
+        t.validate()
+        np.testing.assert_array_equal(
+            t.sample_block(3, 1, 0, 0, 20_000),
+            PeriodDistribution.gaussian(mean, cov).sample_block(3, 1, 0, 0,
+                                                                20_000))
 
     def test_values_outside_the_table_come_from_scipy(self):
         outside = np.array([0.0, 1e-300, 1e-20, 1.0, np.nan])

@@ -1,4 +1,5 @@
 """Branch costs, cone-constrained minimisation, and the backward recursion."""
+import dataclasses
 import json
 
 import numpy as np
@@ -211,6 +212,22 @@ class TestMinimizeOverCone:
         assert [(d.get("backtracks"), d.get("projections")) for d in again] \
             == [(d.get("backtracks"), d.get("projections"))
                 for d in table.diagnostics]
+
+    def test_diagnostics_are_the_minimize_result_fields(self):
+        # t and sign, then every MinimizeResult field but k and converged,
+        # in the record's order, for zero-test and solved branches alike
+        market = random_tree_market(seed=12, horizon=3, n_assets=3, n_atoms=5)
+        table = backward_recursion(market, limited_short_cone(),
+                                   ExactDiscreteBackend(market))
+        keys = ["t", "sign"] + [f.name for f in
+                                dataclasses.fields(solver.MinimizeResult)
+                                if f.name not in ("k", "converged")]
+        assert {d["method"] for d in table.diagnostics} == {
+            "zero_test", "projected_gradient"}
+        for d in table.diagnostics:
+            assert list(d) == keys
+        for d in json.loads(json.dumps(table.to_dict()))["diagnostics"]:
+            assert list(d) == keys
 
     @staticmethod
     def kinked_solve(three_gauss, max_iter):

@@ -186,7 +186,7 @@ class TestConditionalConsistency:
         ens = PathEnsemble(wealth, np.zeros((n, T, 3)), seed=0,
                            policy_kind="precommitted")
         report = conditional_consistency_check(
-            ens, gauss_unc_table, three_gauss, x0, d, min_count=100)
+            ens, gauss_unc_table, three_gauss, x0, d)
         boundary = [c for c in report.cells if c.side == "boundary"]
         assert boundary and all(c.ok for c in boundary)
         assert report.ok
@@ -205,7 +205,7 @@ class TestConditionalConsistency:
         ens = PathEnsemble(wealth, np.zeros((n, T, 3)), seed=0,
                            policy_kind="precommitted")
         report = conditional_consistency_check(
-            ens, gauss_unc_table, three_gauss, x0, d, min_count=100)
+            ens, gauss_unc_table, three_gauss, x0, d)
         assert not report.ok
 
     def test_too_few_paths_raise(self, gauss_unc_table, three_gauss):
@@ -216,7 +216,7 @@ class TestConditionalConsistency:
                            policy_kind="precommitted")
         with pytest.raises(InsufficientConditioningEvents):
             conditional_consistency_check(ens, gauss_unc_table, three_gauss,
-                                          x0, d, min_count=100)
+                                          x0, d)
 
 
 class TestOracleAgreement:

@@ -1,10 +1,12 @@
 """Density bookkeeping, moments, duality, and the supermartingale audit."""
 import itertools
+import sys
+import tracemalloc
 
 import numpy as np
 import pytest
 
-from conemv import solver
+from conemv import solver, vssm
 from conemv.cones import ConvexCone
 from conemv.errors import (BackendMismatch, DimensionMismatch,
                            InsufficientMemory, InvalidCone)
@@ -19,7 +21,6 @@ from conemv.solver import (
 )
 from conemv.vssm import (
     conditional_expectation,
-    density_along_path,
     density_factors,
     density_for_paths,
     duality_terminal_wealth,
@@ -53,6 +54,20 @@ def per_path_tree(market):
     return returns, probs, paths
 
 
+def one_path(table, path):
+    """(B factors, running products, density) of a single (T, n) path."""
+    batch = np.asarray(path)[None]
+    b, partial = density_factors(table, batch)
+    return b[0], partial[0], float(density_for_paths(table, batch)[0])
+
+
+def step_ratios(table, b):
+    """E[dQ/dP | F_t+1] / E[dQ/dP | F_t] along one path's B factors."""
+    return np.array([conditional_expectation(table, b[:t + 1])
+                     / conditional_expectation(table, b[:t])
+                     for t in range(table.horizon)])
+
+
 def toy_table():
     """Hand-filled two-period single-asset table for branch bookkeeping."""
     return RecursionTable(
@@ -68,32 +83,30 @@ class TestBranchBookkeeping:
     def test_positive_prefix_stays_on_plus_branch(self):
         table = toy_table()
         path = np.array([[0.4], [0.5]])
-        res = density_along_path(table, path)
+        b, partial, density = one_path(table, path)
         # b0 = 1 - 0.5*0.4 = 0.8 > 0, so t=1 also uses k_plus
-        np.testing.assert_allclose(res.b_factors, [0.8, 0.8], rtol=1e-15)
-        np.testing.assert_allclose(res.partial_products, [1.0, 0.8, 0.64],
-                                   rtol=1e-15)
-        assert res.density == pytest.approx(0.64 / 0.5, rel=1e-15)
+        np.testing.assert_allclose(b, [0.8, 0.8], rtol=1e-15)
+        np.testing.assert_allclose(partial, [1.0, 0.8, 0.64], rtol=1e-15)
+        assert density == pytest.approx(0.64 / 0.5, rel=1e-15)
 
     def test_negative_prefix_flips_to_minus_gain(self):
         table = toy_table()
         path = np.array([[4.0], [0.5]])
-        res = density_along_path(table, path)
+        b, _, density = one_path(table, path)
         # b0 = 1 - 2 = -1 < 0, so t=1 uses 1 + k_minus'P = 1 + 0.1
-        np.testing.assert_allclose(res.b_factors, [-1.0, 1.1], rtol=1e-15)
-        assert res.density == pytest.approx(-1.1 / 0.5, rel=1e-15)
+        np.testing.assert_allclose(b, [-1.0, 1.1], rtol=1e-15)
+        assert density == pytest.approx(-1.1 / 0.5, rel=1e-15)
 
     def test_zero_prefix_ties_to_plus_branch(self):
         table = toy_table()
         path = np.array([[2.0], [0.5]])  # b0 = 1 - 1 = 0 exactly
-        res = density_along_path(table, path)
-        assert res.b_factors[1] == pytest.approx(1.0 - 0.4 * 0.5, rel=1e-15)
+        b, _, _ = one_path(table, path)
+        assert b[1] == pytest.approx(1.0 - 0.4 * 0.5, rel=1e-15)
 
     def test_riskless_path_density(self):
         table = toy_table()
-        res = density_along_path(table, np.zeros((2, 1)))
-        assert res.density == pytest.approx(1.0 / table.c_plus[0],
-                                            rel=1e-15)
+        _, _, density = one_path(table, np.zeros((2, 1)))
+        assert density == pytest.approx(1.0 / table.c_plus[0], rel=1e-15)
 
     def test_batch_matches_single(self):
         table = toy_table()
@@ -102,7 +115,7 @@ class TestBranchBookkeeping:
         dens = density_for_paths(table, batch)
         for i in range(50):
             assert dens[i] == pytest.approx(
-                density_along_path(table, batch[i]).density, rel=1e-14)
+                one_path(table, batch[i])[2], rel=1e-14)
 
     def test_batch_keeps_the_running_product_of_factors(self):
         table = toy_table()
@@ -118,8 +131,8 @@ class TestBranchBookkeeping:
             density_for_paths(table, np.zeros((10, 3, 1)))
         with pytest.raises(DimensionMismatch):
             density_for_paths(table, np.zeros((10, 2, 2)))
-        with pytest.raises(DimensionMismatch):
-            density_along_path(table, np.zeros((10, 2, 1)))
+        with pytest.raises(DimensionMismatch):  # one path is a batch of one
+            density_factors(table, np.zeros((2, 1)))
 
 
 class TestConditionalStructure:
@@ -129,9 +142,9 @@ class TestConditionalStructure:
     def test_full_prefix_equals_density(self):
         table = toy_table()
         path = np.array([[0.4], [0.5]])
-        res = density_along_path(table, path)
-        assert conditional_expectation(table, res.b_factors) == \
-            pytest.approx(res.density, rel=1e-14)
+        b, _, density = one_path(table, path)
+        assert conditional_expectation(table, b) == \
+            pytest.approx(density, rel=1e-14)
 
     def test_partial_prefix_matches_subtree_average(self):
         market = random_tree_market(seed=3, horizon=2, n_assets=2)
@@ -153,10 +166,9 @@ class TestConditionalStructure:
         table = backward_recursion(market, ConvexCone.orthant(2),
                                    ExactDiscreteBackend(market))
         returns, probs, paths = enumerate_tree(market)
-        ratios = np.array([
-            density_along_path(table, returns[i],
-                               with_step_ratios=True).step_ratios
-            for i in range(len(paths))])
+        b, _ = density_factors(table, returns)
+        ratios = np.array([step_ratios(table, b[i])
+                           for i in range(len(paths))])
         for t in range(2):
             groups = {}
             for i, idx in enumerate(paths):
@@ -169,10 +181,10 @@ class TestConditionalStructure:
     def test_sign_bookkeeping_of_step_ratio(self):
         table = toy_table()
         path = np.array([[0.4], [0.5]])
-        res = density_along_path(table, path, with_step_ratios=True)
+        b, _, _ = one_path(table, path)
         # both steps on the plus branch: m_t = b_t c_plus[t+1] / c_plus[t]
         np.testing.assert_allclose(
-            res.step_ratios,
+            step_ratios(table, b),
             [0.8 * 0.7 / 0.5, 0.8 * 1.0 / 0.7], rtol=1e-14)
 
 
@@ -342,14 +354,35 @@ class TestSupermartingaleAudit:
 
     def test_enumeration_refuses_a_tree_beyond_memory(self, monkeypatch):
         market = uneven_tree_market()
-        # 60 paths: (3, 60) indices, (60, 3, 2) returns and 60 probabilities
-        need = 8 * (3 * 60 + 60 * 3 * 2 + 60)
+        # 60 paths: (60, 3, 2) returns, 60 probabilities and 60 index
+        # tuples, each with its list slot and slack
+        need = 60 * (8 * (3 * 2 + 1) + sys.getsizeof((0, 0, 0)) + 24)
         monkeypatch.setattr(solver, "_available_bytes", lambda: need - 1)
         with pytest.raises(InsufficientMemory,
                            match="^60 tree paths need about "):
             enumerate_tree(market)
         monkeypatch.setattr(solver, "_available_bytes", lambda: need)
         assert len(enumerate_tree(market)[2]) == 60
+
+    @pytest.mark.parametrize("horizon, n_atoms, n_assets",
+                             [(3, 60, 3), (6, 8, 1)])
+    def test_enumeration_peak_stays_within_its_preflight(
+            self, monkeypatch, horizon, n_atoms, n_assets):
+        rng = np.random.default_rng(5)
+        market = MarketSpec(horizon, [1.02] * horizon, [
+            random_discrete_period(rng, n_assets, n_atoms)
+            for _ in range(horizon)])
+        needs = []
+        monkeypatch.setattr(vssm, "require_memory",
+                            lambda need, what: needs.append(need))
+        tracemalloc.start()
+        try:
+            result = enumerate_tree(market)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert len(result[2]) == n_atoms ** horizon
+        assert len(needs) == 1 and peak <= needs[0]
 
     def test_node_blocks_match_the_prefix_grouping(self):
         """Each node's paths are one block of the product order; the
