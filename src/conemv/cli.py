@@ -13,6 +13,8 @@ import csv
 import dataclasses
 import io
 import json
+import math
+import os
 import sys
 
 import numpy as np
@@ -46,8 +48,12 @@ def _fields(record, drop: str) -> dict:
 
 def _emit(text: str, out_path) -> None:
     if out_path:
-        with open(out_path, "w") as fh:
-            fh.write(text)
+        try:
+            with open(out_path, "w") as fh:
+                fh.write(text)
+        except OSError as exc:
+            raise ConfigError(f"cannot write --out {out_path}: "
+                              f"{exc.strerror}") from exc
     else:
         sys.stdout.write(text)
         if not text.endswith("\n"):
@@ -58,20 +64,35 @@ def _emit_json(payload, out_path) -> None:
     _emit(json.dumps(payload, indent=2, default=_json_default), out_path)
 
 
+def _check_out(out_path) -> None:
+    """Refuse, before any solve, an --out path in a missing directory
+    or naming a directory."""
+    folder = os.path.dirname(os.path.abspath(out_path))
+    if not os.path.isdir(folder):
+        raise ConfigError(f"--out directory does not exist: {folder}")
+    if os.path.isdir(out_path):
+        raise ConfigError(f"--out is a directory: {out_path}")
+
+
 def _load_config(args):
     if not args.config:
         raise ConfigError("--config is required")
     try:
-        with open(args.config) as fh:
+        with open(args.config, encoding="utf-8") as fh:
             data = json.load(fh)
     except FileNotFoundError as exc:
         raise ConfigError(f"config file not found: {args.config}") from exc
+    except OSError as exc:
+        raise ConfigError(f"cannot read config {args.config}: "
+                          f"{exc.strerror}") from exc
+    except UnicodeDecodeError as exc:
+        raise ConfigError(f"config is not UTF-8 text: {exc}") from exc
     except json.JSONDecodeError as exc:
         raise ConfigError(f"config is not valid JSON: {exc}") from exc
     cfg = parse_config(data)
-    if args.seed is not None:
+    if getattr(args, "seed", None) is not None:
         cfg.seed = checked_seed(args.seed)
-    if args.samples is not None:
+    if getattr(args, "samples", None) is not None:
         if args.samples < 2:
             raise ConfigError(f"--samples must be >= 2, got {args.samples}")
         cfg.samples = args.samples
@@ -132,6 +153,10 @@ def cmd_solve(args) -> int:
 
 
 def cmd_frontier(args) -> int:
+    for flag, value in (("--mean-min", args.mean_min),
+                        ("--mean-max", args.mean_max)):
+        if not math.isfinite(value):
+            raise ConfigError(f"{flag} must be finite, got {value}")
     cfg = _load_config(args)
     require_memory(_FRONTIER_POINT_BYTES * args.points,
                    f"{args.points} frontier points")
@@ -240,8 +265,6 @@ def cmd_vssm(args) -> int:
 
 def cmd_make_cone(args) -> int:
     cfg = _load_config(args)
-    if not args.from_mean:
-        raise ConfigError("make-cone currently requires --from-mean")
     cone = construct_tcie_cone(cfg.market.periods[0].mean)
     _emit_json(cone.to_dict(), args.out)
     return 0
@@ -252,16 +275,15 @@ def cmd_make_cone(args) -> int:
 # ---------------------------------------------------------------------------
 
 def _build_parser() -> argparse.ArgumentParser:
-    shared = argparse.ArgumentParser(add_help=False)
-    shared.add_argument("--config", help="path to JSON run configuration")
+    io_args = argparse.ArgumentParser(add_help=False)
+    io_args.add_argument("--config", help="path to JSON run configuration")
+    io_args.add_argument("--out", default=None,
+                         help="write output to this path instead of stdout")
+    shared = argparse.ArgumentParser(add_help=False, parents=[io_args])
     shared.add_argument("--seed", type=int, default=None,
                         help="override the configured seed")
     shared.add_argument("--samples", type=int, default=None,
                         help="override the configured SAA sample count")
-    shared.add_argument("--out", default=None,
-                        help="write output to this path instead of stdout")
-    shared.add_argument("--format", choices=("json", "csv"), default=None,
-                        help="output format (csv applies to frontier only)")
 
     parser = argparse.ArgumentParser(
         prog="conemv",
@@ -278,6 +300,7 @@ def _build_parser() -> argparse.ArgumentParser:
     p_front.add_argument("--mean-max", type=float, required=True)
     p_front.add_argument("--points", type=int, default=50)
     p_front.add_argument("--include-lower-branch", action="store_true")
+    p_front.add_argument("--format", choices=("csv", "json"), default="csv")
     p_front.set_defaults(func=cmd_frontier)
 
     p_sim = subs.add_parser("simulate", parents=[shared],
@@ -294,29 +317,23 @@ def _build_parser() -> argparse.ArgumentParser:
     p_vssm.add_argument("--paths", type=int, default=sim.DEFAULT_PATHS)
     p_vssm.set_defaults(func=cmd_vssm)
 
-    p_cone = subs.add_parser("make-cone", parents=[shared],
-                             help="construct an efficiency-preserving cone")
-    p_cone.add_argument("--from-mean", action="store_true",
-                        help="use the market's mean excess return")
-    p_cone.set_defaults(func=cmd_make_cone)
+    subs.add_parser("make-cone", parents=[io_args],
+                    help="half-space cone of the market's mean excess "
+                    "return").set_defaults(func=cmd_make_cone)
     return parser
 
 
 def main(argv=None) -> int:
     parser = _build_parser()
     args = parser.parse_args(argv)
-    if args.format == "csv" and args.command != "frontier":
-        print("error: csv output applies to 'frontier' only",
-              file=sys.stderr)
-        return 2
     for flag, least in (("paths", 2), ("points", 1)):
         if getattr(args, flag, least) < least:
             print(f"error: --{flag} must be >= {least}, got "
                   f"{getattr(args, flag)}", file=sys.stderr)
             return 2
-    if args.format is None:
-        args.format = "csv" if args.command == "frontier" else "json"
     try:
+        if args.out:
+            _check_out(args.out)
         return args.func(args)
     except _CONFIG_ERRORS as exc:
         print(f"error: {exc}", file=sys.stderr)

@@ -7,12 +7,12 @@ A configuration has four sections:
   broadcast over all periods;
 * ``cones``    -- one cone fragment, or a list with one per period;
 * ``policy``   -- kind plus initial wealth and mean target;
-* ``numerics`` -- expectation backend, optimizer, tolerances.
+* ``numerics`` -- expectation backend, SAA sample count and seed, and
+  the solve's tolerance and iteration budget.
 
-Unknown keys anywhere are rejected so typos fail loudly, and so is a
-boolean anywhere, or a string outside the name keys ``family``,
-``type``, ``kind``, ``backend`` and ``optimizer``: "1000" is not a
-number.
+Unknown keys in any section are rejected first, so a typo is reported
+as one; then a boolean anywhere, or a string outside the name keys
+``family``, ``type``, ``kind`` and ``backend``: "1000" is not a number.
 """
 
 from __future__ import annotations
@@ -30,9 +30,10 @@ _MARKET_KEYS = {"horizon", "riskless_rates", "family", "df", "mean",
                 "covariance", "atoms"}
 _CONE_KEYS = {"type", "normal", "A"}
 _POLICY_KEYS = {"kind", "x0", "d", "k", "d_k", "x_k"}
-_NUMERICS_KEYS = {"backend", "samples", "seed", "optimizer", "tol",
-                  "max_iter"}
-_NAME_KEYS = {"family", "type", "kind", "backend", "optimizer"}
+_NUMERICS_KEYS = {"backend", "samples", "seed", "tol", "max_iter"}
+_SECTION_KEYS = {"market": _MARKET_KEYS, "cones": _CONE_KEYS,
+                 "policy": _POLICY_KEYS, "numerics": _NUMERICS_KEYS}
+_NAME_KEYS = {"family", "type", "kind", "backend"}
 _POLICY_KINDS = {"precommitted", "minimum_variance", "time_consistent",
                  "truncated"}
 
@@ -61,6 +62,19 @@ def _reject_unknown(section: dict, allowed: set, name: str) -> None:
     unknown = set(section) - allowed
     if unknown:
         raise ConfigError(f"unknown keys in {name!r}: {sorted(unknown)}")
+
+
+def _reject_unknown_keys(data: dict) -> None:
+    """Every key of the configuration and of its sections (each cone
+    fragment of a list included) is one the schema names."""
+    _reject_unknown(data, set(_SECTION_KEYS), "configuration")
+    for name, allowed in _SECTION_KEYS.items():
+        section = data.get(name)
+        parts = (section if name == "cones" and isinstance(section, list)
+                 else [section])
+        for part in parts:
+            if isinstance(part, dict):
+                _reject_unknown(part, allowed, name)
 
 
 def _reject_booleans_and_strings(node, path: str, key=None) -> None:
@@ -131,7 +145,6 @@ def _parse_period(section: dict) -> PeriodDistribution:
 def _parse_market(section) -> MarketSpec:
     if not isinstance(section, dict):
         raise ConfigError("'market' must be an object")
-    _reject_unknown(section, _MARKET_KEYS, "market")
     for key in ("horizon", "riskless_rates", "family"):
         if key not in section:
             raise ConfigError(f"market is missing {key!r}")
@@ -155,7 +168,6 @@ def _parse_cones(section, market: MarketSpec) -> list[ConvexCone]:
     for frag in fragments:
         if not isinstance(frag, dict):
             raise ConfigError("each cone fragment must be an object")
-        _reject_unknown(frag, _CONE_KEYS, "cones")
         cones.append(ConvexCone.from_dict(frag, n))
     return cones_per_period(cones if isinstance(section, list) else cones[0],
                             market.horizon, n)
@@ -164,9 +176,8 @@ def _parse_cones(section, market: MarketSpec) -> list[ConvexCone]:
 def parse_config(data: dict) -> RunConfig:
     if not isinstance(data, dict):
         raise ConfigError("configuration must be a JSON object")
+    _reject_unknown_keys(data)
     _reject_booleans_and_strings(data, "")
-    _reject_unknown(data, {"market", "cones", "policy", "numerics"},
-                    "configuration")
     if "market" not in data:
         raise ConfigError("configuration needs a 'market' section")
     market = _parse_market(data["market"])
@@ -177,7 +188,6 @@ def parse_config(data: dict) -> RunConfig:
     policy = data.get("policy", {})
     if not isinstance(policy, dict):
         raise ConfigError("'policy' must be an object")
-    _reject_unknown(policy, _POLICY_KEYS, "policy")
     cfg.policy_kind = policy.get("kind", "precommitted")
     if cfg.policy_kind not in _POLICY_KINDS:
         raise ConfigError(f"unknown policy kind {cfg.policy_kind!r}")
@@ -197,7 +207,6 @@ def parse_config(data: dict) -> RunConfig:
     numerics = data.get("numerics", {})
     if not isinstance(numerics, dict):
         raise ConfigError("'numerics' must be an object")
-    _reject_unknown(numerics, _NUMERICS_KEYS, "numerics")
     cfg.backend_kind = numerics.get("backend", "saa")
     if cfg.backend_kind not in ("exact", "saa"):
         raise ConfigError(f"unknown backend {cfg.backend_kind!r}")
@@ -207,9 +216,6 @@ def parse_config(data: dict) -> RunConfig:
             f"exact backend needs a discrete market, not {family}")
     cfg.samples = _number(numerics, "samples", 1_000_000, int)
     cfg.seed = checked_seed(_number(numerics, "seed", 0, int))
-    optimizer = numerics.get("optimizer", "projected_gradient")
-    if optimizer != "projected_gradient":
-        raise ConfigError(f"unknown optimizer {optimizer!r}")
     cfg.solver_options = SolverOptions(
         tol=_number(numerics, "tol", 1e-8),
         max_iter=_number(numerics, "max_iter", 5000, int))

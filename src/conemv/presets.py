@@ -27,17 +27,16 @@ def three_index_moments() -> tuple[np.ndarray, np.ndarray]:
                              THREE_INDEX_CORR, THREE_INDEX_RISKLESS)
 
 
-def three_index_market(family: str = "gaussian", horizon: int = 3,
-                       df: float = 5.0) -> MarketSpec:
-    """Three risky assets, i.i.d. periods, 5% riskless rate."""
+def three_index_market(family: str = "gaussian") -> MarketSpec:
+    """Three risky assets, three i.i.d. periods (Student-t: df 5)."""
     mean, cov = three_index_moments()
     if family == "gaussian":
         period = PeriodDistribution.gaussian(mean, cov)
     elif family == "student_t":
-        period = PeriodDistribution.student_t(mean, cov, df)
+        period = PeriodDistribution.student_t(mean, cov, 5.0)
     else:
         raise ValueError(f"unsupported family for this preset: {family!r}")
-    return MarketSpec.iid(horizon, 1.0 + THREE_INDEX_RISKLESS, period)
+    return MarketSpec.iid(3, 1.0 + THREE_INDEX_RISKLESS, period)
 
 
 def unconstrained_cone() -> ConvexCone:

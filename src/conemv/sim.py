@@ -10,7 +10,6 @@ pathwise comparison against the density-based wealth formula.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Optional, Sequence
 
 import numpy as np
 
@@ -18,6 +17,8 @@ from .market import MarketSpec
 from .policy import Policy
 
 DEFAULT_PATHS = 1_000_000
+# paths drawn and replayed together; only memory locality depends on it
+_BLOCK = 250_000
 
 
 @dataclass
@@ -40,35 +41,31 @@ class PathEnsemble:
 
 
 def simulate(policy: Policy, market: MarketSpec, n_paths: int = DEFAULT_PATHS,
-             seed: int = 0, block: int = 250_000) -> PathEnsemble:
+             seed: int = 0) -> PathEnsemble:
     """Draw the returns and replay the wealth recursion on them.
 
-    Paths are processed in blocks only for memory locality; the draws
-    for path p at period t do not depend on the blocking.
+    Periods before the policy's start time get zero returns; the draws
+    for path p at period t do not depend on the start time.
     """
-    market.validate()
-    T, n = market.horizon, market.n_assets
     t0 = policy.start_time
-    wealth = np.empty((n_paths, T + 1))
-    returns = np.zeros((n_paths, T, n))
-    for lo in range(0, n_paths, block):
-        hi = min(lo + block, n_paths)
-        for t in range(t0, T):
-            returns[lo:hi, t] = market.sample_block(t, seed, lo, hi)
+    returns = sample_returns(market, n_paths, seed)
+    returns[:, :t0] = 0.0
+    wealth = np.empty((n_paths, market.horizon + 1))
+    for lo in range(0, n_paths, _BLOCK):
+        hi = min(lo + _BLOCK, n_paths)
         wealth[lo:hi] = replay_wealth(policy, market, returns[lo:hi],
                                       policy.x_start)
     return PathEnsemble(wealth, returns, seed, policy.kind, start_time=t0)
 
 
-def sample_returns(market: MarketSpec, n_paths: int, seed: int,
-                   block: int = 250_000) -> np.ndarray:
+def sample_returns(market: MarketSpec, n_paths: int, seed: int) -> np.ndarray:
     """Return draws for all periods without running a policy,
     shape (n_paths, T, n).  Same streams as :func:`simulate`."""
     market.validate()
     T, n = market.horizon, market.n_assets
     returns = np.empty((n_paths, T, n))
-    for lo in range(0, n_paths, block):
-        hi = min(lo + block, n_paths)
+    for lo in range(0, n_paths, _BLOCK):
+        hi = min(lo + _BLOCK, n_paths)
         for t in range(T):
             returns[lo:hi, t] = market.sample_block(t, seed, lo, hi)
     return returns
@@ -122,16 +119,11 @@ def exceedance_prob(ensemble: PathEnsemble,
                             dict(thresholds_by_time), n)
 
 
-def policy_thresholds(policy: Policy,
-                      times: Optional[Sequence[int]] = None) -> dict:
-    """Threshold levels (d - mu*)/rho_t for the interior times.
-
-    Defaults to t = 1, ..., T-1, the dates at which a crossing leaves
-    decisions still to be made.
-    """
-    T = policy.horizon
-    if times is None:
-        times = range(max(1, policy.start_time + 1), T)
+def policy_thresholds(policy: Policy) -> dict:
+    """Threshold levels (d - mu*)/rho_t for the interior times
+    t = 1, ..., T-1 after the start, the dates at which a crossing
+    leaves decisions still to be made."""
+    times = range(max(1, policy.start_time + 1), policy.horizon)
     return {t: policy.threshold(t) for t in times}
 
 

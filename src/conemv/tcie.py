@@ -24,10 +24,10 @@ from typing import Optional
 
 import numpy as np
 
-from .errors import InsufficientConditioningEvents
+from .errors import BackendMismatch, InsufficientConditioningEvents
 from .market import MarketSpec
 from .policy import mu_star
-from .solver import RecursionTable, SaaBackend
+from .solver import RecursionTable
 
 _SUP_TOL = 1e-10
 _MIN_COUNT = 100  # paths a conditioning cell needs to be judged
@@ -112,19 +112,21 @@ class TransitionProbs:
 
 
 def transition_probs(table: RecursionTable, market: MarketSpec, t: int,
-                     backend=None, n_samples: int = 200_000,
-                     seed: int = 0) -> TransitionProbs:
+                     backend=None) -> TransitionProbs:
     """One-step threshold transition probabilities at period t.
 
-    Exact on discrete periods; otherwise Monte Carlo over the SAA
-    backend's frozen period sample, drawn here when none is supplied.
+    Exact on discrete periods; otherwise Monte Carlo over the frozen
+    period sample of the SAA backend that solved ``table``, which a
+    continuous period requires.
     """
     period = market.periods[t]
     if period.family == "discrete":
         pts, w = period.atoms, period.probs
         se = 0.0
     else:
-        backend = backend or SaaBackend(market, n_samples, seed)
+        if backend is None:
+            raise BackendMismatch(f"period {t} is {period.family}: its "
+                                  "crossings need the solve's SAA backend")
         pts, w = backend.points(t), None
         se = 0.5 / np.sqrt(pts.shape[0])
 
@@ -167,7 +169,8 @@ def conditional_consistency_check(ensemble, table: RecursionTable,
     above, the probability of returning equals Pr(P'K^- <= -1); paths
     exactly on the threshold stay there.  Cells with fewer than
     ``_MIN_COUNT`` paths are recorded but not judged; if no cell is
-    checkable the ensemble is too small to say anything.
+    checkable the ensemble is too small to say anything.  Continuous
+    periods need ``backend``, the SAA backend that solved ``table``.
     """
     mu = mu_star(table, x0, d)
     g = d - mu

@@ -12,6 +12,7 @@ from types import SimpleNamespace
 import pytest
 
 from conemv import cli, solver
+from conemv.config import parse_config
 
 CONFIGS = Path(__file__).resolve().parents[1] / "configs"
 
@@ -215,7 +216,60 @@ class TestConfigErrors:
         path = write_config(tmp_path, coin_config())
         res = run_cli("solve", "--config", path, "--format", "csv")
         assert res.returncode == 2
-        assert "frontier" in res.stderr
+        assert "unrecognized arguments: --format csv" in res.stderr
+
+    @pytest.mark.parametrize("section,key,typo", [
+        ("market", "family", "famly"),
+        ("numerics", "backend", "backnd"),
+        ("policy", "kind", "kind "),
+        ("numerics", None, "optimizer"),
+    ])
+    def test_misspelled_name_key_is_unknown(self, tmp_path, section, key,
+                                            typo):
+        # reported as an unknown key, not as a string in a numeric key
+        cfg = coin_config()
+        value = cfg[section].pop(key) if key else "projected_gradient"
+        cfg[section][typo] = value
+        res = run_cli("solve", "--config", write_config(tmp_path, cfg))
+        assert res.returncode == 2
+        assert res.stderr == (f"error: unknown keys in {section!r}: "
+                              f"[{typo!r}]\n")
+
+    def test_config_is_a_directory(self, tmp_path):
+        res = run_cli("solve", "--config", str(tmp_path))
+        assert res.returncode == 2
+        assert res.stderr == (f"error: cannot read config {tmp_path}: "
+                              "Is a directory\n")
+
+    def test_config_not_utf8(self, tmp_path):
+        path = tmp_path / "latin1.json"
+        path.write_bytes(b'{"market": "\xe9"}')
+        res = run_cli("solve", "--config", str(path))
+        assert res.returncode == 2
+        lines = res.stderr.strip().splitlines()
+        assert len(lines) == 1
+        assert lines[0].startswith("error: config is not UTF-8 text")
+
+    @pytest.mark.parametrize("out", ["missing/table.json", "."])
+    def test_unwritable_out_exits_before_the_solve(self, tmp_path,
+                                                   monkeypatch, capsys, out):
+        def no_solve(*args, **kwargs):
+            raise AssertionError("solved before checking --out")
+
+        monkeypatch.setattr(cli, "backward_recursion", no_solve)
+        path = write_config(tmp_path, coin_config())
+        code = cli.main(["solve", "--config", path,
+                         "--out", str(tmp_path / out)])
+        assert code == 2
+        lines = capsys.readouterr().err.strip().splitlines()
+        assert len(lines) == 1 and lines[0].startswith("error: --out ")
+
+    @pytest.mark.parametrize("config", sorted(CONFIGS.glob("*.json")),
+                             ids=lambda p: p.stem)
+    def test_shipped_config_parses(self, config):
+        cfg = parse_config(json.loads(config.read_text()))
+        assert cfg.market.horizon == 3 and cfg.market.n_assets == 3
+        assert len(cfg.cones) == 3
 
 
 class TestRuntimeErrors:
@@ -265,6 +319,17 @@ class TestFrontier:
         assert low["efficient"] == "false"
         assert float(low["variance_precommitted"]) > 0.0
         assert low["variance_time_consistent"] == "NA"
+
+    @pytest.mark.parametrize("flag,value", [
+        ("--mean-min", "nan"), ("--mean-max", "inf"), ("--mean-min", "-inf")])
+    def test_non_finite_mean_bound(self, tmp_path, flag, value):
+        bounds = {"--mean-min": "1.0", "--mean-max": "1.2", flag: value}
+        res = run_cli("frontier", "--config",
+                      write_config(tmp_path, coin_config()),
+                      *(f"{k}={v}" for k, v in bounds.items()))
+        assert res.returncode == 2
+        assert res.stderr == (f"error: {flag} must be finite, "
+                              f"got {float(value)}\n")
 
     def test_riskless_point(self, tmp_path):
         path = write_config(tmp_path, coin_config())
@@ -429,20 +494,25 @@ class TestMakeCone:
 
     def test_from_mean_half_space(self, tmp_path):
         path = write_config(tmp_path, coin_config())
-        res = run_cli("make-cone", "--config", path, "--from-mean")
+        res = run_cli("make-cone", "--config", path)
         assert res.returncode == 0, res.stderr
         fragment = json.loads(res.stdout)
         assert fragment["type"] == "half_space"
         assert fragment["normal"] == pytest.approx([0.05], rel=1e-12)
 
-    def test_requires_from_mean(self, tmp_path):
+    def test_removed_flags_exit_2(self, tmp_path):
+        # the cone is the mean half-space whatever these would say
         path = write_config(tmp_path, coin_config())
-        res = run_cli("make-cone", "--config", path)
-        assert res.returncode == 2
+        for flag in (["--from-mean"], ["--seed", "1"], ["--samples", "10"],
+                     ["--format", "json"]):
+            with pytest.raises(SystemExit) as exc:
+                cli._build_parser().parse_args(
+                    ["make-cone", "--config", path, *flag])
+            assert exc.value.code == 2
 
     def test_round_trip_into_solve_and_tcie(self, tmp_path):
         path = write_config(tmp_path, coin_config())
-        res = run_cli("make-cone", "--config", path, "--from-mean")
+        res = run_cli("make-cone", "--config", path)
         fragment = json.loads(res.stdout)
         constrained = write_config(tmp_path, coin_config(cones=fragment),
                                    name="constrained.json")
@@ -559,7 +629,7 @@ class TestBadCounts:
 
 class TestNonFiniteInput:
     """JSON admits NaN and Infinity; cone data holding them and the
-    retired penalty optimizer exit 2 with one error line."""
+    retired optimizer key exit 2 with one error line."""
 
     @pytest.mark.parametrize("cone", [
         {"type": "polyhedral", "A": [[float("nan")], [1.0]]},
@@ -608,7 +678,7 @@ class TestNonFiniteInput:
         res = run_cli("solve", "--config", path)
         assert res.returncode == 2
         lines = res.stderr.strip().splitlines()
-        assert len(lines) == 1 and "unknown optimizer 'penalty'" in lines[0]
+        assert lines == ["error: unknown keys in 'numerics': ['optimizer']"]
 
 
 class TestMalformedNumbers:
@@ -748,3 +818,17 @@ def test_no_run_imports_scipy_optimize():
                          text=True, timeout=300)
     assert res.returncode == 0, res.stderr
     assert res.stdout.strip() == "[False, False, False]"
+
+
+def test_readme_command_lines_parse():
+    """Every `conemv` line of README's command block is a valid call."""
+    readme = (CONFIGS.parent / "README.md").read_text()
+    block = readme.split("## Command line", 1)[1].split("```")[1]
+    commands = [line.split(">")[0] for line in
+                block.replace("\\\n", " ").splitlines()
+                if line.startswith("conemv ")]
+    assert {c.split()[1] for c in commands} == {
+        "solve", "frontier", "simulate", "tcie", "vssm", "make-cone"}
+    for command in commands:
+        args = cli._build_parser().parse_args(command.split()[1:])
+        assert (CONFIGS.parent / args.config).is_file()

@@ -62,7 +62,7 @@ class TestThreeIndexCalibration:
 
     def test_student_t_shares_first_two_moments(self):
         g = three_index_market("gaussian").periods[0]
-        t = three_index_market("student_t", df=5.0).periods[0]
+        t = three_index_market("student_t").periods[0]
         np.testing.assert_allclose(t.mean, g.mean, atol=1e-14)
         np.testing.assert_allclose(t.cov, g.cov, atol=1e-14)
         np.testing.assert_allclose(t.second_moment(), g.second_moment(),
@@ -323,14 +323,14 @@ class TestSampling:
         assert np.all(np.abs(sample_cov - cov) <= 4.0 * se)
 
     def test_student_t_sample_cov_within_five_percent(self):
-        market = three_index_market("student_t", df=5.0)
+        market = three_index_market("student_t")
         draws = market.sample_block(0, seed=7, lo=0, hi=self.N)
         sample_cov = np.cov(draws, rowvar=False)
         cov = market.periods[0].cov
         assert np.all(np.abs(sample_cov - cov) <= 0.05 * np.abs(cov))
 
     def test_student_t_sample_mean(self):
-        market = three_index_market("student_t", df=5.0)
+        market = three_index_market("student_t")
         draws = market.sample_block(0, seed=7, lo=0, hi=self.N)
         se = np.sqrt(np.diag(market.periods[0].cov) / self.N)
         dev = np.abs(draws.mean(axis=0) - market.periods[0].mean)
@@ -358,7 +358,7 @@ class TestSampling:
         assert set(np.unique(draws)) <= {-0.2, 0.0, 0.4}
 
     def test_block_splitting_is_bit_identical(self):
-        market = three_index_market("student_t", df=5.0)
+        market = three_index_market("student_t")
         whole = market.sample_block(1, seed=99, lo=0, hi=10_000)
         split = np.vstack([
             market.sample_block(1, seed=99, lo=0, hi=3_333),
@@ -435,6 +435,32 @@ class TestChiSquareQuantile:
         np.testing.assert_allclose(market_module.gammaincinv(a, u),
                                    special.gammaincinv(a, u), rtol=5e-14,
                                    atol=0)
+
+    @pytest.mark.parametrize("a,rtol", [
+        (1.005, 3e-14), (1.5, 3e-14),  # log x rounds in the far lower tail
+        (2.5, 1e-14), (10.0, 1e-14), (100.0, 1e-14), (500.0, 1e-14)])
+    def test_accuracy_against_mpmath(self, a, rtol):
+        # agreement with scipy is not accuracy: the reference is the true
+        # quantile at the same double p, by Newton steps at 40 digits on
+        # the regularized P(a, x), or on Q(a, x) above the median
+        mpmath = pytest.importorskip("mpmath")
+        p = special.ndtr(np.linspace(-8.0, 8.0, 401))
+        got = market_module.gammaincinv(a, p)
+        with mpmath.workdps(40):
+            a_mp, log_gamma = mpmath.mpf(a), mpmath.loggamma(a)
+            for x_table, q in zip(got, p):
+                upper = q > 0.5
+                target = 1 - mpmath.mpf(q) if upper else mpmath.mpf(q)
+                x = mpmath.mpf(x_table)
+                for _ in range(6):
+                    tail = (mpmath.gammainc(a_mp, x, mpmath.inf,
+                                            regularized=True) if upper
+                            else mpmath.gammainc(a_mp, 0, x,
+                                                 regularized=True))
+                    density = mpmath.exp((a_mp - 1) * mpmath.log(x) - x
+                                         - log_gamma)
+                    x -= (tail - target) / density * (-1 if upper else 1)
+                assert abs(x_table / x - 1) <= rtol, (a, q)
 
     @pytest.mark.parametrize("a", [1.005, 2.5, 5e5])
     def test_one_element_calls_equal_the_whole_array(self, a):

@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 
 from conftest import random_tree_market
+from conemv import sim
 from conemv.market import MarketSpec, PeriodDistribution
 from conemv.solver import SolverOptions, backward_recursion, make_backend
 from conemv.cones import ConvexCone
@@ -52,15 +53,18 @@ class TestDeterminism:
         assert not np.array_equal(a.wealth, b.wealth)
 
     def test_block_size_does_not_change_draws(self, gauss2_policy,
-                                              truncated_policy):
+                                              truncated_policy, monkeypatch):
         # Blocking is a memory layout choice; path p at period t must get
         # the same draw regardless of where the block boundaries fall,
         # also for a policy that starts after time 0.
         market = gauss2_policy[0]
+
+        def run(pol, block):
+            monkeypatch.setattr(sim, "_BLOCK", block)
+            return simulate(pol, market, n_paths=5000, seed=3)
+
         for pol in (gauss2_policy[2], truncated_policy[2]):
-            a = simulate(pol, market, n_paths=5000, seed=3, block=250_000)
-            b = simulate(pol, market, n_paths=5000, seed=3, block=1000)
-            c = simulate(pol, market, n_paths=5000, seed=3, block=1237)
+            a, b, c = (run(pol, block) for block in (250_000, 1000, 1237))
             assert np.array_equal(a.wealth, b.wealth)
             assert np.array_equal(a.returns, b.returns)
             assert np.array_equal(a.wealth, c.wealth)
@@ -238,12 +242,6 @@ class TestPolicyThresholds:
         # start_time = 1 leaves no interior decision date in a 2-period
         # problem: the default set is empty.
         assert policy_thresholds(pol) == {}
-
-    def test_explicit_times(self, gauss2_policy):
-        market, table, pol = gauss2_policy
-        levels = policy_thresholds(pol, times=[1, 2])
-        assert sorted(levels) == [1, 2]
-        assert levels[2] == pytest.approx(pol.threshold(2), rel=1e-15)
 
 
 class TestTerminalStats:

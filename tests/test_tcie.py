@@ -4,12 +4,14 @@ import pytest
 import scipy.stats
 
 from conemv.cones import ConvexCone, construct_tcie_cone
-from conemv.errors import InsufficientConditioningEvents, TargetUnattainable
+from conemv.errors import (BackendMismatch, InsufficientConditioningEvents,
+                           TargetUnattainable)
 from conemv.market import MarketSpec, PeriodDistribution
 from conemv.policy import mu_star, precommitted
 from conemv.sim import PathEnsemble, simulate
 from conemv.solver import (
     ExactDiscreteBackend,
+    SaaBackend,
     backward_recursion,
     unconstrained_table,
 )
@@ -22,6 +24,13 @@ from conemv.tcie import (
 
 from conftest import random_tree_market
 from oracles import exhaustive_tcie, node_condition_tcie
+
+
+@pytest.fixture(scope="module")
+def gauss_backend(three_gauss):
+    """The 200,000-row, seed-0 sample the consistency checks price the
+    closed-form table's crossings on."""
+    return SaaBackend(three_gauss, 200_000, seed=0)
 
 
 def small_move_market(horizon=2):
@@ -45,7 +54,6 @@ class TestVerdicts:
 
     def test_half_space_gaussian_satisfies_condition_19(self, three_gauss):
         from conemv.presets import mean_half_space_cone
-        from conemv.solver import SaaBackend
         table = backward_recursion(three_gauss, mean_half_space_cone(),
                                    SaaBackend(three_gauss, 50_000, seed=2))
         verdict = check_tcie(table, three_gauss)
@@ -125,10 +133,11 @@ class TestTransitionProbs:
 
     def test_zero_short_gain_never_returns(self, three_gauss):
         from conemv.presets import mean_half_space_cone
-        from conemv.solver import SaaBackend
         table = backward_recursion(three_gauss, mean_half_space_cone(),
                                    SaaBackend(three_gauss, 50_000, seed=2))
-        probs = transition_probs(table, three_gauss, 1, n_samples=50_000)
+        probs = transition_probs(table, three_gauss, 1,
+                                 backend=SaaBackend(three_gauss, 50_000,
+                                                    seed=0))
         assert probs.return_from_above == 0.0
         assert probs.stay_above == 1.0
 
@@ -141,14 +150,14 @@ class TestTransitionProbs:
         sd_y = float(np.sqrt(k @ period.cov @ k))
         exact = scipy.stats.norm.sf((1.0 - mu_y) / sd_y)
         probs = transition_probs(gauss_unc_table, three_gauss, t,
-                                 n_samples=200_000, seed=3)
+                                 backend=SaaBackend(three_gauss, 200_000,
+                                                    seed=3))
         se = np.sqrt(exact * (1.0 - exact) / 200_000)
         assert abs(probs.cross_up - exact) <= 4.0 * se
         assert probs.standard_error > 0.0
 
     def test_backend_samples_are_reused(self, three_gauss,
                                         gauss_unc_table):
-        from conemv.solver import SaaBackend
         backend = SaaBackend(three_gauss, 10_000, seed=5)
         a = transition_probs(gauss_unc_table, three_gauss, 0,
                              backend=backend)
@@ -156,15 +165,33 @@ class TestTransitionProbs:
                              backend=backend)
         assert a.cross_up == b.cross_up
 
+    def test_continuous_periods_need_a_backend(self, three_gauss, three_t,
+                                               gauss_unc_table):
+        for market in (three_gauss, three_t):
+            for t in range(market.horizon):
+                with pytest.raises(BackendMismatch, match=f"period {t}"):
+                    transition_probs(gauss_unc_table, market, t)
+        # a discrete period stays exact without one, beside a gaussian
+        mixed = MarketSpec(horizon=2, riskless_rates=[1.05, 1.05],
+                           periods=[small_move_market(1).periods[0],
+                                    PeriodDistribution.gaussian([0.06],
+                                                                [[0.04]])])
+        table = unconstrained_table(mixed)
+        assert transition_probs(table, mixed, 0).standard_error == 0.0
+        with pytest.raises(BackendMismatch):
+            transition_probs(table, mixed, 1)
+
 
 class TestConditionalConsistency:
     def test_simulated_transitions_match_theory(self, three_gauss,
-                                                gauss_unc_table):
+                                                gauss_unc_table,
+                                                gauss_backend):
         x0, d = 1.0, 1.35
         pol = precommitted(gauss_unc_table, x0, d)
         ens = simulate(pol, three_gauss, n_paths=200_000, seed=7)
         report = conditional_consistency_check(ens, gauss_unc_table,
-                                               three_gauss, x0, d)
+                                               three_gauss, x0, d,
+                                               backend=gauss_backend)
         assert report.ok
         checked = [c for c in report.cells if c.checked]
         assert len(checked) >= 3
@@ -173,7 +200,7 @@ class TestConditionalConsistency:
         assert any(side == "above" for _, side in sides)
 
     def test_boundary_states_roll_riskless(self, gauss_unc_table,
-                                           three_gauss):
+                                           three_gauss, gauss_backend):
         x0, d = 1.0, 1.35
         g = d - mu_star(gauss_unc_table, x0, d)
         T = 3
@@ -186,13 +213,13 @@ class TestConditionalConsistency:
         ens = PathEnsemble(wealth, np.zeros((n, T, 3)), seed=0,
                            policy_kind="precommitted")
         report = conditional_consistency_check(
-            ens, gauss_unc_table, three_gauss, x0, d)
+            ens, gauss_unc_table, three_gauss, x0, d, backend=gauss_backend)
         boundary = [c for c in report.cells if c.side == "boundary"]
         assert boundary and all(c.ok for c in boundary)
         assert report.ok
 
     def test_boundary_departure_is_flagged(self, gauss_unc_table,
-                                           three_gauss):
+                                           three_gauss, gauss_backend):
         x0, d = 1.0, 1.35
         g = d - mu_star(gauss_unc_table, x0, d)
         T = 3
@@ -205,10 +232,11 @@ class TestConditionalConsistency:
         ens = PathEnsemble(wealth, np.zeros((n, T, 3)), seed=0,
                            policy_kind="precommitted")
         report = conditional_consistency_check(
-            ens, gauss_unc_table, three_gauss, x0, d)
+            ens, gauss_unc_table, three_gauss, x0, d, backend=gauss_backend)
         assert not report.ok
 
-    def test_too_few_paths_raise(self, gauss_unc_table, three_gauss):
+    def test_too_few_paths_raise(self, gauss_unc_table, three_gauss,
+                                 gauss_backend):
         x0, d = 1.0, 1.35
         T = 3
         wealth = np.full((5, T + 1), 0.5)   # strictly below every threshold
@@ -216,7 +244,7 @@ class TestConditionalConsistency:
                            policy_kind="precommitted")
         with pytest.raises(InsufficientConditioningEvents):
             conditional_consistency_check(ens, gauss_unc_table, three_gauss,
-                                          x0, d)
+                                          x0, d, backend=gauss_backend)
 
 
 class TestOracleAgreement:
@@ -266,7 +294,6 @@ class TestOracleAgreement:
 
     def test_condition_19_freezes_after_crossing(self, three_gauss):
         from conemv.presets import mean_half_space_cone
-        from conemv.solver import SaaBackend
         table = backward_recursion(three_gauss, mean_half_space_cone(),
                                    SaaBackend(three_gauss, 50_000, seed=2))
         verdict = check_tcie(table, three_gauss)
