@@ -23,7 +23,7 @@ from .solver import (ExactDiscreteBackend, RecursionTable, SaaBackend,
                      linear_form, make_backend, minimize_over_cone,
                      unconstrained_table, value_function)
 from .tcie import (TcieVerdict, check_tcie, conditional_consistency_check,
-                   threshold, transition_probs)
+                   transition_probs)
 from .vssm import (conditional_expectation, density_for_paths,
                    density_factors, duality_terminal_wealth,
                    exact_density_moments, implied_wealth_path,

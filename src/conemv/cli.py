@@ -80,6 +80,7 @@ def _load_config(args):
     try:
         with open(args.config, encoding="utf-8") as fh:
             data = json.load(fh)
+        cfg = parse_config(data)
     except FileNotFoundError as exc:
         raise ConfigError(f"config file not found: {args.config}") from exc
     except OSError as exc:
@@ -89,7 +90,8 @@ def _load_config(args):
         raise ConfigError(f"config is not UTF-8 text: {exc}") from exc
     except json.JSONDecodeError as exc:
         raise ConfigError(f"config is not valid JSON: {exc}") from exc
-    cfg = parse_config(data)
+    except RecursionError as exc:  # from the parser or the schema walk
+        raise ConfigError("config nests arrays or objects too deeply") from exc
     if getattr(args, "seed", None) is not None:
         cfg.seed = checked_seed(args.seed)
     if getattr(args, "samples", None) is not None:

@@ -143,7 +143,7 @@ def gammaincinv(a: float, p: np.ndarray) -> np.ndarray:
 def float_array(data, what: str, error=InvalidMarket) -> np.ndarray:
     """``data`` as a new float array; ``error`` unless it is a
     rectangular array of real numbers, which a boolean or a numeric
-    string is not."""
+    string is not, with at most numpy's 32 dimensions."""
     kind = data.dtype.kind if isinstance(data, np.ndarray) else "O"
     try:
         if kind == "O" and all(
@@ -152,8 +152,8 @@ def float_array(data, what: str, error=InvalidMarket) -> np.ndarray:
             kind = "f"
         if kind in "iuf":
             return np.array(data, dtype=float)
-    except (TypeError, ValueError, OverflowError):
-        pass
+    except (TypeError, ValueError, OverflowError, RuntimeError):
+        pass  # RuntimeError: more than 32 dimensions
     raise error(f"{what} must be a rectangular array of numbers")
 
 
@@ -281,9 +281,6 @@ class PeriodDistribution:
 
     # -- sampling ------------------------------------------------------
 
-    def _uniforms_per_path(self) -> int:
-        return self.n_assets + 1
-
     def sample_block(self, seed: int, stream: int, period: int,
                      lo: int, hi: int) -> np.ndarray:
         """Draw excess returns for paths [lo, hi); shape (hi - lo, n).
@@ -292,9 +289,8 @@ class PeriodDistribution:
         boundaries and the number of draw-pool workers do not affect the
         values.
         """
-        u = rng.uniform_block(seed, stream, period, lo, hi,
-                              self._uniforms_per_path())
         n = self.n_assets
+        u = rng.uniform_block(seed, stream, period, lo, hi, n + 1)
         if self.family == "discrete":
             idx = np.searchsorted(np.cumsum(self.probs), u[:, 0], side="right")
             idx = np.minimum(idx, len(self.probs) - 1)

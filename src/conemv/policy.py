@@ -98,6 +98,8 @@ class TimeConsistentAux:
     d_factors: np.ndarray  # (T+1,), d_factors[T] = 1
 
     def rho(self, t: int) -> float:
+        if not 0 <= t <= self.horizon:
+            raise ValueError(f"t must lie in [0, {self.horizon}], got {t}")
         return float(np.prod(self.rates[t:]))
 
 
@@ -186,25 +188,20 @@ class Policy:
         x_arr = np.asarray(x, dtype=float)
         scalar = x_arr.ndim == 0
         x_arr = np.atleast_1d(x_arr)
-        u = self._control_block(t, x_arr)
-        return u[0] if scalar else u
-
-    def _control_block(self, t: int, x: np.ndarray) -> np.ndarray:
         if self.kind == "minimum_variance":
-            return np.zeros((x.shape[0], self.n_assets))
-        if self.kind == "time_consistent":
+            u = np.zeros((x_arr.shape[0], self.n_assets))
+        elif self.kind == "time_consistent":
             aux = self.aux
-            coeff = (self.d - x * aux.rho(t)) / (aux.b[t] * aux.rho(t + 1))
-            return coeff[:, None] * aux.gains[t]
-        # precommitted / truncated share the two-piece rule
-        table = self.table
-        s_t = table.rates[t]
-        coeff = s_t * ((self.d - self.mu) / table.rho(t) - x)
-        below = coeff >= 0.0
-        u = np.where(below[:, None],
-                     coeff[:, None] * table.k_plus[t],
-                     -coeff[:, None] * table.k_minus[t])
-        return u
+            coeff = (self.d - x_arr * aux.rho(t)) / (aux.b[t] * aux.rho(t + 1))
+            u = coeff[:, None] * aux.gains[t]
+        else:
+            # precommitted / truncated share the two-piece rule
+            table = self.table
+            coeff = table.riskless_rates[t] * (self.threshold(t) - x_arr)
+            u = np.where((coeff >= 0.0)[:, None],
+                         coeff[:, None] * table.k_plus[t],
+                         -coeff[:, None] * table.k_minus[t])
+        return u[0] if scalar else u
 
     def threshold(self, t: int) -> float:
         """Wealth level separating the two branches at time t."""

@@ -53,8 +53,7 @@ def simulate(policy: Policy, market: MarketSpec, n_paths: int = DEFAULT_PATHS,
     wealth = np.empty((n_paths, market.horizon + 1))
     for lo in range(0, n_paths, _BLOCK):
         hi = min(lo + _BLOCK, n_paths)
-        wealth[lo:hi] = replay_wealth(policy, market, returns[lo:hi],
-                                      policy.x_start)
+        wealth[lo:hi] = replay_wealth(policy, market, returns[lo:hi])
     return PathEnsemble(wealth, returns, seed, policy.kind, start_time=t0)
 
 
@@ -72,13 +71,13 @@ def sample_returns(market: MarketSpec, n_paths: int, seed: int) -> np.ndarray:
 
 
 def replay_wealth(policy: Policy, market: MarketSpec,
-                  returns: np.ndarray, x_start: float) -> np.ndarray:
-    """Recompute wealth from stored returns; no randomness involved."""
+                  returns: np.ndarray) -> np.ndarray:
+    """Replay wealth from ``policy.x_start`` on stored returns, no draws."""
     n_paths, T = returns.shape[0], returns.shape[1]
     wealth = np.empty((n_paths, T + 1))
     t0 = policy.start_time
-    wealth[:, :t0 + 1] = x_start
-    x = np.full(n_paths, float(x_start))
+    wealth[:, :t0 + 1] = policy.x_start
+    x = np.full(n_paths, float(policy.x_start))
     for t in range(t0, T):
         u = policy.control(t, x)
         x = market.riskless_rates[t] * x + np.einsum("ij,ij->i",

@@ -47,7 +47,7 @@ The Hessian likewise takes c_maj times the whole sample's moment plus
 from __future__ import annotations
 
 from dataclasses import dataclass, field, fields
-from typing import NamedTuple, Optional
+from typing import NamedTuple, Optional, get_type_hints
 
 import numpy as np
 
@@ -336,9 +336,20 @@ def minimize_over_cone(backend, t: int, sign: int, cone: ConvexCone,
 
     Tries the exact first-order test at the origin first, with the
     declared moments of ``backend.market.periods[t]``, then runs
-    projected Newton from the projected unconstrained gain.  Solutions
-    with norm below :func:`default_zero_tol` snap to exactly zero, in
-    which case the cost equals the next-period constant by construction.
+    projected Newton from the better of the origin and the projected
+    unconstrained gain.  Each iteration scales the gradient by the
+    Hessian H, with a ridge that lifts its least eigenvalue to ``_RIDGE``
+    times its largest when it lies below (so that a rank-deficient sample
+    still gives a definite metric, and a well-conditioned H stays exact),
+    and tries proj^H(k - step H^-1 grad) in the metric of H, from step
+    1.0 down by the Armijo test.  On a piecewise-quadratic cost the full
+    step is the exact minimiser over the cone of the quadratic piece
+    holding k, so poorly scaled costs take as few steps as well scaled
+    ones.  It stops at a Euclidean residual |k - proj(k - grad)| <= tol;
+    a stall, where no step above ``_STEP_FLOOR`` descends, counts as
+    converged only at a residual within 100 tol.  Solutions with norm
+    below :func:`default_zero_tol` snap to exactly zero, in which case
+    the cost equals the next-period constant by construction.
 
     ``vi_min`` is min grad'(u - k) over cone points u with |u| <= 1,
     which is -|proj(-grad)| - grad'k exactly.
@@ -363,9 +374,38 @@ def minimize_over_cone(backend, t: int, sign: int, cone: ConvexCone,
         projections += 1
         return cone.project(v, metric=metric)
 
-    init = project(sign * period.unconstrained_gain())
-    (k, value, grad, pg_res, iters, backtracks,
-     converged) = _projected_gradient(cost, project, init, opts)
+    k = project(sign * period.unconstrained_gain()).astype(float)
+    value, grad, hess = cost(k)
+    # The origin is always admissible; starting from the better of the
+    # two guarantees the final cost never exceeds the next-period
+    # constant, which the recursion's monotonicity invariant relies on.
+    f0, g0, hess0 = cost(np.zeros_like(k))
+    if f0 < value:
+        k, value, grad, hess = np.zeros_like(k), f0, g0, hess0
+    backtracks = 0
+    for iters in range(opts.max_iter + 1):
+        pg_res = np.linalg.norm(k - project(k - grad))
+        converged = bool(pg_res <= opts.tol)
+        if converged or iters == opts.max_iter:
+            break
+        lam = np.linalg.eigvalsh(hess)
+        ridge = max(_RIDGE * lam[-1] - lam[0], 0.0)
+        metric = hess + ridge * np.eye(k.shape[0])
+        newton = np.linalg.solve(metric, grad)
+        step = 1.0
+        while True:
+            k_new = project(k - step * newton, metric=metric)
+            slope = float(grad @ (k_new - k))
+            f_new, g_new, hess_new = cost(k_new)
+            if f_new <= value + _ARMIJO_SLOPE * slope or step < _STEP_FLOOR:
+                break
+            step *= _ARMIJO_SHRINK
+            backtracks += 1
+        if step < _STEP_FLOOR:
+            iters += 1
+            converged = bool(pg_res <= 100.0 * opts.tol)
+            break
+        k, value, grad, hess = k_new, f_new, g_new, hess_new
 
     snapped = bool(np.linalg.norm(k) <= default_zero_tol(period))
     if snapped:
@@ -390,61 +430,6 @@ def minimize_over_cone(backend, t: int, sign: int, cone: ConvexCone,
     return result
 
 
-def _projected_gradient(cost, project, init, opts):
-    """Projected Newton with Armijo backtracking on
-    ``cost(k) -> (h, grad, hess)`` over the cone that
-    ``project(v, metric=None)`` maps onto.
-
-    Returns (k, h, grad, residual, iterations, backtracks, converged),
-    where residual is |k - proj(k - grad)| at the returned k.
-
-    Each iteration scales the gradient by the Hessian H, with a ridge
-    that lifts its least eigenvalue to ``_RIDGE`` times its largest when
-    it lies below (so that a rank-deficient sample still gives a
-    definite metric, and a well-conditioned H stays exact), and tries
-    proj^H(k - step H^-1 grad) in the metric of H, from step 1.0 down by
-    the Armijo test.  On a piecewise-quadratic cost the full step is the
-    exact minimiser over the cone of the quadratic piece holding k, so
-    poorly scaled costs take as few steps as well scaled ones.  The stop
-    test is the Euclidean residual |k - proj(k - grad)| <= tol.
-    """
-    k = init.astype(float).copy()
-    f, g, hess = cost(k)
-    # The origin is always admissible; starting from the better of the
-    # two guarantees the final cost never exceeds the next-period
-    # constant, which the recursion's monotonicity invariant relies on.
-    f0, g0, hess0 = cost(np.zeros_like(k))
-    if f0 < f:
-        k = np.zeros_like(k)
-        f, g, hess = f0, g0, hess0
-    backtracks = 0
-    for it in range(opts.max_iter + 1):
-        pg_res = np.linalg.norm(k - project(k - g))
-        if pg_res <= opts.tol:
-            return k, f, g, pg_res, it, backtracks, True
-        if it == opts.max_iter:
-            return k, f, g, pg_res, it, backtracks, False
-        lam = np.linalg.eigvalsh(hess)
-        ridge = max(_RIDGE * lam[-1] - lam[0], 0.0)
-        metric = hess + ridge * np.eye(k.shape[0])
-        newton = np.linalg.solve(metric, g)
-        step = 1.0
-        while True:
-            k_new = project(k - step * newton, metric=metric)
-            slope = float(g @ (k_new - k))
-            f_new, g_new, hess_new = cost(k_new)
-            if f_new <= f + _ARMIJO_SLOPE * slope or step < _STEP_FLOOR:
-                break
-            step *= _ARMIJO_SHRINK
-            backtracks += 1
-        if step < _STEP_FLOOR:
-            # No admissible descent step.  Honest only if the projected
-            # gradient is already small; otherwise report the stall.
-            return (k, f, g, pg_res, it + 1, backtracks,
-                    bool(pg_res <= 100.0 * opts.tol))
-        k, f, g, hess = k_new, f_new, g_new, hess_new
-
-
 # ---------------------------------------------------------------------------
 # recursion table
 # ---------------------------------------------------------------------------
@@ -461,52 +446,38 @@ class RecursionTable:
 
     horizon: int
     n_assets: int
-    rates: np.ndarray            # gross riskless returns, length T
+    riskless_rates: np.ndarray   # gross riskless returns, length T
     k_plus: np.ndarray           # (T, n)
     k_minus: np.ndarray          # (T, n)
     c_plus: np.ndarray           # (T+1,)
     c_minus: np.ndarray          # (T+1,)
     zero_tols: np.ndarray        # (T,)
-    backend_info: dict = field(default_factory=dict)
+    backend: dict = field(default_factory=dict)
     diagnostics: list = field(default_factory=list)
 
     def rho(self, t: int) -> float:
         if not 0 <= t <= self.horizon:
             raise ValueError(f"t must lie in [0, {self.horizon}], got {t}")
-        return float(np.prod(self.rates[t:]))
+        return float(np.prod(self.riskless_rates[t:]))
 
     def gain_is_zero(self, t: int, sign: int) -> bool:
         k = self.k_plus[t] if sign > 0 else self.k_minus[t]
         return bool(np.linalg.norm(k) <= self.zero_tols[t])
 
     def to_dict(self) -> dict:
-        return {
-            "horizon": self.horizon,
-            "n_assets": self.n_assets,
-            "riskless_rates": self.rates.tolist(),
-            "k_plus": self.k_plus.tolist(),
-            "k_minus": self.k_minus.tolist(),
-            "c_plus": self.c_plus.tolist(),
-            "c_minus": self.c_minus.tolist(),
-            "zero_tols": self.zero_tols.tolist(),
-            "backend": self.backend_info,
-            "diagnostics": self.diagnostics,
-        }
+        """The fields by name, in order, with arrays as nested lists."""
+        out = {f.name: getattr(self, f.name) for f in fields(self)}
+        return {name: v.tolist() if isinstance(v, np.ndarray) else v
+                for name, v in out.items()}
 
     @classmethod
     def from_dict(cls, data: dict) -> "RecursionTable":
-        return cls(
-            horizon=int(data["horizon"]),
-            n_assets=int(data["n_assets"]),
-            rates=np.asarray(data["riskless_rates"], dtype=float),
-            k_plus=np.asarray(data["k_plus"], dtype=float),
-            k_minus=np.asarray(data["k_minus"], dtype=float),
-            c_plus=np.asarray(data["c_plus"], dtype=float),
-            c_minus=np.asarray(data["c_minus"], dtype=float),
-            zero_tols=np.asarray(data["zero_tols"], dtype=float),
-            backend_info=data.get("backend", {}),
-            diagnostics=data.get("diagnostics", []),
-        )
+        """Inverse of :meth:`to_dict`; a field with a default may be absent."""
+        types = get_type_hints(cls)
+        return cls(**{f.name: np.asarray(data[f.name], dtype=float)
+                      if types[f.name] is np.ndarray
+                      else types[f.name](data[f.name])
+                      for f in fields(cls) if f.name in data})
 
 
 def default_zero_tol(period: PeriodDistribution) -> float:
@@ -574,9 +545,9 @@ def backward_recursion(market: MarketSpec, cones_by_period,
 
     return RecursionTable(
         horizon=T, n_assets=n,
-        rates=market.riskless_rates,
+        riskless_rates=market.riskless_rates,
         k_plus=k_plus, k_minus=k_minus, c_plus=c_plus, c_minus=c_minus,
-        zero_tols=zero_tols, backend_info=backend.describe(),
+        zero_tols=zero_tols, backend=backend.describe(),
         diagnostics=diagnostics)
 
 
@@ -604,11 +575,11 @@ def unconstrained_table(market: MarketSpec) -> RecursionTable:
         c[t] = (1.0 - b[t]) * c[t + 1]
     return RecursionTable(
         horizon=T, n_assets=n,
-        rates=market.riskless_rates,
+        riskless_rates=market.riskless_rates,
         k_plus=k_plus, k_minus=k_minus,
         c_plus=c.copy(), c_minus=c.copy(),
         zero_tols=zero_tols,
-        backend_info={"kind": "closed_form_unconstrained"},
+        backend={"kind": "closed_form_unconstrained"},
         diagnostics=[{"t": t, "note": "closed_form", "b": float(b[t])}
                      for t in range(T)])
 

@@ -96,11 +96,6 @@ def check_tcie(table: RecursionTable, market: MarketSpec) -> TcieVerdict:
         periods=periods)
 
 
-def threshold(table: RecursionTable, x0: float, d: float, t: int) -> float:
-    """Wealth threshold (d - mu*) / rho_t separating the two branches."""
-    return (d - mu_star(table, x0, d)) / table.rho(t)
-
-
 @dataclass
 class TransitionProbs:
     t: int

@@ -6,6 +6,13 @@ from conemv.cones import ConvexCone
 from conemv.market import MarketSpec, PeriodDistribution
 
 
+def nested(value, depth):
+    """``value`` inside ``depth`` one-element lists."""
+    for _ in range(depth):
+        value = [value]
+    return value
+
+
 def random_discrete_period(rng, n_assets, n_atoms):
     """One bounded discrete excess-return law, valid by construction."""
     for _ in range(200):

@@ -184,7 +184,7 @@ def replay_published_case3(market, family: str) -> float:
     """Exceedance frequency when simulating the published case-3 policy."""
     spec = PUBLISHED_CASE3[family]
     table = RecursionTable(
-        horizon=3, n_assets=3, rates=np.full(3, 1.05),
+        horizon=3, n_assets=3, riskless_rates=np.full(3, 1.05),
         k_plus=np.array(spec["k"], dtype=float),
         k_minus=np.zeros((3, 3)),
         c_plus=np.ones(4), c_minus=np.ones(4),

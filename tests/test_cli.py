@@ -14,6 +14,8 @@ import pytest
 from conemv import cli, solver
 from conemv.config import parse_config
 
+from conftest import nested
+
 CONFIGS = Path(__file__).resolve().parents[1] / "configs"
 
 
@@ -240,6 +242,15 @@ class TestConfigErrors:
         assert res.returncode == 2
         assert res.stderr == (f"error: cannot read config {tmp_path}: "
                               "Is a directory\n")
+
+    def test_config_nested_beyond_the_parser(self, tmp_path):
+        path = tmp_path / "deep.json"
+        path.write_text("[" * 100_000 + "]" * 100_000)
+        res = run_cli("solve", "--config", str(path))
+        assert res.returncode == 2
+        assert "Traceback" not in res.stderr
+        lines = res.stderr.strip().splitlines()
+        assert lines == ["error: config nests arrays or objects too deeply"]
 
     def test_config_not_utf8(self, tmp_path):
         path = tmp_path / "latin1.json"
@@ -725,6 +736,8 @@ class TestMalformedNumbers:
         ("cones", "normal", [[1.0], [1.0, 2.0]]),
         ("cones", "A", [[1, 0, 0], [1, 0]]),
         ("cones", "A", [[[1], [0], [0]]]),
+        ("market", "mean", nested(0.06, 40)),
+        ("cones", "A", nested(1.0, 40)),
     ])
     def test_exits_2_with_one_line(self, tmp_path, section, key, value):
         cfg = coin_config()

@@ -16,6 +16,7 @@ from conemv.errors import (DimensionMismatch, InvalidCone, NoConvergence,
                            ZeroMeanExcess)
 from conemv.presets import limited_short_cone, three_index_moments
 
+from conftest import nested
 from oracles import _project_rows, grid_projection
 
 CASE3_ROWS = np.array([[0.0, 1.0, 0.0],
@@ -562,6 +563,8 @@ class TestSerialization:
         lambda: ConvexCone.polyhedral([[1.0, "0"], [0.0, 1.0]]),
         lambda: ConvexCone.polyhedral([[1.0, 0.0], [False, 1.0]]),
         lambda: ConvexCone("half_space", 2, normal=[1.0, "2"]),
+        # 40 dimensions, past numpy's 32
+        lambda: ConvexCone.half_space(nested(1.0, 40)),
     ])
     def test_booleans_and_strings_rejected(self, make):
         with pytest.raises(InvalidCone, match="array of numbers"):

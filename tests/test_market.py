@@ -23,6 +23,8 @@ from conemv.presets import (
     three_index_moments,
 )
 
+from conftest import nested
+
 # Published second-moment matrix for the three-index calibration, kept as a
 # regression anchor (entries rounded to 1e-4 in the source table).
 THREE_INDEX_SECOND_MOMENT = np.array([
@@ -102,6 +104,8 @@ class TestValidation:
         lambda: PeriodDistribution.discrete([[0.1], [0.2]], ["0.5", 0.5]),
         lambda: MarketSpec(1, ["1.02"], [PeriodDistribution.gaussian(
             [0.05], [[0.04]])]),
+        # 40 dimensions, past numpy's 32
+        lambda: PeriodDistribution.gaussian(nested(0.1, 40), [[0.04]]),
     ])
     def test_booleans_and_strings_rejected(self, make):
         with pytest.raises(InvalidMarket, match="array of numbers"):

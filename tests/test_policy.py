@@ -112,6 +112,16 @@ class TestTimeConsistentBenchmark:
         assert aux.d_factors[0] == pytest.approx(((1.0 - b) / b) ** 3,
                                                  rel=1e-12)
 
+    def test_rho_checks_its_range_as_the_table_does(self, three_gauss,
+                                                    gauss_unc_table):
+        aux = time_consistent_aux(three_gauss)
+        for t in range(aux.horizon + 1):
+            assert aux.rho(t) == gauss_unc_table.rho(t)
+        for t in (-1, aux.horizon + 1):
+            for owner in (aux, gauss_unc_table, three_gauss):
+                with pytest.raises(ValueError, match="t must lie in"):
+                    owner.rho(t)
+
     def test_riskless_target_zero_variance(self, three_gauss):
         aux = time_consistent_aux(three_gauss)
         pt = tc_frontier_point(aux, 1.0, aux.rho(0))
@@ -221,7 +231,7 @@ class TestPolicies:
         pol = precommitted(gauss_unc_table, 1.0, 1.35)
         d, mu = pol.d, pol.mu
         x = 1.0
-        expected = gauss_unc_table.rates[0] * (
+        expected = gauss_unc_table.riskless_rates[0] * (
             (d - mu) / gauss_unc_table.rho(0) - x) * gauss_unc_table.k_plus[0]
         np.testing.assert_allclose(pol.control(0, x), expected, rtol=1e-12)
         assert (d - mu) / gauss_unc_table.rho(0) == pytest.approx(
@@ -232,7 +242,7 @@ class TestPolicies:
         t = 1
         x = pol.threshold(t) + 0.4
         np.testing.assert_allclose(pol.control(t, x),
-                                   0.4 * gauss_unc_table.rates[t]
+                                   0.4 * gauss_unc_table.riskless_rates[t]
                                    * gauss_unc_table.k_minus[t], rtol=1e-12)
 
     def test_vector_dispatch_matches_scalar(self, gauss_unc_table):

@@ -92,7 +92,7 @@ class TestReplay:
     def test_replay_matches_simulation(self, gauss2_policy):
         market, table, pol = gauss2_policy
         ens = simulate(pol, market, n_paths=2000, seed=8)
-        rebuilt = replay_wealth(pol, market, ens.returns, pol.x_start)
+        rebuilt = replay_wealth(pol, market, ens.returns)
         assert np.array_equal(rebuilt, ens.wealth)
 
     def test_sample_returns_matches_simulation_streams(self, gauss2_policy):
@@ -107,7 +107,7 @@ class TestReplay:
         market, table = gauss2_table
         pol_mv = minimum_variance(table, x0=1.0)
         raw = sample_returns(market, 800, seed=9)
-        wealth = replay_wealth(pol_mv, market, raw, 1.0)
+        wealth = replay_wealth(pol_mv, market, raw)
         rho0 = table.rho(0)
         assert np.allclose(wealth[:, -1], rho0 * 1.0, atol=1e-12)
 
@@ -144,7 +144,7 @@ class TestTruncatedStart:
     def test_replay_truncated(self, truncated_policy):
         market, table, pol = truncated_policy
         ens = simulate(pol, market, n_paths=300, seed=7)
-        rebuilt = replay_wealth(pol, market, ens.returns, pol.x_start)
+        rebuilt = replay_wealth(pol, market, ens.returns)
         assert np.array_equal(rebuilt, ens.wealth)
 
 

@@ -457,6 +457,30 @@ class TestBackwardRecursion:
         np.testing.assert_array_equal(again.c_minus, table.c_minus)
         assert again.horizon == table.horizon
 
+    @pytest.mark.parametrize("kind", ["exact", "saa", "unconstrained"])
+    def test_table_dict_is_its_fields_in_order(self, kind, tree_market,
+                                               tree_backend, three_gauss):
+        from conemv.solver import RecursionTable
+        if kind == "exact":
+            table = backward_recursion(tree_market, ConvexCone.orthant(2),
+                                       tree_backend)
+        elif kind == "saa":
+            table = backward_recursion(three_gauss, mean_half_space_cone(),
+                                       SaaBackend(three_gauss, 20_000, 1))
+        else:
+            table = unconstrained_table(three_gauss)
+        names = [f.name for f in dataclasses.fields(RecursionTable)]
+        data = table.to_dict()
+        assert list(data) == names
+        again = RecursionTable.from_dict(json.loads(json.dumps(data)))
+        for name in names:
+            want, got = getattr(table, name), getattr(again, name)
+            if isinstance(want, np.ndarray):
+                assert got.dtype == want.dtype and got.shape == want.shape
+                assert got.tobytes() == want.tobytes(), name  # bit for bit
+            else:
+                assert got == want, name
+
     def test_half_space_saa_iteration_ceiling(self, three_gauss):
         # Each sign branch is a piecewise quadratic whose full Newton
         # step lands on the minimiser of the current piece.

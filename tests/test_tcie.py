@@ -18,7 +18,6 @@ from conemv.solver import (
 from conemv.tcie import (
     check_tcie,
     conditional_consistency_check,
-    threshold,
     transition_probs,
 )
 
@@ -97,24 +96,24 @@ class TestVerdicts:
 
 class TestThreshold:
     def test_terminal_threshold_reference_value(self, gauss_unc_table):
-        thr = threshold(gauss_unc_table, 1.0, 1.35, 3)
+        thr = precommitted(gauss_unc_table, 1.0, 1.35).threshold(3)
         assert thr == pytest.approx(1.5308, abs=5e-4)
 
     def test_discounting_across_time(self, gauss_unc_table):
         x0, d = 1.0, 1.35
         g = d - mu_star(gauss_unc_table, x0, d)
         for t in range(4):
-            assert threshold(gauss_unc_table, x0, d, t) == pytest.approx(
-                g / gauss_unc_table.rho(t), rel=1e-14)
+            assert precommitted(gauss_unc_table, x0, d).threshold(t) == \
+                pytest.approx(g / gauss_unc_table.rho(t), rel=1e-14)
 
     def test_riskless_target_threshold_is_riskless_path(self,
                                                         gauss_unc_table):
         x0 = 1.0
         d = gauss_unc_table.rho(0) * x0
         for t in range(4):
-            assert threshold(gauss_unc_table, x0, d, t) == pytest.approx(
-                gauss_unc_table.rho(0) * x0 / gauss_unc_table.rho(t),
-                rel=1e-14)
+            assert precommitted(gauss_unc_table, x0, d).threshold(t) == \
+                pytest.approx(gauss_unc_table.rho(0) * x0
+                              / gauss_unc_table.rho(t), rel=1e-14)
 
 
 class TestTransitionProbs:

@@ -71,7 +71,7 @@ def step_ratios(table, b):
 def toy_table():
     """Hand-filled two-period single-asset table for branch bookkeeping."""
     return RecursionTable(
-        horizon=2, n_assets=1, rates=np.array([1.0, 1.0]),
+        horizon=2, n_assets=1, riskless_rates=np.array([1.0, 1.0]),
         k_plus=np.array([[0.5], [0.4]]),
         k_minus=np.array([[0.3], [0.2]]),
         c_plus=np.array([0.5, 0.7, 1.0]),
