@@ -4,6 +4,11 @@ Subcommands: solve, frontier, simulate, tcie, vssm, make-cone.  All
 read a JSON run configuration (see :mod:`conemv.config`); results go
 to stdout or --out.  Exit codes: 0 success, 1 runtime failure
 (non-convergence, unattainable target), 2 configuration problems.
+
+Only tcie keeps the SAA backend, with its frozen samples, after the
+solve.  simulate and vssm draw, reduce and drop one block of
+``sim._BLOCK`` paths at a time and keep at most 33 bytes a path, not
+the paths' returns, so their memory grows slowly with the path count.
 """
 
 from __future__ import annotations
@@ -101,17 +106,26 @@ def _load_config(args):
     return cfg
 
 
-def _require_path_memory(cfg, n_paths: int, extra: int) -> None:
-    """Refuse, before the solve, a path count whose (n_paths, T, n)
-    returns and ``extra`` further doubles a path do not fit."""
-    per_path = cfg.market.horizon * cfg.market.n_assets + extra
-    require_memory(8 * n_paths * per_path, f"{n_paths} paths")
+def _require_path_memory(cfg, n_paths: int, kept: int) -> None:
+    """Refuse, before the solve, a path count whose ``kept`` bytes a
+    path plus one block of paths do not fit.  A block holds its
+    (block, T, n) returns, two copies of its (block, T + 1) wealth (the
+    ensemble's and the replay's) and at most 2n + 5 doubles a path of
+    temporaries: a draw's uniforms, product and Student-t scale, or a
+    control step's gains, coefficients and next wealth."""
+    T, n = cfg.market.horizon, cfg.market.n_assets
+    per_path = T * n + 2 * (T + 1) + 2 * n + 5
+    require_memory(kept * n_paths + 8 * min(n_paths, sim._BLOCK) * per_path,
+                   f"{n_paths} paths")
 
 
-def _solve_table(cfg):
-    backend = cfg.make_backend()
+def _solve_table(cfg, backend=None):
+    """The recursion table, from ``backend`` or from a new backend
+    that, with its frozen samples, is freed on return."""
+    if backend is None:
+        backend = cfg.make_backend()
     return backward_recursion(cfg.market, cfg.cones, backend,
-                              cfg.solver_options), backend
+                              cfg.solver_options)
 
 
 def _build_policy(cfg, table):
@@ -128,7 +142,7 @@ def _build_policy(cfg, table):
 
 def _thresholds(cfg, table, mu: float) -> dict:
     """Wealth thresholds (d - mu*)/rho_t for t = 0, ..., T."""
-    return {str(t): (cfg.d - mu) / table.rho(t)
+    return {str(t): policy_mod.wealth_threshold(table, cfg.d, mu, t)
             for t in range(table.horizon + 1)}
 
 
@@ -138,7 +152,7 @@ def _thresholds(cfg, table, mu: float) -> dict:
 
 def cmd_solve(args) -> int:
     cfg = _load_config(args)
-    table, _ = _solve_table(cfg)
+    table = _solve_table(cfg)
     payload = table.to_dict()
     if cfg.policy_kind == "precommitted":
         try:
@@ -162,7 +176,7 @@ def cmd_frontier(args) -> int:
     cfg = _load_config(args)
     require_memory(_FRONTIER_POINT_BYTES * args.points,
                    f"{args.points} frontier points")
-    table, _ = _solve_table(cfg)
+    table = _solve_table(cfg)
     aux = None
     try:
         aux = policy_mod.time_consistent_aux(cfg.market)
@@ -201,20 +215,18 @@ def cmd_frontier(args) -> int:
 
 def cmd_simulate(args) -> int:
     cfg = _load_config(args)
-    # wealth (T + 1) and the terminal statistics' temporaries (3)
-    _require_path_memory(cfg, args.paths, cfg.market.horizon + 4)
-    table, _ = _solve_table(cfg)
-    pol = _build_policy(cfg, table)
-    ensemble = sim.simulate(pol, cfg.market, n_paths=args.paths,
-                            seed=cfg.seed)
+    # terminal wealth, the terminal statistics' temporaries (3) and
+    # the crossed flag
+    _require_path_memory(cfg, args.paths, 8 * 4 + 1)
+    pol = _build_policy(cfg, _solve_table(cfg))
+    stats, report = sim.summarize(pol, cfg.market, args.paths, cfg.seed)
     payload = {
         "policy": cfg.policy_kind,
-        "n_paths": ensemble.n_paths,
+        "n_paths": args.paths,
         "seed": cfg.seed,
-        "terminal": _fields(sim.terminal_stats(ensemble), "n_paths"),
+        "terminal": _fields(stats, "n_paths"),
     }
-    if pol.kind in ("precommitted", "truncated"):
-        report = sim.exceedance_prob(ensemble, sim.policy_thresholds(pol))
+    if report is not None:
         payload["exceedance"] = _fields(report, "n_paths")
     _emit_json(payload, args.out)
     return 0
@@ -222,7 +234,8 @@ def cmd_simulate(args) -> int:
 
 def cmd_tcie(args) -> int:
     cfg = _load_config(args)
-    table, backend = _solve_table(cfg)
+    backend = cfg.make_backend()  # transition_probs reads its samples
+    table = _solve_table(cfg, backend)
     payload = dataclasses.asdict(tcie.check_tcie(table, cfg.market))
     for period in payload["periods"]:
         period["transition"] = _fields(tcie.transition_probs(
@@ -238,9 +251,9 @@ def cmd_tcie(args) -> int:
 
 def cmd_vssm(args) -> int:
     cfg = _load_config(args)
-    # the running density and its temporaries
-    _require_path_memory(cfg, args.paths, 6)
-    table, _ = _solve_table(cfg)
+    # the density, two temporaries of its moments and a sign mask
+    _require_path_memory(cfg, args.paths, 8 * 3 + 1)
+    table = _solve_table(cfg)
     mean, second = vssm.theoretical_moments(table)
     payload = {"theoretical": {"mean": mean, "second_moment": second}}
     if cfg.backend_kind == "exact":
@@ -248,8 +261,11 @@ def cmd_vssm(args) -> int:
         report = vssm.supermartingale_check(table, cfg.market, cfg.cones)
         payload["exact"] = {"mean": mean, "second_moment": second,
                             "supermartingale_ok": report.ok}
-    returns = sim.sample_returns(cfg.market, args.paths, cfg.seed)
-    dens = vssm.density_for_paths(table, returns)
+    dens = np.empty(args.paths)
+    for lo, hi in sim.blocks(args.paths):
+        returns = sim.sample_returns(cfg.market, hi - lo, cfg.seed, lo)
+        dens[lo:hi] = vssm.density_for_paths(table, returns)
+        del returns  # before the next block is drawn
     n = dens.shape[0]
     payload["monte_carlo"] = {
         "n_paths": n,

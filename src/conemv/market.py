@@ -56,9 +56,12 @@ _ATOL = 1e-12
 # import time, and only sampling needs it.
 
 def ndtri(p: np.ndarray) -> np.ndarray:
-    """Standard normal quantiles of p, elementwise."""
+    """Overwrite p with its standard normal quantiles, elementwise, over
+    row chunks; returns p."""
     from scipy import special
-    return rng.map_rows(special.ndtri, p)
+    rng.over_row_chunks(p.shape[0], lambda lo, hi: special.ndtri(
+        p[lo:hi], out=p[lo:hi]))
+    return p
 
 
 _TABLE_Z, _TABLE_NODES = 9.0, 8_192  # nodes on z = ndtri(p) in [-9, 9]
@@ -297,6 +300,14 @@ class PeriodDistribution:
             return self.atoms[idx]
         chol = np.linalg.cholesky(self.cov if self.family == "gaussian" else
                                   self.cov * (self.df - 2.0) / self.df)
+        scale = None
+        if self.family == "student_t":
+            scale = gammaincinv(self.df / 2.0, u[:, n])
+            scale *= 2.0
+            scale /= self.df
+            np.sqrt(scale, out=scale)
+        # the normals overwrite their uniforms: no (rows, n) array besides
+        # the block and the product
         z = ndtri(u[:, :n])
         rows = z.shape[0]
         if rows == 1:
@@ -304,11 +315,8 @@ class PeriodDistribution:
             # differently from the gemm that larger blocks take.
             z = np.repeat(z, 2, axis=0)
         x = (z @ chol.T)[:rows]
-        if self.family == "student_t":
-            chi2 = gammaincinv(self.df / 2.0, u[:, n])
-            chi2 *= 2.0
-            chi2 /= self.df
-            x /= np.sqrt(chi2, out=chi2)[:, None]
+        if scale is not None:
+            x /= scale[:, None]
         x += self.mean
         return x
 

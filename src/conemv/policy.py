@@ -58,6 +58,13 @@ def mu_star(table: RecursionTable, x0: float, d: float) -> float:
     return _multiplier(table, 0, x0, d, f"target {d}")
 
 
+def wealth_threshold(table: RecursionTable, d: float, mu: float,
+                     t: int) -> float:
+    """The wealth (d - mu) / rho_t at which the precommitted control
+    switches branch at time t."""
+    return (d - mu) / table.rho(t)
+
+
 class FrontierPoint(NamedTuple):
     mean: float
     variance: float
@@ -195,18 +202,19 @@ class Policy:
             coeff = (self.d - x_arr * aux.rho(t)) / (aux.b[t] * aux.rho(t + 1))
             u = coeff[:, None] * aux.gains[t]
         else:
-            # precommitted / truncated share the two-piece rule
+            # precommitted / truncated share the two-piece rule: the
+            # gain on coeff's branch, scaled by |coeff|
             table = self.table
             coeff = table.riskless_rates[t] * (self.threshold(t) - x_arr)
-            u = np.where((coeff >= 0.0)[:, None],
-                         coeff[:, None] * table.k_plus[t],
-                         -coeff[:, None] * table.k_minus[t])
+            gains = np.stack((table.k_minus[t], table.k_plus[t]))
+            u = gains[(coeff >= 0.0).astype(np.intp)]
+            u *= np.abs(coeff, out=coeff)[:, None]
         return u[0] if scalar else u
 
     def threshold(self, t: int) -> float:
         """Wealth level separating the two branches at time t."""
         if self.kind in ("precommitted", "truncated"):
-            return (self.d - self.mu) / self.table.rho(t)
+            return wealth_threshold(self.table, self.d, self.mu, t)
         raise ValueError(f"no threshold for policy kind {self.kind!r}")
 
 

@@ -3,8 +3,15 @@
 Returns are drawn from the counter-based market streams, so an
 ensemble is fully determined by (market, policy, n_paths, seed) and
 any sub-block of paths reproduces bit-identically when sampled on its
-own.  Stored returns allow exact replay of the wealth recursion and
-pathwise comparison against the density-based wealth formula.
+own (``first_path`` names the block's first path).  Stored returns
+allow exact replay of the wealth recursion and pathwise comparison
+against the density-based wealth formula.
+
+:func:`summarize` computes the terminal statistics and the exceedance
+report of :func:`simulate` one block of ``_BLOCK`` paths at a time.  It
+keeps only the terminal wealth and a crossed flag per path, so its
+memory grows by 9 bytes a path rather than by the (n_paths, T, n)
+returns.
 """
 
 from __future__ import annotations
@@ -17,8 +24,15 @@ from .market import MarketSpec
 from .policy import Policy
 
 DEFAULT_PATHS = 1_000_000
-# paths drawn and replayed together; only memory locality depends on it
-_BLOCK = 250_000
+# paths drawn and replayed together, two draw-pool chunks; only memory
+# depends on it
+_BLOCK = 131_072
+
+
+def blocks(n_paths: int):
+    """(lo, hi) bounds of the blocks that cover paths [0, n_paths)."""
+    for lo in range(0, n_paths, _BLOCK):
+        yield lo, min(lo + _BLOCK, n_paths)
 
 
 @dataclass
@@ -41,32 +55,34 @@ class PathEnsemble:
 
 
 def simulate(policy: Policy, market: MarketSpec, n_paths: int = DEFAULT_PATHS,
-             seed: int = 0) -> PathEnsemble:
-    """Draw the returns and replay the wealth recursion on them.
+             seed: int = 0, first_path: int = 0) -> PathEnsemble:
+    """Draw the returns of paths [first_path, first_path + n_paths) and
+    replay the wealth recursion on them.
 
     Periods before the policy's start time get zero returns; the draws
     for path p at period t do not depend on the start time.
     """
     t0 = policy.start_time
-    returns = sample_returns(market, n_paths, seed)
+    returns = sample_returns(market, n_paths, seed, first_path)
     returns[:, :t0] = 0.0
     wealth = np.empty((n_paths, market.horizon + 1))
-    for lo in range(0, n_paths, _BLOCK):
-        hi = min(lo + _BLOCK, n_paths)
+    for lo, hi in blocks(n_paths):
         wealth[lo:hi] = replay_wealth(policy, market, returns[lo:hi])
     return PathEnsemble(wealth, returns, seed, policy.kind, start_time=t0)
 
 
-def sample_returns(market: MarketSpec, n_paths: int, seed: int) -> np.ndarray:
-    """Return draws for all periods without running a policy,
-    shape (n_paths, T, n).  Same streams as :func:`simulate`."""
+def sample_returns(market: MarketSpec, n_paths: int, seed: int,
+                   first_path: int = 0) -> np.ndarray:
+    """Return draws of paths [first_path, first_path + n_paths) for all
+    periods without running a policy, shape (n_paths, T, n).  Same
+    streams as :func:`simulate`."""
     market.validate()
     T, n = market.horizon, market.n_assets
     returns = np.empty((n_paths, T, n))
-    for lo in range(0, n_paths, _BLOCK):
-        hi = min(lo + _BLOCK, n_paths)
+    for lo, hi in blocks(n_paths):
         for t in range(T):
-            returns[lo:hi, t] = market.sample_block(t, seed, lo, hi)
+            returns[lo:hi, t] = market.sample_block(t, seed, first_path + lo,
+                                                    first_path + hi)
     return returns
 
 
@@ -103,19 +119,30 @@ def exceedance_prob(ensemble: PathEnsemble,
     ``thresholds_by_time`` maps time index t (1 <= t <= T) to the
     threshold level at that time.
     """
-    times = sorted(thresholds_by_time)
-    n = ensemble.n_paths
-    crossed = np.zeros(n, dtype=bool)
-    first_counts: dict[int, int] = {}
-    for t in times:
-        hit = ensemble.wealth[:, t] > thresholds_by_time[t]
+    crossed = np.zeros(ensemble.n_paths, dtype=bool)
+    counts = _mark_crossings(ensemble.wealth, thresholds_by_time, crossed)
+    return _exceedance_report(crossed, counts, thresholds_by_time)
+
+
+def _mark_crossings(wealth: np.ndarray, thresholds_by_time: dict,
+                    crossed: np.ndarray) -> dict:
+    """Set ``crossed`` on the paths whose wealth exceeds a threshold;
+    returns the number of first crossings at each time, in time order."""
+    counts: dict[int, int] = {}
+    for t in sorted(thresholds_by_time):
+        hit = wealth[:, t] > thresholds_by_time[t]
         new = hit & ~crossed
-        first_counts[t] = int(new.sum())
+        counts[t] = int(new.sum())
         crossed |= hit
+    return counts
+
+
+def _exceedance_report(crossed: np.ndarray, counts: dict,
+                       thresholds_by_time: dict) -> ExceedanceReport:
+    n = crossed.shape[0]
     p = float(crossed.mean())
     se = float(np.sqrt(max(p * (1.0 - p), 0.0) / n))
-    return ExceedanceReport(p, se, first_counts,
-                            dict(thresholds_by_time), n)
+    return ExceedanceReport(p, se, counts, dict(thresholds_by_time), n)
 
 
 def policy_thresholds(policy: Policy) -> dict:
@@ -141,7 +168,10 @@ def terminal_stats(ensemble: PathEnsemble) -> TerminalStats:
     The variance SE uses the fourth-moment formula
     sqrt((m4 - m2^2)/n), valid without normality assumptions.
     """
-    x = ensemble.wealth[:, -1]
+    return _terminal_stats(ensemble.wealth[:, -1])
+
+
+def _terminal_stats(x: np.ndarray) -> TerminalStats:
     n = x.shape[0]
     if n < 2:
         raise ValueError(f"terminal statistics need at least 2 paths, got {n}")
@@ -154,3 +184,29 @@ def terminal_stats(ensemble: PathEnsemble) -> TerminalStats:
                          float(np.sqrt(m2 / n)),
                          float(np.sqrt(max(m4 - m2 * m2, 0.0) / n)),
                          n)
+
+
+def summarize(policy: Policy, market: MarketSpec, n_paths: int,
+              seed: int) -> tuple[TerminalStats, ExceedanceReport | None]:
+    """:func:`terminal_stats` of ``simulate(policy, market, n_paths,
+    seed)``, and for a policy with thresholds its
+    ``exceedance_prob`` at :func:`policy_thresholds`, bit for bit.
+
+    Each block of paths is simulated and reduced to its terminal wealth
+    and crossed flags before the next is drawn.
+    """
+    thresholds = (policy_thresholds(policy)
+                  if policy.kind in ("precommitted", "truncated") else None)
+    terminal = np.empty(n_paths)
+    crossed = np.zeros(n_paths, dtype=bool)
+    counts = dict.fromkeys(sorted(thresholds or ()), 0)
+    for lo, hi in blocks(n_paths):
+        ensemble = simulate(policy, market, hi - lo, seed, first_path=lo)
+        terminal[lo:hi] = ensemble.wealth[:, -1]
+        for t, count in _mark_crossings(ensemble.wealth, thresholds or {},
+                                        crossed[lo:hi]).items():
+            counts[t] += count
+        del ensemble  # before the next block is drawn
+    report = (None if thresholds is None
+              else _exceedance_report(crossed, counts, thresholds))
+    return _terminal_stats(terminal), report

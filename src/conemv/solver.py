@@ -100,8 +100,8 @@ class SampleScreen:
 
     ``top[b]`` is the largest row norm in block b; ``moments[j]`` is the
     sum of a a', a = (1, P), over the ``rows[j]`` rows of the first j
-    blocks.  The drawn matrix is replaced by its permutation, and no
-    per-row array besides ``points`` is kept.
+    blocks.  ``points`` is the drawn matrix's row permutation, and no
+    other per-row array is kept.
     """
 
     def __init__(self, drawn: np.ndarray):
@@ -112,9 +112,9 @@ class SampleScreen:
         ranked = np.take(norms, order)
         if np.any(ranked[1:] == ranked[:-1]):
             order = np.argsort(norms, kind="stable")
-        # in place (np.take buffers the overlap): the caller's reference
-        # to the draw keeps no second copy alive
-        self.points = pts = np.take(drawn, order, axis=0, out=drawn)
+        # out of place: a take into ``drawn`` itself would buffer the
+        # overlap in a second sample-sized array and copy it back
+        self.points = pts = np.take(drawn, order, axis=0)
         del norms, order
         n_rows, n = pts.shape
         ends = np.minimum(np.arange(1, -(-n_rows // _SCREEN_BLOCK) + 1)
@@ -177,8 +177,9 @@ class SaaBackend:
         self.seed = int(seed)
         self._cache: dict[int, SampleScreen] = {}
         # T - 1 frozen samples plus the peak while the last is drawn
-        # (uniforms, normals, their product and the Student-t scale:
-        # 3n + 2 doubles a row)
+        # (uniforms, their product and the Student-t scale) or sorted
+        # (the draw, its permutation, norms and order): at most 3n + 2
+        # doubles a row
         require_memory(8 * self.sample_count * ((market.horizon + 2)
                                                 * market.n_assets + 2),
                        f"{self.sample_count} SAA samples")

@@ -26,7 +26,7 @@ import numpy as np
 
 from .errors import BackendMismatch, InsufficientConditioningEvents
 from .market import MarketSpec
-from .policy import mu_star
+from .policy import mu_star, wealth_threshold
 from .solver import RecursionTable
 
 _SUP_TOL = 1e-10
@@ -168,15 +168,14 @@ def conditional_consistency_check(ensemble, table: RecursionTable,
     periods need ``backend``, the SAA backend that solved ``table``.
     """
     mu = mu_star(table, x0, d)
-    g = d - mu
     T = table.horizon
     wealth = ensemble.wealth
     report = ConsistencyReport(ok=True)
     any_checked = False
     for t in range(ensemble.start_time, T):
         probs = transition_probs(table, market, t, backend=backend)
-        w_now = g / table.rho(t)
-        w_next = g / table.rho(t + 1)
+        w_now = wealth_threshold(table, d, mu, t)
+        w_next = wealth_threshold(table, d, mu, t + 1)
         below = wealth[:, t] < w_now
         above = wealth[:, t] > w_now
         boundary = ~below & ~above

@@ -74,14 +74,17 @@ def density_for_paths(table: RecursionTable, returns: np.ndarray) -> np.ndarray:
     """Terminal densities for a batch of paths, shape (n_paths,).
 
     The recursion of :func:`density_factors`, keeping only the running
-    product.
+    product, with the branch factors formed in place.
     """
     returns = _check_returns(table, returns)
     partial = np.ones(returns.shape[0])
     for t in range(table.horizon):
-        y_plus = returns[:, t, :] @ table.k_plus[t]
-        y_minus = returns[:, t, :] @ table.k_minus[t]
-        partial *= np.where(partial >= 0.0, 1.0 - y_plus, 1.0 + y_minus)
+        b_plus = returns[:, t, :] @ table.k_plus[t]
+        np.subtract(1.0, b_plus, out=b_plus)
+        b = returns[:, t, :] @ table.k_minus[t]
+        b += 1.0
+        np.copyto(b, b_plus, where=partial >= 0.0)  # ties to the + branch
+        partial *= b
     partial /= table.c_plus[0]
     return partial
 

@@ -2,16 +2,19 @@
 
 import csv
 import dataclasses
+import gc
 import io
 import json
 import subprocess
 import sys
+import tracemalloc
 from pathlib import Path
 from types import SimpleNamespace
 
+import numpy as np
 import pytest
 
-from conemv import cli, solver
+from conemv import cli, sim, solver, vssm
 from conemv.config import parse_config
 
 from conftest import nested
@@ -423,6 +426,141 @@ class TestSimulate:
         assert payload["terminal"]["variance"] == 0.0
 
 
+STREAM_POLICIES = {
+    "precommitted": {"kind": "precommitted", "x0": 1.0, "d": 1.35},
+    "truncated": {"kind": "truncated", "x0": 1.0, "d": 1.35, "k": 1,
+                  "x_k": 1.1, "d_k": 1.4},
+    "minimum_variance": {"kind": "minimum_variance", "x0": 1.0},
+    "time_consistent": {"kind": "time_consistent", "x0": 1.0, "d": 1.35},
+}
+STREAM_PATHS = 703
+# one block, then 1, 2, 3 and 7 whole blocks and a remainder
+STREAM_BLOCKS = [10_000, 702, 351, 234, 100]
+
+
+class TestStreaming:
+    """simulate and vssm reduce one block of paths at a time; their
+    payloads equal those of the whole ensemble, bit for bit."""
+
+    def config(self, tmp_path, policy="precommitted"):
+        cfg = json.loads((CONFIGS / "three_index_limited_short_gaussian.json")
+                         .read_text())
+        cfg["numerics"]["samples"] = 5_000
+        cfg["policy"] = STREAM_POLICIES[policy]
+        return cfg, write_config(tmp_path, cfg)
+
+    def run_blocks(self, monkeypatch, capsys, argv, expected):
+        for block in STREAM_BLOCKS:
+            monkeypatch.setattr(sim, "_BLOCK", block)
+            assert cli.main(argv) == 0
+            assert json.loads(capsys.readouterr().out) == expected, block
+
+    @staticmethod
+    def as_json(payload):
+        return json.loads(json.dumps(payload, default=cli._json_default))
+
+    @pytest.mark.parametrize("policy", list(STREAM_POLICIES))
+    def test_simulate_payload_equals_the_whole_ensemble(
+            self, tmp_path, monkeypatch, capsys, policy):
+        data, path = self.config(tmp_path, policy)
+        cfg = parse_config(data)
+        pol = cli._build_policy(cfg, cli._solve_table(cfg))
+        ens = sim.simulate(pol, cfg.market, STREAM_PATHS, cfg.seed)
+        expected = {"policy": policy, "n_paths": STREAM_PATHS,
+                    "seed": cfg.seed,
+                    "terminal": cli._fields(sim.terminal_stats(ens),
+                                            "n_paths")}
+        if policy in ("precommitted", "truncated"):
+            thresholds = sim.policy_thresholds(pol)
+            assert thresholds  # a crossing time to count
+            expected["exceedance"] = cli._fields(
+                sim.exceedance_prob(ens, thresholds), "n_paths")
+        self.run_blocks(monkeypatch, capsys,
+                        ["simulate", "--config", path, "--paths",
+                         str(STREAM_PATHS)], self.as_json(expected))
+
+    def test_vssm_payload_equals_the_whole_ensemble(self, tmp_path,
+                                                    monkeypatch, capsys):
+        data, path = self.config(tmp_path)
+        argv = ["vssm", "--config", path, "--paths", str(STREAM_PATHS)]
+        assert cli.main(argv) == 0
+        expected = json.loads(capsys.readouterr().out)
+        cfg = parse_config(data)
+        dens = vssm.density_for_paths(
+            cli._solve_table(cfg),
+            sim.sample_returns(cfg.market, STREAM_PATHS, cfg.seed))
+        n = STREAM_PATHS
+        assert expected["monte_carlo"] == self.as_json({
+            "n_paths": n, "seed": cfg.seed, "mean": dens.mean(),
+            "se_mean": dens.std(ddof=1) / np.sqrt(n),
+            "second_moment": (dens ** 2).mean(),
+            "se_second_moment": (dens ** 2).std(ddof=1) / np.sqrt(n),
+            "negative_fraction": (dens < 0).mean(),
+            "zero_density_paths": int((dens == 0.0).sum())})
+        self.run_blocks(monkeypatch, capsys, argv, expected)
+
+    @pytest.mark.parametrize("command", ["simulate", "vssm"])
+    def test_monte_carlo_peak_stays_within_its_preflight(
+            self, tmp_path, monkeypatch, capsys, command):
+        """What the Monte Carlo allocates after the solve, at its peak,
+        is within what the path preflight counts."""
+        data = json.loads((CONFIGS / "three_index_limited_short_student_t"
+                           ".json").read_text())
+        data["numerics"]["samples"] = 5_000
+        path = write_config(tmp_path, data)
+        monkeypatch.setattr(sim, "_BLOCK", 20_000)
+        needs, base = [], []
+        monkeypatch.setattr(cli, "require_memory",
+                            lambda need, what: needs.append(need))
+        solve = cli._solve_table
+
+        def solve_then_reset(*args):
+            table = solve(*args)
+            base.append(tracemalloc.get_traced_memory()[0])
+            tracemalloc.reset_peak()
+            return table
+
+        monkeypatch.setattr(cli, "_solve_table", solve_then_reset)
+        tracemalloc.start()
+        try:
+            assert cli.main([command, "--config", path,
+                             "--paths", "50000"]) == 0
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        capsys.readouterr()
+        assert len(needs) == 1 and peak - base[0] <= needs[0]
+
+    @pytest.mark.parametrize("command", ["simulate", "vssm"])
+    def test_backend_freed_before_the_monte_carlo(
+            self, tmp_path, monkeypatch, capsys, command):
+        # the frozen SAA samples are dead weight once the table is solved
+        held = [o for o in gc.get_objects()
+                if isinstance(o, solver.SaaBackend)]
+
+        def new_backends():
+            gc.collect()
+            return [o for o in gc.get_objects()
+                    if isinstance(o, solver.SaaBackend)
+                    and not any(o is h for h in held)]
+
+        seen = []
+
+        def checked(fn):
+            def wrapper(*args, **kwargs):
+                seen.append(len(new_backends()))
+                return fn(*args, **kwargs)
+            return wrapper
+
+        monkeypatch.setattr(sim, "simulate", checked(sim.simulate))
+        monkeypatch.setattr(sim, "sample_returns",
+                            checked(sim.sample_returns))
+        path = write_config(tmp_path, saa_config())
+        assert cli.main([command, "--config", path, "--paths", "500"]) == 0
+        capsys.readouterr()
+        assert seen and not any(seen), seen
+
+
 class TestTcie:
 
     def test_coin_market_verdict_true(self, tmp_path):
@@ -607,6 +745,28 @@ class TestBadCounts:
         path = write_config(tmp_path, coin_config())
         res = run_cli(command, "--config", path, "--paths", "10000000000")
         self.assert_config_error(res, "10000000000 paths need about")
+
+    @pytest.mark.parametrize("command, extra", [("simulate", 4),
+                                                ("vssm", 6)])
+    def test_paths_within_the_streamed_preflight(
+            self, tmp_path, monkeypatch, capsys, command, extra):
+        """A path count that the whole-ensemble preflight, (n, T, n)
+        returns and ``extra`` doubles a path, refused now runs: only one
+        block of returns is held."""
+        paths = 20_000
+        monkeypatch.setattr(sim, "_BLOCK", 1_000)
+        argv = [command, "--config", write_config(tmp_path, saa_config()),
+                "--paths", str(paths)]
+        whole = 8 * paths * (1 + extra)  # T = n = 1
+        monkeypatch.setattr(solver, "_available_bytes", lambda: whole - 1)
+        assert cli.main(argv) == 0
+        assert json.loads(capsys.readouterr().out)
+        monkeypatch.setattr(solver, "_available_bytes", lambda: 8 * paths)
+        code = cli.main(argv)
+        out, err = capsys.readouterr()
+        self.assert_config_error(
+            SimpleNamespace(returncode=code, stdout=out, stderr=err),
+            f"{paths} paths need about")
 
     def test_tree_beyond_memory(self, tmp_path, monkeypatch, capsys):
         """vssm refuses to enumerate the 6**12 paths of a 12-period tree

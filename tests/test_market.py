@@ -372,6 +372,31 @@ class TestSampling:
         np.testing.assert_array_equal(whole, split)
 
     @pytest.mark.parametrize("family", ["gaussian", "student_t"])
+    @pytest.mark.parametrize("lo, hi", [(0, 1), (7, 20), (1, 1_000),
+                                        (100, 140_100)])
+    def test_draws_match_the_out_of_place_transform(self, family, lo, hi):
+        # sample_block writes the normals over their uniforms and takes
+        # the product from that strided block; the draws must equal the
+        # transform on a separate normal array, bit for bit
+        period = three_index_market(family).periods[0]
+        n = period.n_assets
+        u = rng.uniform_block(4, rng.STREAM_SIM, 2, lo, hi, n + 1)
+        z = special.ndtri(u[:, :n])
+        scale = period.cov
+        if family == "student_t":
+            scale = period.cov * (period.df - 2.0) / period.df
+        chol = np.linalg.cholesky(scale)
+        if hi - lo == 1:
+            z = np.repeat(z, 2, axis=0)  # as sample_block: gemm, not gemv
+        expected = (z @ chol.T)[:hi - lo]
+        if family == "student_t":
+            chi2 = market_module.gammaincinv(period.df / 2.0, u[:, n])
+            expected /= np.sqrt(chi2 * 2.0 / period.df)[:, None]
+        expected += period.mean
+        np.testing.assert_array_equal(
+            period.sample_block(4, rng.STREAM_SIM, 2, lo, hi), expected)
+
+    @pytest.mark.parametrize("family", ["gaussian", "student_t"])
     def test_one_row_blocks_match_the_whole_block(self, family):
         market = three_index_market(family)
         whole = market.sample_block(0, seed=3, lo=0, hi=2_000)

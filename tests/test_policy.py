@@ -15,6 +15,7 @@ from conemv.policy import (
     time_consistent,
     time_consistent_aux,
     truncated,
+    wealth_threshold,
 )
 from conemv.solver import (
     ExactDiscreteBackend,
@@ -253,6 +254,40 @@ class TestPolicies:
         for i, x in enumerate(xs):
             np.testing.assert_allclose(block[i], pol.control(1, float(x)),
                                        rtol=1e-15)
+
+    @pytest.mark.parametrize("kind", ["precommitted", "truncated"])
+    def test_control_equals_the_two_branch_formula_bitwise(
+            self, gauss_unc_table, kind):
+        # u = c K^+ for c >= 0 and -c K^- below, c = s_t (threshold - x):
+        # the gather-and-scale control must give these very bits, on
+        # both branches and for wealth exactly at the threshold
+        table = gauss_unc_table
+        pol = (precommitted(table, 1.0, 1.35) if kind == "precommitted"
+               else truncated(table, 1, 1.1, 1.4))
+        rng = np.random.default_rng(4)
+        for t in range(pol.start_time, 3):
+            x = rng.normal(pol.threshold(t), 0.3, size=1_001)
+            x[::7] = pol.threshold(t)
+            coeff = table.riskless_rates[t] * (pol.threshold(t) - x)
+            old = np.where((coeff >= 0.0)[:, None],
+                           coeff[:, None] * table.k_plus[t],
+                           -coeff[:, None] * table.k_minus[t])
+            new = pol.control(t, x)
+            assert np.array_equal(new.view(np.int64), old.view(np.int64))
+            assert (coeff == 0.0).sum() == 143 and (coeff > 0.0).any() \
+                and (coeff < 0.0).any()
+
+    def test_thresholds_share_one_formula(self, gauss_unc_table):
+        # Policy.threshold and the CLI's and tcie's thresholds all read
+        # wealth_threshold, which also serves targets below rho_0 x0
+        pol = precommitted(gauss_unc_table, 1.0, 1.35)
+        for t in range(4):
+            assert pol.threshold(t) == wealth_threshold(
+                gauss_unc_table, 1.35, pol.mu, t) == \
+                (1.35 - pol.mu) / gauss_unc_table.rho(t)
+        mu = mu_star(gauss_unc_table, 1.0, 1.0)
+        assert wealth_threshold(gauss_unc_table, 1.0, mu, 0) == \
+            (1.0 - mu) / gauss_unc_table.rho(0)
 
     def test_precommitted_rejects_target_below_riskless(self,
                                                         gauss_unc_table):

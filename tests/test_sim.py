@@ -70,6 +70,15 @@ class TestDeterminism:
             assert np.array_equal(a.wealth, c.wealth)
             assert np.array_equal(a.returns, c.returns)
 
+    def test_first_path_offsets_the_block(self, truncated_policy):
+        market, table, pol = truncated_policy
+        whole = simulate(pol, market, n_paths=900, seed=3)
+        part = simulate(pol, market, n_paths=250, seed=3, first_path=600)
+        assert np.array_equal(part.wealth, whole.wealth[600:850])
+        assert np.array_equal(part.returns, whole.returns[600:850])
+        assert np.array_equal(sample_returns(market, 250, 3, first_path=600),
+                              sample_returns(market, 900, 3)[600:850])
+
     def test_metadata_recorded(self, gauss2_policy):
         market, table, pol = gauss2_policy
         ens = simulate(pol, market, n_paths=100, seed=11)
@@ -298,3 +307,24 @@ class TestTerminalStats:
         ens = simulate(pol, market, n_paths=50_000, seed=13)
         stats = terminal_stats(ens)
         assert stats.mean == pytest.approx(d, abs=4 * stats.se_mean)
+
+
+class TestSummarize:
+
+    @pytest.mark.parametrize("block", [10_000, 333, 100])
+    def test_equals_the_whole_ensemble(self, gauss2_policy, monkeypatch,
+                                       block):
+        market, table, pol = gauss2_policy
+        ens = simulate(pol, market, n_paths=1000, seed=6)
+        monkeypatch.setattr(sim, "_BLOCK", block)
+        stats, report = sim.summarize(pol, market, 1000, 6)
+        assert stats == terminal_stats(ens)
+        assert report == exceedance_prob(ens, policy_thresholds(pol))
+        assert report.first_crossing_counts[1] > 0
+
+    def test_no_report_without_thresholds(self, gauss2_table):
+        market, table = gauss2_table
+        pol = minimum_variance(table, x0=1.0)
+        stats, report = sim.summarize(pol, market, 500, 2)
+        assert report is None
+        assert stats == terminal_stats(simulate(pol, market, 500, 2))
