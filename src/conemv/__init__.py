@@ -10,8 +10,7 @@ and seeded Monte Carlo (:mod:`conemv.sim`).
 
 from .cones import ConvexCone, construct_tcie_cone
 from .errors import (BackendMismatch, ConemvError, ConfigError,
-                     ConsistencyError, DimensionMismatch,
-                     InsufficientConditioningEvents, InsufficientMemory,
+                     ConsistencyError, DimensionMismatch, InsufficientMemory,
                      InvalidCone, InvalidMarket, InvalidTarget, NoConvergence,
                      TargetUnattainable, ZeroMeanExcess)
 from .market import MarketSpec, PeriodDistribution, from_annual_table
@@ -22,8 +21,7 @@ from .solver import (ExactDiscreteBackend, RecursionTable, SaaBackend,
                      SolverOptions, backward_recursion, dual_value,
                      linear_form, make_backend, minimize_over_cone,
                      unconstrained_table, value_function)
-from .tcie import (TcieVerdict, check_tcie, conditional_consistency_check,
-                   transition_probs)
+from .tcie import TcieVerdict, check_tcie, transition_probs
 from .vssm import (conditional_expectation, density_for_paths,
                    density_factors, duality_terminal_wealth,
                    exact_density_moments, implied_wealth_path,

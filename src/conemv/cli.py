@@ -109,23 +109,20 @@ def _load_config(args):
 def _require_path_memory(cfg, n_paths: int, kept: int) -> None:
     """Refuse, before the solve, a path count whose ``kept`` bytes a
     path plus one block of paths do not fit.  A block holds its
-    (block, T, n) returns, two copies of its (block, T + 1) wealth (the
-    ensemble's and the replay's) and at most 2n + 5 doubles a path of
-    temporaries: a draw's uniforms, product and Student-t scale, or a
-    control step's gains, coefficients and next wealth."""
+    (block, T, n) returns, its (block, T + 1) wealth and at most 2n + 5
+    doubles a path of temporaries: a draw's uniforms, product and
+    Student-t scale, or a control step's gains, coefficients and next
+    wealth."""
     T, n = cfg.market.horizon, cfg.market.n_assets
-    per_path = T * n + 2 * (T + 1) + 2 * n + 5
+    per_path = T * n + T + 1 + 2 * n + 5
     require_memory(kept * n_paths + 8 * min(n_paths, sim._BLOCK) * per_path,
                    f"{n_paths} paths")
 
 
-def _solve_table(cfg, backend=None):
-    """The recursion table, from ``backend`` or from a new backend
-    that, with its frozen samples, is freed on return."""
-    if backend is None:
-        backend = cfg.make_backend()
-    return backward_recursion(cfg.market, cfg.cones, backend,
-                              cfg.solver_options)
+def _solve_table(cfg):
+    """The recursion table, from a new backend that, with its frozen
+    samples, is freed on return."""
+    return backward_recursion(cfg.market, cfg.cones, cfg.make_backend())
 
 
 def _build_policy(cfg, table):
@@ -235,7 +232,7 @@ def cmd_simulate(args) -> int:
 def cmd_tcie(args) -> int:
     cfg = _load_config(args)
     backend = cfg.make_backend()  # transition_probs reads its samples
-    table = _solve_table(cfg, backend)
+    table = backward_recursion(cfg.market, cfg.cones, backend)
     payload = dataclasses.asdict(tcie.check_tcie(table, cfg.market))
     for period in payload["periods"]:
         period["transition"] = _fields(tcie.transition_probs(

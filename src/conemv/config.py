@@ -7,8 +7,7 @@ A configuration has four sections:
   broadcast over all periods;
 * ``cones``    -- one cone fragment, or a list with one per period;
 * ``policy``   -- kind plus initial wealth and mean target;
-* ``numerics`` -- expectation backend, SAA sample count and seed, and
-  the solve's tolerance and iteration budget.
+* ``numerics`` -- expectation backend, SAA sample count and seed.
 
 Unknown keys in any section are rejected first, so a typo is reported
 as one; then a boolean anywhere, or a string outside the name keys
@@ -18,19 +17,19 @@ as one; then a boolean anywhere, or a string outside the name keys
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Optional
 
 from .cones import ConvexCone, cones_per_period
 from .errors import ConfigError, DimensionMismatch
 from .market import MarketSpec, PeriodDistribution
-from .solver import SolverOptions, make_backend
+from .solver import make_backend
 
 _MARKET_KEYS = {"horizon", "riskless_rates", "family", "df", "mean",
                 "covariance", "atoms"}
 _CONE_KEYS = {"type", "normal", "A"}
 _POLICY_KEYS = {"kind", "x0", "d", "k", "d_k", "x_k"}
-_NUMERICS_KEYS = {"backend", "samples", "seed", "tol", "max_iter"}
+_NUMERICS_KEYS = {"backend", "samples", "seed"}
 _SECTION_KEYS = {"market": _MARKET_KEYS, "cones": _CONE_KEYS,
                  "policy": _POLICY_KEYS, "numerics": _NUMERICS_KEYS}
 _NAME_KEYS = {"family", "type", "kind", "backend"}
@@ -51,7 +50,6 @@ class RunConfig:
     backend_kind: str = "saa"
     samples: int = 1_000_000
     seed: int = 0
-    solver_options: SolverOptions = field(default_factory=SolverOptions)
 
     def make_backend(self):
         return make_backend(self.market, self.backend_kind, self.samples,
@@ -216,11 +214,6 @@ def parse_config(data: dict) -> RunConfig:
             f"exact backend needs a discrete market, not {family}")
     cfg.samples = _number(numerics, "samples", 1_000_000, int)
     cfg.seed = checked_seed(_number(numerics, "seed", 0, int))
-    cfg.solver_options = SolverOptions(
-        tol=_number(numerics, "tol", 1e-8),
-        max_iter=_number(numerics, "max_iter", 5000, int))
-    if cfg.solver_options.tol <= 0 or cfg.solver_options.max_iter < 1:
-        raise ConfigError("numerics tol/max_iter out of range")
     if cfg.backend_kind == "saa" and cfg.samples < 2:
         raise ConfigError("saa backend needs samples >= 2")
     return cfg

@@ -48,10 +48,6 @@ class BackendMismatch(ConemvError):
     """Operation requires a different expectation backend (e.g. exact only)."""
 
 
-class InsufficientConditioningEvents(ConemvError):
-    """Too few simulated paths in a conditioning set for a stable estimate."""
-
-
 class InsufficientMemory(ConemvError):
     """A requested computation would not fit in the available memory."""
 

@@ -65,10 +65,8 @@ def simulate(policy: Policy, market: MarketSpec, n_paths: int = DEFAULT_PATHS,
     t0 = policy.start_time
     returns = sample_returns(market, n_paths, seed, first_path)
     returns[:, :t0] = 0.0
-    wealth = np.empty((n_paths, market.horizon + 1))
-    for lo, hi in blocks(n_paths):
-        wealth[lo:hi] = replay_wealth(policy, market, returns[lo:hi])
-    return PathEnsemble(wealth, returns, seed, policy.kind, start_time=t0)
+    return PathEnsemble(replay_wealth(policy, market, returns), returns, seed,
+                        policy.kind, start_time=t0)
 
 
 def sample_returns(market: MarketSpec, n_paths: int, seed: int,
@@ -88,17 +86,22 @@ def sample_returns(market: MarketSpec, n_paths: int, seed: int,
 
 def replay_wealth(policy: Policy, market: MarketSpec,
                   returns: np.ndarray) -> np.ndarray:
-    """Replay wealth from ``policy.x_start`` on stored returns, no draws."""
+    """Replay wealth from ``policy.x_start`` on stored returns, no draws.
+
+    The paths are replayed one block at a time into the returned
+    (n_paths, T + 1) array, so the control's temporaries are those of
+    one block."""
     n_paths, T = returns.shape[0], returns.shape[1]
     wealth = np.empty((n_paths, T + 1))
     t0 = policy.start_time
     wealth[:, :t0 + 1] = policy.x_start
-    x = np.full(n_paths, float(policy.x_start))
-    for t in range(t0, T):
-        u = policy.control(t, x)
-        x = market.riskless_rates[t] * x + np.einsum("ij,ij->i",
-                                                     returns[:, t], u)
-        wealth[:, t + 1] = x
+    for lo, hi in blocks(n_paths):
+        x = np.full(hi - lo, float(policy.x_start))
+        for t in range(t0, T):
+            u = policy.control(t, x)
+            x = market.riskless_rates[t] * x + np.einsum(
+                "ij,ij->i", returns[lo:hi, t], u)
+            wealth[lo:hi, t + 1] = x
     return wealth
 
 

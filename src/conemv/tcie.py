@@ -24,13 +24,11 @@ from typing import Optional
 
 import numpy as np
 
-from .errors import BackendMismatch, InsufficientConditioningEvents
+from .errors import BackendMismatch
 from .market import MarketSpec
-from .policy import mu_star, wealth_threshold
 from .solver import RecursionTable
 
 _SUP_TOL = 1e-10
-_MIN_COUNT = 100  # paths a conditioning cell needs to be judged
 
 
 @dataclass
@@ -134,79 +132,3 @@ def transition_probs(table: RecursionTable, market: MarketSpec, t: int,
     p_return = prob(y_minus <= -1.0)
     return TransitionProbs(t, p_below, 1.0 - p_below, p_return,
                            1.0 - p_return, se)
-
-
-@dataclass
-class ConditioningCell:
-    t: int
-    side: str              # below | above | boundary
-    count: int
-    empirical: Optional[float]
-    theoretical: Optional[float]
-    tolerance: Optional[float]
-    checked: bool
-    ok: bool
-
-
-@dataclass
-class ConsistencyReport:
-    ok: bool
-    cells: list = field(default_factory=list)
-
-
-def conditional_consistency_check(ensemble, table: RecursionTable,
-                                  market: MarketSpec, x0: float, d: float,
-                                  backend=None) -> ConsistencyReport:
-    """Compare simulated one-step threshold transitions with theory.
-
-    For paths strictly below the threshold at t the probability of
-    staying (weakly) below at t+1 must equal Pr(P'K^+ <= 1); strictly
-    above, the probability of returning equals Pr(P'K^- <= -1); paths
-    exactly on the threshold stay there.  Cells with fewer than
-    ``_MIN_COUNT`` paths are recorded but not judged; if no cell is
-    checkable the ensemble is too small to say anything.  Continuous
-    periods need ``backend``, the SAA backend that solved ``table``.
-    """
-    mu = mu_star(table, x0, d)
-    T = table.horizon
-    wealth = ensemble.wealth
-    report = ConsistencyReport(ok=True)
-    any_checked = False
-    for t in range(ensemble.start_time, T):
-        probs = transition_probs(table, market, t, backend=backend)
-        w_now = wealth_threshold(table, d, mu, t)
-        w_next = wealth_threshold(table, d, mu, t + 1)
-        below = wealth[:, t] < w_now
-        above = wealth[:, t] > w_now
-        boundary = ~below & ~above
-        next_below_eq = wealth[:, t + 1] <= w_next
-        for side, mask, theo in (("below", below, probs.stay_below),
-                                 ("above", above, probs.return_from_above)):
-            count = int(mask.sum())
-            if count < _MIN_COUNT:
-                report.cells.append(ConditioningCell(
-                    t, side, count, None, theo, None, False, True))
-                continue
-            emp = float(next_below_eq[mask].mean())
-            se = np.sqrt(max(theo * (1.0 - theo), 1e-12) / count)
-            tol = 4.0 * se + probs.standard_error * 4.0
-            ok = abs(emp - theo) <= tol
-            report.cells.append(ConditioningCell(
-                t, side, count, emp, theo, tol, True, ok))
-            report.ok = report.ok and ok
-            any_checked = True
-        count_b = int(boundary.sum())
-        if count_b:
-            # riskless roll-up of a boundary state, up to rounding
-            slack = 1e-12 * max(1.0, abs(w_next))
-            emp = float((np.abs(wealth[boundary, t + 1] - w_next)
-                         <= slack).mean())
-            ok = emp == 1.0
-            report.cells.append(ConditioningCell(
-                t, "boundary", count_b, emp, 1.0, 0.0, True, ok))
-            report.ok = report.ok and ok
-            any_checked = True
-    if not any_checked:
-        raise InsufficientConditioningEvents(
-            f"no conditioning set reached {_MIN_COUNT} paths")
-    return report

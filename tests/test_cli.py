@@ -915,6 +915,13 @@ class TestMalformedNumbers:
         path = write_config(tmp_path, cfg)
         self.assert_exits_2(run_cli("solve", "--config", path))
 
+    def test_solver_tolerance_is_an_unknown_key(self, tmp_path):
+        cfg = coin_config()
+        cfg["numerics"]["tol"] = 1e-08
+        res = run_cli("solve", "--config", write_config(tmp_path, cfg))
+        assert res.returncode == 2
+        assert res.stderr == "error: unknown keys in 'numerics': ['tol']\n"
+
     @pytest.mark.parametrize("seed", [-1, 2**64])
     def test_seed_flag_outside_the_key_word(self, tmp_path, seed):
         path = write_config(tmp_path, coin_config())

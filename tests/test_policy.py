@@ -278,7 +278,7 @@ class TestPolicies:
                 and (coeff < 0.0).any()
 
     def test_thresholds_share_one_formula(self, gauss_unc_table):
-        # Policy.threshold and the CLI's and tcie's thresholds all read
+        # Policy.threshold and the CLI's thresholds both read
         # wealth_threshold, which also serves targets below rho_0 x0
         pol = precommitted(gauss_unc_table, 1.0, 1.35)
         for t in range(4):

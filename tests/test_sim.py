@@ -1,12 +1,15 @@
 """Path simulation: determinism, replay identities, crossing statistics."""
 
+import tracemalloc
+
 import numpy as np
 import pytest
 
 from conftest import random_tree_market
 from conemv import sim
 from conemv.market import MarketSpec, PeriodDistribution
-from conemv.solver import SolverOptions, backward_recursion, make_backend
+from conemv.solver import (SolverOptions, backward_recursion, make_backend,
+                           unconstrained_table)
 from conemv.cones import ConvexCone
 from conemv.policy import (Policy, minimum_variance, precommitted, truncated,
                            mu_star)
@@ -119,6 +122,21 @@ class TestReplay:
         wealth = replay_wealth(pol_mv, market, raw)
         rho0 = table.rho(0)
         assert np.allclose(wealth[:, -1], rho0 * 1.0, atol=1e-12)
+
+    def test_one_block_holds_its_wealth_once(self, three_t):
+        """A block's peak is its returns, one (block, T + 1) wealth array
+        and at most 2n + 5 doubles a path of draw or control temporaries,
+        the count the CLI's path preflight makes."""
+        pol = precommitted(unconstrained_table(three_t), 1.0, 1.35)
+        simulate(pol, three_t, n_paths=10, seed=3)  # imports and tables
+        T, n = three_t.horizon, three_t.n_assets
+        tracemalloc.start()
+        try:
+            simulate(pol, three_t, n_paths=sim._BLOCK, seed=3)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak <= 8 * sim._BLOCK * (T * n + T + 1 + 2 * n + 5)
 
     def test_minimum_variance_terminal_wealth_exact(self, gauss2_table):
         market, table = gauss2_table
