@@ -16,10 +16,11 @@ import time
 import numpy as np
 
 from conemv.policy import (frontier_point, mu_star, precommitted,
-                           tc_frontier_point, time_consistent_aux)
+                           tc_frontier_point, time_consistent_aux,
+                           wealth_threshold)
 from conemv.presets import (limited_short_cone, mean_half_space_cone,
                             three_index_market, unconstrained_cone)
-from conemv.sim import exceedance_prob, policy_thresholds, simulate, terminal_stats
+from conemv.sim import summarize
 from conemv.solver import SaaBackend, backward_recursion, unconstrained_table
 from conemv.tcie import check_tcie
 
@@ -80,16 +81,13 @@ def main() -> int:
             mu = mu_star(table, args.x0, args.target)
             verdict = check_tcie(table, market)
             pol = precommitted(table, args.x0, args.target)
-            ensemble = simulate(pol, market, n_paths=args.paths,
-                                seed=args.seed)
-            stats = terminal_stats(ensemble)
-            crossing = exceedance_prob(ensemble, policy_thresholds(pol))
+            stats, crossing = summarize(pol, market, args.paths, args.seed)
 
             summary[tag] = {
                 "k_plus_0": table.k_plus[0].tolist(),
                 "c_plus_0": float(table.c_plus[0]),
                 "mu_star": mu,
-                "threshold_t0": (args.target - mu) / table.rho(0),
+                "threshold_t0": wealth_threshold(table, args.target, mu, 0),
                 "tcie": verdict.is_tcie,
                 "tcie_reason": verdict.reason,
                 "terminal_mean": stats.mean,

@@ -19,8 +19,8 @@ from .policy import (Policy, frontier_point, induced_target, minimum_variance,
                      time_consistent, time_consistent_aux, truncated)
 from .solver import (ExactDiscreteBackend, RecursionTable, SaaBackend,
                      SolverOptions, backward_recursion, dual_value,
-                     linear_form, make_backend, minimize_over_cone,
-                     unconstrained_table, value_function)
+                     linear_form, minimize_over_cone, unconstrained_table,
+                     value_function)
 from .tcie import TcieVerdict, check_tcie, transition_probs
 from .vssm import (conditional_expectation, density_for_paths,
                    density_factors, duality_terminal_wealth,

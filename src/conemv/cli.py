@@ -38,19 +38,6 @@ _CONFIG_ERRORS = (ConfigError, InvalidMarket, InvalidCone, InsufficientMemory)
 _FRONTIER_POINT_BYTES = 2048
 
 
-def _json_default(obj):
-    if isinstance(obj, (np.floating, np.integer)):
-        return obj.item()
-    if isinstance(obj, np.ndarray):
-        return obj.tolist()
-    raise TypeError(f"not JSON serializable: {type(obj)!r}")
-
-
-def _fields(record, drop: str) -> dict:
-    """A library record as a JSON object, without the field ``drop``."""
-    return {k: v for k, v in dataclasses.asdict(record).items() if k != drop}
-
-
 def _emit(text: str, out_path) -> None:
     if out_path:
         try:
@@ -66,7 +53,7 @@ def _emit(text: str, out_path) -> None:
 
 
 def _emit_json(payload, out_path) -> None:
-    _emit(json.dumps(payload, indent=2, default=_json_default), out_path)
+    _emit(json.dumps(payload, indent=2), out_path)
 
 
 def _check_out(out_path) -> None:
@@ -221,10 +208,10 @@ def cmd_simulate(args) -> int:
         "policy": cfg.policy_kind,
         "n_paths": args.paths,
         "seed": cfg.seed,
-        "terminal": _fields(stats, "n_paths"),
+        "terminal": dataclasses.asdict(stats),
     }
     if report is not None:
-        payload["exceedance"] = _fields(report, "n_paths")
+        payload["exceedance"] = dataclasses.asdict(report)
     _emit_json(payload, args.out)
     return 0
 
@@ -235,8 +222,8 @@ def cmd_tcie(args) -> int:
     table = backward_recursion(cfg.market, cfg.cones, backend)
     payload = dataclasses.asdict(tcie.check_tcie(table, cfg.market))
     for period in payload["periods"]:
-        period["transition"] = _fields(tcie.transition_probs(
-            table, cfg.market, period["t"], backend=backend), "t")
+        period["transition"] = dataclasses.asdict(tcie.transition_probs(
+            table, cfg.market, period["t"], backend=backend))
     try:
         mu = policy_mod.mu_star(table, cfg.x0, cfg.d)
         payload["thresholds"] = _thresholds(cfg, table, mu)

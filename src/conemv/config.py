@@ -23,7 +23,7 @@ from typing import Optional
 from .cones import ConvexCone, cones_per_period
 from .errors import ConfigError, DimensionMismatch
 from .market import MarketSpec, PeriodDistribution
-from .solver import make_backend
+from .solver import ExactDiscreteBackend, SaaBackend
 
 _MARKET_KEYS = {"horizon", "riskless_rates", "family", "df", "mean",
                 "covariance", "atoms"}
@@ -52,8 +52,9 @@ class RunConfig:
     seed: int = 0
 
     def make_backend(self):
-        return make_backend(self.market, self.backend_kind, self.samples,
-                            self.seed)
+        if self.backend_kind == "exact":
+            return ExactDiscreteBackend(self.market)
+        return SaaBackend(self.market, self.samples, self.seed)
 
 
 def _reject_unknown(section: dict, allowed: set, name: str) -> None:

@@ -98,16 +98,10 @@ class TimeConsistentAux:
     the variance multiplier of the benchmark frontier.
     """
 
-    horizon: int
-    rates: np.ndarray
+    rho: np.ndarray        # (T+1,), the market's rho_t
     gains: np.ndarray      # (T, n)
     b: np.ndarray          # (T,)
     d_factors: np.ndarray  # (T+1,), d_factors[T] = 1
-
-    def rho(self, t: int) -> float:
-        if not 0 <= t <= self.horizon:
-            raise ValueError(f"t must lie in [0, {self.horizon}], got {t}")
-        return float(np.prod(self.rates[t:]))
 
 
 def time_consistent_aux(market: MarketSpec) -> TimeConsistentAux:
@@ -125,13 +119,14 @@ def time_consistent_aux(market: MarketSpec) -> TimeConsistentAux:
     d_factors = np.ones(T + 1)
     for t in reversed(range(T)):
         d_factors[t] = d_factors[t + 1] * (1.0 - b[t]) / b[t]
-    return TimeConsistentAux(T, market.riskless_rates, gains, b, d_factors)
+    rho = np.array([market.rho(t) for t in range(T + 1)])
+    return TimeConsistentAux(rho, gains, b, d_factors)
 
 
 def tc_frontier_point(aux: TimeConsistentAux, x0: float,
                       mean_target: float) -> FrontierPoint:
     """Frontier of the per-period-optimal benchmark policy."""
-    gap = mean_target - aux.rho(0) * x0
+    gap = mean_target - aux.rho[0] * x0
     if gap < 0.0:
         raise InvalidTarget(
             f"benchmark frontier defined for targets >= rho_0 x0, "
@@ -199,7 +194,7 @@ class Policy:
             u = np.zeros((x_arr.shape[0], self.n_assets))
         elif self.kind == "time_consistent":
             aux = self.aux
-            coeff = (self.d - x_arr * aux.rho(t)) / (aux.b[t] * aux.rho(t + 1))
+            coeff = (self.d - x_arr * aux.rho[t]) / (aux.b[t] * aux.rho[t + 1])
             u = coeff[:, None] * aux.gains[t]
         else:
             # precommitted / truncated share the two-piece rule: the

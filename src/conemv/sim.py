@@ -16,7 +16,7 @@ returns.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -39,19 +39,8 @@ def blocks(n_paths: int):
 class PathEnsemble:
     """Simulated wealth paths plus the driving returns."""
 
-    wealth: np.ndarray    # (n_paths, T+1); columns before start_time repeat x_start
-    returns: np.ndarray   # (n_paths, T, n); zero-filled before start_time
-    seed: int
-    policy_kind: str
-    start_time: int = 0
-
-    @property
-    def n_paths(self) -> int:
-        return self.wealth.shape[0]
-
-    @property
-    def horizon(self) -> int:
-        return self.wealth.shape[1] - 1
+    wealth: np.ndarray    # (n_paths, T+1); x_start until the policy starts
+    returns: np.ndarray   # (n_paths, T, n); zero before the policy starts
 
 
 def simulate(policy: Policy, market: MarketSpec, n_paths: int = DEFAULT_PATHS,
@@ -62,11 +51,9 @@ def simulate(policy: Policy, market: MarketSpec, n_paths: int = DEFAULT_PATHS,
     Periods before the policy's start time get zero returns; the draws
     for path p at period t do not depend on the start time.
     """
-    t0 = policy.start_time
     returns = sample_returns(market, n_paths, seed, first_path)
-    returns[:, :t0] = 0.0
-    return PathEnsemble(replay_wealth(policy, market, returns), returns, seed,
-                        policy.kind, start_time=t0)
+    returns[:, :policy.start_time] = 0.0
+    return PathEnsemble(replay_wealth(policy, market, returns), returns)
 
 
 def sample_returns(market: MarketSpec, n_paths: int, seed: int,
@@ -109,9 +96,8 @@ def replay_wealth(policy: Policy, market: MarketSpec,
 class ExceedanceReport:
     probability: float
     standard_error: float
-    first_crossing_counts: dict = field(default_factory=dict)
-    thresholds: dict = field(default_factory=dict)
-    n_paths: int = 0
+    first_crossing_counts: dict
+    thresholds: dict
 
 
 def exceedance_prob(ensemble: PathEnsemble,
@@ -122,7 +108,7 @@ def exceedance_prob(ensemble: PathEnsemble,
     ``thresholds_by_time`` maps time index t (1 <= t <= T) to the
     threshold level at that time.
     """
-    crossed = np.zeros(ensemble.n_paths, dtype=bool)
+    crossed = np.zeros(ensemble.wealth.shape[0], dtype=bool)
     counts = _mark_crossings(ensemble.wealth, thresholds_by_time, crossed)
     return _exceedance_report(crossed, counts, thresholds_by_time)
 
@@ -145,7 +131,7 @@ def _exceedance_report(crossed: np.ndarray, counts: dict,
     n = crossed.shape[0]
     p = float(crossed.mean())
     se = float(np.sqrt(max(p * (1.0 - p), 0.0) / n))
-    return ExceedanceReport(p, se, counts, dict(thresholds_by_time), n)
+    return ExceedanceReport(p, se, counts, dict(thresholds_by_time))
 
 
 def policy_thresholds(policy: Policy) -> dict:
@@ -162,7 +148,6 @@ class TerminalStats:
     variance: float
     se_mean: float
     se_variance: float
-    n_paths: int
 
 
 def terminal_stats(ensemble: PathEnsemble) -> TerminalStats:
@@ -185,8 +170,7 @@ def _terminal_stats(x: np.ndarray) -> TerminalStats:
     var = m2 * n / (n - 1)
     return TerminalStats(mean, var,
                          float(np.sqrt(m2 / n)),
-                         float(np.sqrt(max(m4 - m2 * m2, 0.0) / n)),
-                         n)
+                         float(np.sqrt(max(m4 - m2 * m2, 0.0) / n)))
 
 
 def summarize(policy: Policy, market: MarketSpec, n_paths: int,

@@ -47,7 +47,7 @@ The Hessian likewise takes c_maj times the whole sample's moment plus
 from __future__ import annotations
 
 from dataclasses import dataclass, field, fields
-from typing import NamedTuple, Optional, get_type_hints
+from typing import NamedTuple, Optional
 
 import numpy as np
 
@@ -205,15 +205,6 @@ class SaaBackend:
     def describe(self) -> dict:
         return {"kind": self.kind, "samples": self.sample_count,
                 "seed": self.seed}
-
-
-def make_backend(market: MarketSpec, backend: str = "saa",
-                 sample_count: int = 1_000_000, seed: int = 0):
-    if backend == "exact":
-        return ExactDiscreteBackend(market)
-    if backend == "saa":
-        return SaaBackend(market, sample_count, seed)
-    raise ValueError(f"unknown backend {backend!r}")
 
 
 # ---------------------------------------------------------------------------
@@ -470,15 +461,6 @@ class RecursionTable:
         out = {f.name: getattr(self, f.name) for f in fields(self)}
         return {name: v.tolist() if isinstance(v, np.ndarray) else v
                 for name, v in out.items()}
-
-    @classmethod
-    def from_dict(cls, data: dict) -> "RecursionTable":
-        """Inverse of :meth:`to_dict`; a field with a default may be absent."""
-        types = get_type_hints(cls)
-        return cls(**{f.name: np.asarray(data[f.name], dtype=float)
-                      if types[f.name] is np.ndarray
-                      else types[f.name](data[f.name])
-                      for f in fields(cls) if f.name in data})
 
 
 def default_zero_tol(period: PeriodDistribution) -> float:

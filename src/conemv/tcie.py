@@ -96,7 +96,6 @@ def check_tcie(table: RecursionTable, market: MarketSpec) -> TcieVerdict:
 
 @dataclass
 class TransitionProbs:
-    t: int
     stay_below: float      # Pr(P'K^+ <= 1)
     cross_up: float        # Pr(P'K^+ > 1)
     return_from_above: float  # Pr(P'K^- <= -1)
@@ -130,5 +129,5 @@ def transition_probs(table: RecursionTable, market: MarketSpec, t: int,
     y_minus = pts @ table.k_minus[t]
     p_below = prob(y_plus <= 1.0)
     p_return = prob(y_minus <= -1.0)
-    return TransitionProbs(t, p_below, 1.0 - p_below, p_return,
-                           1.0 - p_return, se)
+    return TransitionProbs(p_below, 1.0 - p_below, p_return, 1.0 - p_return,
+                           se)

@@ -25,8 +25,8 @@ from conemv.policy import (Policy, frontier_point, mu_star, precommitted,
 from conemv.presets import (limited_short_cone, mean_half_space_cone,
                             three_index_market, three_index_moments)
 from conemv.sim import exceedance_prob, policy_thresholds, sample_returns, simulate
-from conemv.solver import (RecursionTable, SaaBackend, backward_recursion,
-                           make_backend, unconstrained_table)
+from conemv.solver import (ExactDiscreteBackend, RecursionTable, SaaBackend,
+                           backward_recursion, unconstrained_table)
 from conemv.tcie import check_tcie
 from conemv.vssm import (density_factors, density_for_paths,
                          duality_terminal_wealth, exact_density_moments,
@@ -266,7 +266,7 @@ def test_criterion_6_density_moments(accept):
     for seed in (3, 11, 27):
         market = random_tree_market(seed)
         cone, _ = random_cone(seed + 500, market.n_assets)
-        table = backward_recursion(market, cone, make_backend(market, "exact"))
+        table = backward_recursion(market, cone, ExactDiscreteBackend(market))
         mean, second = exact_density_moments(table, market)
         assert mean == pytest.approx(1.0, abs=1e-12)
         assert second == pytest.approx(1.0 / table.c_plus[0], abs=1e-12)
@@ -309,7 +309,7 @@ def test_criterion_8_brute_force_equivalence():
         seed += 1
         market = random_tree_market(seed, horizon=2)
         cone, rows = random_cone(seed + 911, market.n_assets)
-        backend = make_backend(market, "exact")
+        backend = ExactDiscreteBackend(market)
         table = backward_recursion(market, cone, backend)
         d = table.rho(0) * X0 + 0.25
         try:

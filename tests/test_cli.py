@@ -14,7 +14,7 @@ from types import SimpleNamespace
 import numpy as np
 import pytest
 
-from conemv import cli, sim, solver, vssm
+from conemv import cli, sim, solver, tcie, vssm
 from conemv.config import parse_config
 
 from conftest import nested
@@ -202,6 +202,13 @@ class TestConfigErrors:
         path = write_config(tmp_path, cfg)
         res = run_cli("solve", "--config", path)
         assert res.returncode == 2
+
+    def test_unknown_backend(self, tmp_path):
+        cfg = coin_config()
+        cfg["numerics"]["backend"] = "quadrature"
+        res = run_cli("solve", "--config", write_config(tmp_path, cfg))
+        assert res.returncode == 2
+        assert res.stderr == "error: unknown backend 'quadrature'\n"
 
     @pytest.mark.parametrize("family", ["gaussian", "student_t"])
     def test_exact_backend_on_a_continuous_market(self, tmp_path, family):
@@ -395,6 +402,11 @@ class TestSimulate:
         exc = payload["exceedance"]
         assert list(exc) == ["probability", "standard_error",
                              "first_crossing_counts", "thresholds"]
+        # each section is its library record, whole
+        for key, record in (("terminal", sim.TerminalStats),
+                            ("exceedance", sim.ExceedanceReport)):
+            assert list(payload[key]) == [
+                f.name for f in dataclasses.fields(record)]
         assert set(exc["first_crossing_counts"]) == {"1"}
         assert set(exc["thresholds"]) == {"1"}
         assert 0.0 <= exc["probability"] <= 1.0
@@ -457,7 +469,7 @@ class TestStreaming:
 
     @staticmethod
     def as_json(payload):
-        return json.loads(json.dumps(payload, default=cli._json_default))
+        return json.loads(json.dumps(payload))
 
     @pytest.mark.parametrize("policy", list(STREAM_POLICIES))
     def test_simulate_payload_equals_the_whole_ensemble(
@@ -468,13 +480,12 @@ class TestStreaming:
         ens = sim.simulate(pol, cfg.market, STREAM_PATHS, cfg.seed)
         expected = {"policy": policy, "n_paths": STREAM_PATHS,
                     "seed": cfg.seed,
-                    "terminal": cli._fields(sim.terminal_stats(ens),
-                                            "n_paths")}
+                    "terminal": dataclasses.asdict(sim.terminal_stats(ens))}
         if policy in ("precommitted", "truncated"):
             thresholds = sim.policy_thresholds(pol)
             assert thresholds  # a crossing time to count
-            expected["exceedance"] = cli._fields(
-                sim.exceedance_prob(ens, thresholds), "n_paths")
+            expected["exceedance"] = dataclasses.asdict(
+                sim.exceedance_prob(ens, thresholds))
         self.run_blocks(monkeypatch, capsys,
                         ["simulate", "--config", path, "--paths",
                          str(STREAM_PATHS)], self.as_json(expected))
@@ -577,6 +588,11 @@ class TestTcie:
             assert list(period["transition"]) == [
                 "stay_below", "cross_up", "return_from_above", "stay_above",
                 "standard_error"]
+            # each section is its library record, whole
+            assert list(period)[:-1] == [
+                f.name for f in dataclasses.fields(tcie.PeriodDiagnostics)]
+            assert list(period["transition"]) == [
+                f.name for f in dataclasses.fields(tcie.TransitionProbs)]
         assert payload["is_tcie"] is True
         assert payload["reason"] == "condition_18"
         assert payload["flip_period"] is None

@@ -112,20 +112,18 @@ class TestTimeConsistentBenchmark:
         assert aux.b[0] == pytest.approx(b, rel=1e-12)
         assert aux.d_factors[0] == pytest.approx(((1.0 - b) / b) ** 3,
                                                  rel=1e-12)
+        assert aux.rho.tolist() == [three_gauss.rho(t) for t in range(4)]
 
     def test_rho_checks_its_range_as_the_table_does(self, three_gauss,
                                                     gauss_unc_table):
-        aux = time_consistent_aux(three_gauss)
-        for t in range(aux.horizon + 1):
-            assert aux.rho(t) == gauss_unc_table.rho(t)
-        for t in (-1, aux.horizon + 1):
-            for owner in (aux, gauss_unc_table, three_gauss):
+        for t in (-1, three_gauss.horizon + 1):
+            for owner in (gauss_unc_table, three_gauss):
                 with pytest.raises(ValueError, match="t must lie in"):
                     owner.rho(t)
 
     def test_riskless_target_zero_variance(self, three_gauss):
         aux = time_consistent_aux(three_gauss)
-        pt = tc_frontier_point(aux, 1.0, aux.rho(0))
+        pt = tc_frontier_point(aux, 1.0, aux.rho[0])
         assert pt.variance == 0.0
 
     def test_three_index_reference_variance(self, three_gauss):
@@ -302,7 +300,7 @@ class TestPolicies:
     def test_time_consistent_zero_at_moving_target(self, three_gauss):
         pol = time_consistent(three_gauss, 1.0, 1.35)
         for t in range(3):
-            x = pol.d / pol.aux.rho(t)
+            x = pol.d / pol.aux.rho[t]
             np.testing.assert_allclose(pol.control(t, x), np.zeros(3),
                                        atol=1e-14)
 
@@ -322,7 +320,7 @@ class TestPolicies:
                 cond_mean = float(period.probs @ nxt)
                 # defining property: the rolled-up conditional mean hits
                 # the target exactly after every single period
-                assert cond_mean * aux.rho(t + 1) == pytest.approx(
+                assert cond_mean * aux.rho[t + 1] == pytest.approx(
                     pol.d, rel=1e-12)
 
     def test_truncated_requires_attainable_target(self):

@@ -10,8 +10,8 @@ from conftest import random_cone, random_tree_market
 from conemv.cones import ConvexCone
 from conemv.errors import NoConvergence, TargetUnattainable
 from conemv.policy import mu_star
-from conemv.solver import (backward_recursion, dual_value, linear_form,
-                           make_backend)
+from conemv.solver import (ExactDiscreteBackend, backward_recursion,
+                           dual_value, linear_form)
 
 COMMON = dict(max_examples=120, deadline=None, derandomize=True,
               suppress_health_check=[HealthCheck.too_slow,
@@ -27,7 +27,7 @@ def solved_instance(seed):
     if seed not in _CACHE:
         market = random_tree_market(seed, horizon=2)
         cone, _ = random_cone(seed + 7919, market.n_assets)
-        backend = make_backend(market, "exact")
+        backend = ExactDiscreteBackend(market)
         table = backward_recursion(market, cone, backend)
         _CACHE[seed] = (market, cone, backend, table)
     return _CACHE[seed]
@@ -82,7 +82,7 @@ def test_quadratic_and_linear_costs_agree_at_optima(seed):
 @given(seeds, st.sampled_from([1, -1]))
 def test_gradient_matches_central_differences(seed, sign):
     market = random_tree_market(seed, horizon=1)
-    backend = make_backend(market, "exact")
+    backend = ExactDiscreteBackend(market)
     rng = np.random.default_rng(seed + 31)
     k = rng.normal(scale=0.8, size=market.n_assets)
     cp = float(rng.uniform(0.3, 1.0))

@@ -8,8 +8,8 @@ import pytest
 from conftest import random_tree_market
 from conemv import sim
 from conemv.market import MarketSpec, PeriodDistribution
-from conemv.solver import (SolverOptions, backward_recursion, make_backend,
-                           unconstrained_table)
+from conemv.solver import (ExactDiscreteBackend, SaaBackend, SolverOptions,
+                           backward_recursion, unconstrained_table)
 from conemv.cones import ConvexCone
 from conemv.policy import (Policy, minimum_variance, precommitted, truncated,
                            mu_star)
@@ -29,7 +29,7 @@ def small_gauss_market(horizon=2):
 @pytest.fixture(scope="module")
 def gauss2_table():
     market = small_gauss_market()
-    backend = make_backend(market, "saa", sample_count=50_000, seed=1)
+    backend = SaaBackend(market, 50_000, seed=1)
     table = backward_recursion(market, ConvexCone.whole_space(2), backend)
     return market, table
 
@@ -85,11 +85,6 @@ class TestDeterminism:
     def test_metadata_recorded(self, gauss2_policy):
         market, table, pol = gauss2_policy
         ens = simulate(pol, market, n_paths=100, seed=11)
-        assert ens.seed == 11
-        assert ens.policy_kind == "precommitted"
-        assert ens.start_time == 0
-        assert ens.n_paths == 100
-        assert ens.horizon == market.horizon
         assert ens.wealth.shape == (100, market.horizon + 1)
         assert ens.returns.shape == (100, market.horizon, market.n_assets)
 
@@ -181,7 +176,7 @@ class TestExceedance:
         wealth = np.asarray(wealth_rows, dtype=float)
         T = wealth.shape[1] - 1
         returns = np.zeros((wealth.shape[0], T, 1))
-        return PathEnsemble(wealth, returns, seed=0, policy_kind="precommitted")
+        return PathEnsemble(wealth, returns)
 
     def test_strict_inequality_at_threshold(self):
         # Equality at the threshold is not a crossing.
@@ -205,7 +200,6 @@ class TestExceedance:
         assert rep.first_crossing_counts == {1: 2, 2: 1}
         assert sum(rep.first_crossing_counts.values()) == 3
         assert rep.probability == pytest.approx(0.75)
-        assert rep.n_paths == 4
         assert rep.thresholds == {1: 2.0, 2: 2.0}
 
     def test_standard_error_binomial(self):
@@ -233,7 +227,7 @@ class TestExceedance:
         # One-period coin toss: P(x_1 > level) is a sum of atom weights.
         period = PeriodDistribution.discrete([[-0.1], [0.2]], [0.5, 0.5])
         market = MarketSpec.iid(1, 1.0, period)
-        backend = make_backend(market, "exact")
+        backend = ExactDiscreteBackend(market)
         table = backward_recursion(market, ConvexCone.whole_space(1), backend)
         pol = precommitted(table, x0=1.0, d=1.05)
         ens = simulate(pol, market, n_paths=200_000, seed=0)
@@ -257,7 +251,7 @@ class TestPolicyThresholds:
 
     def test_default_times_three_periods(self):
         market = three_index_market("gaussian")
-        backend = make_backend(market, "saa", sample_count=20_000, seed=0)
+        backend = SaaBackend(market, 20_000, seed=0)
         table = backward_recursion(market, unconstrained_cone(), backend)
         pol = precommitted(table, x0=1.0, d=1.35)
         levels = policy_thresholds(pol)
@@ -276,19 +270,17 @@ class TestTerminalStats:
     def test_constant_ensemble(self):
         wealth = np.full((64, 3), 1.21)
         returns = np.zeros((64, 2, 1))
-        ens = PathEnsemble(wealth, returns, seed=0, policy_kind="minimum_variance")
+        ens = PathEnsemble(wealth, returns)
         stats = terminal_stats(ens)
         assert stats.mean == pytest.approx(1.21, rel=1e-15)
         assert stats.variance == 0.0
         assert stats.se_mean == 0.0
         assert stats.se_variance == 0.0
-        assert stats.n_paths == 64
 
     def test_small_sample_hand_check(self):
         values = np.array([1.0, 2.0, 3.0, 6.0])
         wealth = np.column_stack([np.ones(4), values])
-        ens = PathEnsemble(wealth, np.zeros((4, 1, 1)), seed=0,
-                           policy_kind="precommitted")
+        ens = PathEnsemble(wealth, np.zeros((4, 1, 1)))
         stats = terminal_stats(ens)
         assert stats.mean == pytest.approx(3.0, rel=1e-15)
         # Unbiased sample variance, ddof = 1.
@@ -314,7 +306,7 @@ class TestTerminalStats:
 
     def test_random_tree_replay_consistency(self):
         market = random_tree_market(17, horizon=2)
-        backend = make_backend(market, "exact")
+        backend = ExactDiscreteBackend(market)
         table = backward_recursion(market, ConvexCone.whole_space(market.n_assets), backend)
         rho0 = table.rho(0)
         d = rho0 * 1.0 + 0.2
