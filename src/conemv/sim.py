@@ -7,8 +7,9 @@ own (``first_path`` names the block's first path).  Stored returns
 allow exact replay of the wealth recursion and pathwise comparison
 against the density-based wealth formula.
 
-:func:`summarize` computes the terminal statistics and the exceedance
-report of :func:`simulate` one block of ``_BLOCK`` paths at a time.  It
+:func:`summarize` is the one reduction of simulated paths to
+statistics: the terminal moments and the exceedance report of
+:func:`simulate`, computed one block of ``_BLOCK`` paths at a time.  It
 keeps only the terminal wealth and a crossed flag per path, so its
 memory grows by 9 bytes a path rather than by the (n_paths, T, n)
 returns.
@@ -100,40 +101,6 @@ class ExceedanceReport:
     thresholds: dict
 
 
-def exceedance_prob(ensemble: PathEnsemble,
-                    thresholds_by_time: dict) -> ExceedanceReport:
-    """Fraction of paths whose wealth strictly exceeds the threshold at
-    any of the given times, with the first-crossing histogram.
-
-    ``thresholds_by_time`` maps time index t (1 <= t <= T) to the
-    threshold level at that time.
-    """
-    crossed = np.zeros(ensemble.wealth.shape[0], dtype=bool)
-    counts = _mark_crossings(ensemble.wealth, thresholds_by_time, crossed)
-    return _exceedance_report(crossed, counts, thresholds_by_time)
-
-
-def _mark_crossings(wealth: np.ndarray, thresholds_by_time: dict,
-                    crossed: np.ndarray) -> dict:
-    """Set ``crossed`` on the paths whose wealth exceeds a threshold;
-    returns the number of first crossings at each time, in time order."""
-    counts: dict[int, int] = {}
-    for t in sorted(thresholds_by_time):
-        hit = wealth[:, t] > thresholds_by_time[t]
-        new = hit & ~crossed
-        counts[t] = int(new.sum())
-        crossed |= hit
-    return counts
-
-
-def _exceedance_report(crossed: np.ndarray, counts: dict,
-                       thresholds_by_time: dict) -> ExceedanceReport:
-    n = crossed.shape[0]
-    p = float(crossed.mean())
-    se = float(np.sqrt(max(p * (1.0 - p), 0.0) / n))
-    return ExceedanceReport(p, se, counts, dict(thresholds_by_time))
-
-
 def policy_thresholds(policy: Policy) -> dict:
     """Threshold levels (d - mu*)/rho_t for the interior times
     t = 1, ..., T-1 after the start, the dates at which a crossing
@@ -150,50 +117,47 @@ class TerminalStats:
     se_variance: float
 
 
-def terminal_stats(ensemble: PathEnsemble) -> TerminalStats:
-    """Mean and variance of terminal wealth with standard errors.
-
-    The variance SE uses the fourth-moment formula
-    sqrt((m4 - m2^2)/n), valid without normality assumptions.
-    """
-    return _terminal_stats(ensemble.wealth[:, -1])
-
-
-def _terminal_stats(x: np.ndarray) -> TerminalStats:
-    n = x.shape[0]
-    if n < 2:
-        raise ValueError(f"terminal statistics need at least 2 paths, got {n}")
-    mean = float(x.mean())
-    centred = x - mean
-    m2 = float((centred ** 2).mean())
-    m4 = float((centred ** 4).mean())
-    var = m2 * n / (n - 1)
-    return TerminalStats(mean, var,
-                         float(np.sqrt(m2 / n)),
-                         float(np.sqrt(max(m4 - m2 * m2, 0.0) / n)))
-
-
 def summarize(policy: Policy, market: MarketSpec, n_paths: int,
               seed: int) -> tuple[TerminalStats, ExceedanceReport | None]:
-    """:func:`terminal_stats` of ``simulate(policy, market, n_paths,
-    seed)``, and for a policy with thresholds its
-    ``exceedance_prob`` at :func:`policy_thresholds`, bit for bit.
+    """Terminal statistics of ``simulate(policy, market, n_paths,
+    seed)`` and, for a policy with thresholds, its exceedance report.
+
+    The terminal mean and variance (ddof 1) come with standard errors;
+    the variance SE uses the fourth-moment formula sqrt((m4 - m2^2)/n),
+    valid without normality assumptions.  The report gives the fraction
+    of paths whose wealth strictly exceeds the threshold at any time of
+    :func:`policy_thresholds`, its binomial SE, and the number of first
+    crossings at each of those times.
 
     Each block of paths is simulated and reduced to its terminal wealth
     and crossed flags before the next is drawn.
     """
+    if n_paths < 2:
+        raise ValueError(
+            f"terminal statistics need at least 2 paths, got {n_paths}")
     thresholds = (policy_thresholds(policy)
                   if policy.kind in ("precommitted", "truncated") else None)
     terminal = np.empty(n_paths)
     crossed = np.zeros(n_paths, dtype=bool)
-    counts = dict.fromkeys(sorted(thresholds or ()), 0)
+    counts = dict.fromkeys(thresholds or (), 0)
     for lo, hi in blocks(n_paths):
-        ensemble = simulate(policy, market, hi - lo, seed, first_path=lo)
-        terminal[lo:hi] = ensemble.wealth[:, -1]
-        for t, count in _mark_crossings(ensemble.wealth, thresholds or {},
-                                        crossed[lo:hi]).items():
-            counts[t] += count
-        del ensemble  # before the next block is drawn
-    report = (None if thresholds is None
-              else _exceedance_report(crossed, counts, thresholds))
-    return _terminal_stats(terminal), report
+        wealth = simulate(policy, market, hi - lo, seed, first_path=lo).wealth
+        terminal[lo:hi] = wealth[:, -1]
+        block_crossed = crossed[lo:hi]
+        for t in counts:
+            hit = wealth[:, t] > thresholds[t]
+            counts[t] += int((hit & ~block_crossed).sum())
+            block_crossed |= hit
+        del wealth  # before the next block is drawn
+    mean = float(terminal.mean())
+    centred = terminal - mean
+    m2 = float((centred ** 2).mean())
+    m4 = float((centred ** 4).mean())
+    stats = TerminalStats(mean, m2 * n_paths / (n_paths - 1),
+                          float(np.sqrt(m2 / n_paths)),
+                          float(np.sqrt(max(m4 - m2 * m2, 0.0) / n_paths)))
+    if thresholds is None:
+        return stats, None
+    p = float(crossed.mean())
+    se = float(np.sqrt(max(p * (1.0 - p), 0.0) / n_paths))
+    return stats, ExceedanceReport(p, se, counts, thresholds)

@@ -1,7 +1,7 @@
 import numpy as np
 import pytest
 
-from conemv import presets, solver
+from conemv import presets, sim, solver
 from conemv.cones import ConvexCone
 from conemv.market import MarketSpec, PeriodDistribution
 
@@ -45,6 +45,31 @@ def random_tree_market(seed, horizon=2, n_assets=None, n_atoms=None,
     market = MarketSpec(horizon, np.asarray(rates), periods)
     market.validate()
     return market
+
+
+def summary_of_wealth(wealth, thresholds):
+    """The terminal moments and, for thresholds by time (None for a
+    policy without them), the exceedance report of a whole
+    (n_paths, T + 1) wealth array, in plain numpy: the reference for
+    ``sim.summarize``."""
+    x = wealth[:, -1]
+    n = x.shape[0]
+    mean = float(x.mean())
+    centred = x - mean
+    m2 = float((centred ** 2).mean())
+    m4 = float((centred ** 4).mean())
+    stats = sim.TerminalStats(mean, m2 * n / (n - 1), float(np.sqrt(m2 / n)),
+                              float(np.sqrt(max(m4 - m2 * m2, 0.0) / n)))
+    if thresholds is None:
+        return stats, None
+    times = list(thresholds)
+    above = wealth[:, times] > np.array([thresholds[t] for t in times])
+    # a path's first crossing is its first column above the level
+    counts = {t: int((above[:, i] & ~above[:, :i].any(axis=1)).sum())
+              for i, t in enumerate(times)}
+    p = float(above.any(axis=1).mean())
+    return stats, sim.ExceedanceReport(p, float(np.sqrt(p * (1.0 - p) / n)),
+                                       counts, dict(thresholds))
 
 
 def random_cone(seed, dim):

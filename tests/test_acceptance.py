@@ -24,7 +24,7 @@ from conemv.policy import (Policy, frontier_point, mu_star, precommitted,
                            tc_frontier_point, time_consistent_aux)
 from conemv.presets import (limited_short_cone, mean_half_space_cone,
                             three_index_market, three_index_moments)
-from conemv.sim import exceedance_prob, policy_thresholds, sample_returns, simulate
+from conemv.sim import sample_returns, simulate, summarize
 from conemv.solver import (ExactDiscreteBackend, RecursionTable, SaaBackend,
                            backward_recursion, unconstrained_table)
 from conemv.tcie import check_tcie
@@ -73,11 +73,8 @@ def accept():
         market = data["markets"][family]
         for name in CASE_NAMES:
             pol = precommitted(data["tables"][(family, name)], X0, TARGET)
-            ensemble = simulate(pol, market, n_paths=SIM_PATHS, seed=0)
-            report = exceedance_prob(ensemble, policy_thresholds(pol))
+            _, report = summarize(pol, market, SIM_PATHS, 0)
             sims[(family, name)] = report.probability
-            del ensemble
-            gc.collect()
     data["sims"] = sims
     data["sim_seconds"] = time.perf_counter() - start
     return data
@@ -191,11 +188,7 @@ def replay_published_case3(market, family: str) -> float:
         zero_tols=np.full(3, 1e-9))
     pol = Policy(kind="precommitted", horizon=3, n_assets=3, start_time=0,
                  x_start=X0, table=table, d=TARGET, mu=spec["mu"])
-    ensemble = simulate(pol, market, n_paths=SIM_PATHS, seed=0)
-    report = exceedance_prob(ensemble, policy_thresholds(pol))
-    del ensemble
-    gc.collect()
-    return report.probability
+    return summarize(pol, market, SIM_PATHS, 0)[1].probability
 
 
 def test_criterion_5_exceedance_unconstrained_and_half_space(accept):

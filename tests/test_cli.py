@@ -17,7 +17,7 @@ import pytest
 from conemv import cli, sim, solver, tcie, vssm
 from conemv.config import parse_config
 
-from conftest import nested
+from conftest import nested, summary_of_wealth
 
 CONFIGS = Path(__file__).resolve().parents[1] / "configs"
 
@@ -478,14 +478,15 @@ class TestStreaming:
         cfg = parse_config(data)
         pol = cli._build_policy(cfg, cli._solve_table(cfg))
         ens = sim.simulate(pol, cfg.market, STREAM_PATHS, cfg.seed)
-        expected = {"policy": policy, "n_paths": STREAM_PATHS,
-                    "seed": cfg.seed,
-                    "terminal": dataclasses.asdict(sim.terminal_stats(ens))}
+        thresholds = None
         if policy in ("precommitted", "truncated"):
             thresholds = sim.policy_thresholds(pol)
             assert thresholds  # a crossing time to count
-            expected["exceedance"] = dataclasses.asdict(
-                sim.exceedance_prob(ens, thresholds))
+        stats, report = summary_of_wealth(ens.wealth, thresholds)
+        expected = {"policy": policy, "n_paths": STREAM_PATHS,
+                    "seed": cfg.seed, "terminal": dataclasses.asdict(stats)}
+        if report is not None:
+            expected["exceedance"] = dataclasses.asdict(report)
         self.run_blocks(monkeypatch, capsys,
                         ["simulate", "--config", path, "--paths",
                          str(STREAM_PATHS)], self.as_json(expected))

@@ -5,18 +5,18 @@ import tracemalloc
 import numpy as np
 import pytest
 
-from conftest import random_tree_market
+from conftest import random_tree_market, summary_of_wealth
 from conemv import sim
 from conemv.market import MarketSpec, PeriodDistribution
-from conemv.solver import (ExactDiscreteBackend, SaaBackend, SolverOptions,
-                           backward_recursion, unconstrained_table)
+from conemv.solver import (ExactDiscreteBackend, RecursionTable, SaaBackend,
+                           SolverOptions, backward_recursion,
+                           unconstrained_table)
 from conemv.cones import ConvexCone
 from conemv.policy import (Policy, minimum_variance, precommitted, truncated,
                            mu_star)
 from conemv.presets import three_index_market, unconstrained_cone
-from conemv.sim import (PathEnsemble, exceedance_prob, policy_thresholds,
-                        replay_wealth, sample_returns, simulate,
-                        terminal_stats)
+from conemv.sim import (PathEnsemble, policy_thresholds, replay_wealth,
+                        sample_returns, simulate, summarize)
 
 
 def small_gauss_market(horizon=2):
@@ -24,6 +24,35 @@ def small_gauss_market(horizon=2):
     cov = np.array([[0.04, 0.01], [0.01, 0.09]])
     period = PeriodDistribution.gaussian(mean, cov)
     return MarketSpec.iid(horizon, 1.02, period)
+
+
+def level_two_policy(horizon, kind="precommitted", start_time=0):
+    """A policy on a table with riskless rates of 1 and d - mu = 2, so
+    its threshold is 2.0 at every interior time after its start."""
+    table = RecursionTable(
+        horizon=horizon, n_assets=1, riskless_rates=np.ones(horizon),
+        k_plus=np.zeros((horizon, 1)), k_minus=np.zeros((horizon, 1)),
+        c_plus=np.ones(horizon + 1), c_minus=np.ones(horizon + 1),
+        zero_tols=np.full(horizon, 1e-9))
+    return Policy(kind, horizon, 1, start_time, 1.0, table=table, d=2.0,
+                  mu=0.0)
+
+
+def summarize_rows(monkeypatch, pol, rows):
+    """``summarize`` of hand-built wealth rows, handed out by a patched
+    ``sim.simulate`` in blocks of two paths.  Rows shorter than the
+    policy's T + 1 columns repeat their last column."""
+    wealth = np.asarray(rows, dtype=float)
+    wealth = np.pad(wealth, ((0, 0), (0, pol.horizon + 1 - wealth.shape[1])),
+                    mode="edge")
+
+    def simulate_rows(policy, market, n_paths, seed, first_path=0):
+        return PathEnsemble(wealth[first_path:first_path + n_paths],
+                            np.zeros((n_paths, policy.horizon, 1)))
+
+    monkeypatch.setattr(sim, "simulate", simulate_rows)
+    monkeypatch.setattr(sim, "_BLOCK", 2)
+    return summarize(pol, None, wealth.shape[0], 0)
 
 
 @pytest.fixture(scope="module")
@@ -172,54 +201,48 @@ class TestTruncatedStart:
 
 class TestExceedance:
 
-    def constant_ensemble(self, wealth_rows):
-        wealth = np.asarray(wealth_rows, dtype=float)
-        T = wealth.shape[1] - 1
-        returns = np.zeros((wealth.shape[0], T, 1))
-        return PathEnsemble(wealth, returns)
-
-    def test_strict_inequality_at_threshold(self):
+    def test_strict_inequality_at_threshold(self, monkeypatch):
         # Equality at the threshold is not a crossing.
-        ens = self.constant_ensemble([
+        _, rep = summarize_rows(monkeypatch, level_two_policy(3), [
             [1.0, 2.0, 2.0],       # exactly at the level both times
             [1.0, 2.0 + 1e-12, 1.0],  # barely above at t=1
             [1.0, 1.0, 1.0],       # never close
         ])
-        rep = exceedance_prob(ens, {1: 2.0, 2: 2.0})
         assert rep.probability == pytest.approx(1.0 / 3.0)
         assert rep.first_crossing_counts == {1: 1, 2: 0}
 
-    def test_first_crossing_histogram(self):
-        ens = self.constant_ensemble([
+    def test_first_crossing_histogram(self, monkeypatch):
+        _, rep = summarize_rows(monkeypatch, level_two_policy(3), [
             [1.0, 3.0, 0.0],   # crosses at t=1
             [1.0, 3.0, 3.0],   # crosses at t=1, stays up (counted once)
             [1.0, 0.0, 3.0],   # crosses at t=2
             [1.0, 0.0, 0.0],   # never
         ])
-        rep = exceedance_prob(ens, {1: 2.0, 2: 2.0})
         assert rep.first_crossing_counts == {1: 2, 2: 1}
         assert sum(rep.first_crossing_counts.values()) == 3
         assert rep.probability == pytest.approx(0.75)
         assert rep.thresholds == {1: 2.0, 2: 2.0}
 
-    def test_standard_error_binomial(self):
-        ens = self.constant_ensemble([
+    def test_standard_error_binomial(self, monkeypatch):
+        _, rep = summarize_rows(monkeypatch, level_two_policy(2), [
             [1.0, 3.0, 0.0],
             [1.0, 0.0, 0.0],
             [1.0, 0.0, 0.0],
             [1.0, 0.0, 0.0],
         ])
-        rep = exceedance_prob(ens, {1: 2.0})
+        assert rep.thresholds == {1: 2.0}
         p = 0.25
         assert rep.standard_error == pytest.approx(
             np.sqrt(p * (1 - p) / 4), rel=1e-12)
 
-    def test_single_time_ignores_other_columns(self):
-        ens = self.constant_ensemble([
+    def test_single_time_ignores_other_columns(self, monkeypatch):
+        # Started at t = 1, the policy's one crossing time is t = 2.
+        pol = level_two_policy(3, kind="truncated", start_time=1)
+        _, rep = summarize_rows(monkeypatch, pol, [
             [1.0, 5.0, 0.0],
             [1.0, 0.0, 5.0],
         ])
-        rep = exceedance_prob(ens, {2: 2.0})
+        assert rep.thresholds == {2: 2.0}
         assert rep.probability == pytest.approx(0.5)
         assert rep.first_crossing_counts == {2: 1}
 
@@ -237,8 +260,8 @@ class TestExceedance:
         for atom, prob in ((-0.1, 0.5), (0.2, 0.5)):
             if 1.0 + atom * u0[0] > g:
                 exact += prob
-        rep = exceedance_prob(ens, {1: g})
-        assert rep.probability == pytest.approx(exact, abs=1e-12)
+        assert np.mean(ens.wealth[:, 1] > g) == pytest.approx(exact,
+                                                               abs=1e-12)
 
 
 class TestPolicyThresholds:
@@ -267,21 +290,20 @@ class TestPolicyThresholds:
 
 class TestTerminalStats:
 
-    def test_constant_ensemble(self):
-        wealth = np.full((64, 3), 1.21)
-        returns = np.zeros((64, 2, 1))
-        ens = PathEnsemble(wealth, returns)
-        stats = terminal_stats(ens)
+    def test_constant_ensemble(self, monkeypatch):
+        pol = level_two_policy(2, kind="minimum_variance")
+        stats, rep = summarize_rows(monkeypatch, pol, np.full((64, 3), 1.21))
+        assert rep is None
         assert stats.mean == pytest.approx(1.21, rel=1e-15)
         assert stats.variance == 0.0
         assert stats.se_mean == 0.0
         assert stats.se_variance == 0.0
 
-    def test_small_sample_hand_check(self):
+    def test_small_sample_hand_check(self, monkeypatch):
         values = np.array([1.0, 2.0, 3.0, 6.0])
         wealth = np.column_stack([np.ones(4), values])
-        ens = PathEnsemble(wealth, np.zeros((4, 1, 1)))
-        stats = terminal_stats(ens)
+        pol = level_two_policy(1, kind="minimum_variance")
+        stats, _ = summarize_rows(monkeypatch, pol, wealth)
         assert stats.mean == pytest.approx(3.0, rel=1e-15)
         # Unbiased sample variance, ddof = 1.
         assert stats.variance == pytest.approx(np.var(values, ddof=1), rel=1e-13)
@@ -294,14 +316,23 @@ class TestTerminalStats:
 
     def test_fewer_than_two_paths_rejected(self, gauss2_policy):
         market, table, pol = gauss2_policy
-        ens = simulate(pol, market, n_paths=1, seed=0)
         with pytest.raises(ValueError, match="at least 2 paths, got 1"):
-            terminal_stats(ens)
+            summarize(pol, market, 1, 0)
+
+    @pytest.mark.parametrize("n_paths", [1, 0])
+    def test_rejected_before_any_draw(self, gauss2_policy, monkeypatch,
+                                      n_paths):
+        market, table, pol = gauss2_policy
+        calls = []
+        monkeypatch.setattr(sim, "simulate",
+                            lambda *args, **kwargs: calls.append(args))
+        with pytest.raises(ValueError, match="at least 2 paths"):
+            summarize(pol, market, n_paths, 0)
+        assert calls == []
 
     def test_tree_simulation_moments(self, gauss2_policy):
         market, table, pol = gauss2_policy
-        ens = simulate(pol, market, n_paths=200_000, seed=1)
-        stats = terminal_stats(ens)
+        stats, _ = summarize(pol, market, 200_000, 1)
         assert stats.mean == pytest.approx(1.2, abs=4 * stats.se_mean)
 
     def test_random_tree_replay_consistency(self):
@@ -314,8 +345,7 @@ class TestTerminalStats:
             pol = precommitted(table, x0=1.0, d=d)
         except Exception:
             pytest.skip("degenerate draw")
-        ens = simulate(pol, market, n_paths=50_000, seed=13)
-        stats = terminal_stats(ens)
+        stats, _ = summarize(pol, market, 50_000, 13)
         assert stats.mean == pytest.approx(d, abs=4 * stats.se_mean)
 
 
@@ -326,15 +356,13 @@ class TestSummarize:
                                        block):
         market, table, pol = gauss2_policy
         ens = simulate(pol, market, n_paths=1000, seed=6)
+        expected = summary_of_wealth(ens.wealth, policy_thresholds(pol))
+        assert expected[1].first_crossing_counts[1] > 0
         monkeypatch.setattr(sim, "_BLOCK", block)
-        stats, report = sim.summarize(pol, market, 1000, 6)
-        assert stats == terminal_stats(ens)
-        assert report == exceedance_prob(ens, policy_thresholds(pol))
-        assert report.first_crossing_counts[1] > 0
+        assert summarize(pol, market, 1000, 6) == expected
 
     def test_no_report_without_thresholds(self, gauss2_table):
         market, table = gauss2_table
         pol = minimum_variance(table, x0=1.0)
-        stats, report = sim.summarize(pol, market, 500, 2)
-        assert report is None
-        assert stats == terminal_stats(simulate(pol, market, 500, 2))
+        assert summarize(pol, market, 500, 2) == summary_of_wealth(
+            simulate(pol, market, 500, 2).wealth, None)
