@@ -16,8 +16,7 @@ import time
 import numpy as np
 
 from conemv.policy import (frontier_point, mu_star, precommitted,
-                           tc_frontier_point, time_consistent_aux,
-                           wealth_threshold)
+                           tc_frontier_point, wealth_threshold)
 from conemv.presets import (limited_short_cone, mean_half_space_cone,
                             three_index_market, unconstrained_cone)
 from conemv.sim import summarize
@@ -38,12 +37,12 @@ def solve_case(market, case, cone_factory, samples, seed):
     return backward_recursion(market, cone_factory(), backend)
 
 
-def frontier_rows(table, aux, x0, mean_grid):
+def frontier_rows(table, benchmark, x0, mean_grid):
     rows = []
     for mean in mean_grid:
         mean = float(mean)
         point = frontier_point(table, x0, mean)
-        tc_var = tc_frontier_point(aux, x0, mean).variance
+        tc_var = tc_frontier_point(benchmark, x0, mean).variance
         rows.append({"mean": mean, "variance": point.variance,
                      "variance_time_consistent": tc_var})
     return rows
@@ -67,7 +66,7 @@ def main() -> int:
 
     for family in ("gaussian", "student_t"):
         market = three_index_market(family)
-        aux = time_consistent_aux(market)
+        benchmark = unconstrained_table(market)
         riskless = market.rho(0) * args.x0
         mean_grid = np.linspace(riskless, riskless + 1.0, 50)
 
@@ -101,7 +100,7 @@ def main() -> int:
                   f"exceedance={crossing.probability:.4f} "
                   f"var={stats.variance:.6f} ({solve_s:.1f}s)")
 
-            rows = frontier_rows(table, aux, args.x0, mean_grid)
+            rows = frontier_rows(table, benchmark, args.x0, mean_grid)
             with open(outdir / f"frontier_{tag}.json", "w") as fh:
                 json.dump(rows, fh, indent=2)
 

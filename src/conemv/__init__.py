@@ -16,7 +16,7 @@ from .errors import (BackendMismatch, ConemvError, ConfigError,
 from .market import MarketSpec, PeriodDistribution, from_annual_table
 from .policy import (Policy, frontier_point, induced_target, minimum_variance,
                      mu_star, precommitted, tc_frontier_point,
-                     time_consistent, time_consistent_aux, truncated)
+                     time_consistent, truncated)
 from .solver import (ExactDiscreteBackend, RecursionTable, SaaBackend,
                      SolverOptions, backward_recursion, dual_value,
                      linear_form, minimize_over_cone, unconstrained_table,

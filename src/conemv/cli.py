@@ -29,8 +29,9 @@ from . import sim, tcie, vssm
 from .cones import construct_tcie_cone
 from .config import checked_seed, parse_config
 from .errors import (ConemvError, ConfigError, InsufficientMemory,
-                     InvalidCone, InvalidMarket, TargetUnattainable)
-from .solver import backward_recursion, require_memory
+                     InvalidCone, InvalidMarket, InvalidTarget,
+                     TargetUnattainable)
+from .solver import backward_recursion, require_memory, unconstrained_table
 
 _CONFIG_ERRORS = (ConfigError, InvalidMarket, InvalidCone, InsufficientMemory)
 # a frontier point's grid value, row and output text: at most 1.4 KiB
@@ -161,11 +162,7 @@ def cmd_frontier(args) -> int:
     require_memory(_FRONTIER_POINT_BYTES * args.points,
                    f"{args.points} frontier points")
     table = _solve_table(cfg)
-    aux = None
-    try:
-        aux = policy_mod.time_consistent_aux(cfg.market)
-    except ConemvError:
-        pass
+    benchmark = unconstrained_table(cfg.market)
     riskless = table.rho(0) * cfg.x0
     grid = np.linspace(args.mean_min, args.mean_max, args.points)
     rows = []
@@ -177,9 +174,11 @@ def cmd_frontier(args) -> int:
             var, eff = f"{fp.variance:.12g}", fp.efficient
         except TargetUnattainable:
             var, eff = "NA", False
-        tc_var = "NA"
-        if aux is not None and mean >= riskless:
-            tc_var = f"{policy_mod.tc_frontier_point(aux, cfg.x0, float(mean)).variance:.12g}"
+        try:
+            tc = policy_mod.tc_frontier_point(benchmark, cfg.x0, float(mean))
+            tc_var = f"{tc.variance:.12g}"
+        except InvalidTarget:
+            tc_var = "NA"
         rows.append({"mean": f"{mean:.12g}",
                      "variance_precommitted": var,
                      "variance_time_consistent": tc_var,

@@ -266,7 +266,7 @@ class PeriodDistribution:
                 raise InvalidMarket("atom probabilities must be positive")
             if abs(self.probs.sum() - 1.0) > _ATOL:
                 raise InvalidMarket(
-                    f"atom probabilities sum to {self.probs.sum()!r}, not 1")
+                    f"atom probabilities sum to {float(self.probs.sum())!r}, not 1")
         else:
             # Continuous families sample through a Cholesky factor, so the
             # covariance itself must be strictly positive definite.
@@ -278,7 +278,7 @@ class PeriodDistribution:
         # Exclude riskless-dominating degeneracies: B = E[P]'E[PP']^{-1}E[P]
         # equals 1 exactly when the excess return is a.s. a fixed multiple of
         # its mean direction, which makes the one-period problem arbitrary.
-        b = mean @ self.unconstrained_gain()
+        b = float(mean @ self.unconstrained_gain())
         if b >= 1.0 - 1e-9:
             raise InvalidMarket(f"degenerate period: E[P]'E[PP']^-1 E[P] = {b!r}")
 

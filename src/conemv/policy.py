@@ -10,10 +10,10 @@ with the optimal multiplier
 
     mu* = (d - rho_0 x_0) / (1 - 1/C_0^+)       for d >= rho_0 x_0
 
-(and C_0^- in place of C_0^+ below the riskless target).  The
-minimum-variance frontier, the truncated problems started at a later
-date, and the per-period-optimal (time-consistent) benchmark policy all
-derive from the same recursion table.
+(and C_0^- in place of C_0^+ below the riskless target).  Every
+policy reads one recursion table.  The per-period-optimal
+(time-consistent) benchmark reads ``solver.unconstrained_table``, whose
+diagnostics record each b_t = E[P]'E[PP']^{-1}E[P].
 """
 
 from __future__ import annotations
@@ -25,24 +25,29 @@ import numpy as np
 
 from .errors import InvalidTarget, TargetUnattainable
 from .market import MarketSpec
-from .solver import RecursionTable
+from .solver import RecursionTable, unconstrained_table
 
 _C_ONE_TOL = 1e-12
 
 
-def _multiplier(table: RecursionTable, t: int, x: float, d: float,
-                target: str) -> float:
-    """gap / (1 - 1/C_t), gap = d - rho_t x, with C_t on the gap's
-    branch; ``target`` names d when that constant is one."""
+def _branch(table: RecursionTable, t: int, x: float, d: float,
+            target: str) -> tuple[float, float]:
+    """gap = d - rho_t x and C_t on its branch (C_t^+ if gap > 0, else
+    C_t^-), which off gap = 0 must be below one to reach ``target``."""
     gap = d - table.rho(t) * x
-    if gap == 0.0:
-        return 0.0
     c = table.c_plus[t] if gap > 0 else table.c_minus[t]
-    if c >= 1.0 - _C_ONE_TOL:
+    if gap != 0.0 and c >= 1.0 - _C_ONE_TOL:
         raise TargetUnattainable(
             f"{target} unreachable: cost constant is 1 on the "
             f"{'upper' if gap > 0 else 'lower'} branch")
-    return gap / (1.0 - 1.0 / c)
+    return gap, c
+
+
+def _multiplier(table: RecursionTable, t: int, x: float, d: float,
+                target: str) -> float:
+    """gap / (1 - 1/C_t) on the gap's branch, 0 at gap = 0."""
+    gap, c = _branch(table, t, x, d, target)
+    return 0.0 if gap == 0.0 else gap / (1.0 - 1.0 / c)
 
 
 def mu_star(table: RecursionTable, x0: float, d: float) -> float:
@@ -78,60 +83,36 @@ def frontier_point(table: RecursionTable, x0: float,
     Targets below the riskless roll-up lie on the dominated lower
     branch and are flagged inefficient.
     """
-    gap = mean_target - table.rho(0) * x0
+    gap, c = _branch(table, 0, x0, mean_target,
+                     f"mean target {mean_target} from x0={x0}")
     if gap == 0.0:
         return FrontierPoint(mean_target, 0.0, True)
-    c = table.c_plus[0] if gap > 0 else table.c_minus[0]
-    if c >= 1.0 - _C_ONE_TOL:
-        raise TargetUnattainable(
-            f"mean target {mean_target} unreachable from x0={x0}")
-    variance = c * gap * gap / (1.0 - c)
-    return FrontierPoint(mean_target, variance, gap > 0)
+    return FrontierPoint(mean_target, c * gap * gap / (1.0 - c), gap > 0)
 
 
-@dataclass
-class TimeConsistentAux:
-    """Per-period quantities for the time-consistent benchmark policy.
-
-    ``gains[t]`` is E[P P']^{-1} E[P] for period t, ``b[t]`` the scalar
-    E[P]' gains, and ``d_factors[t]`` = prod_{j >= t} (1 - b_j) / b_j
-    the variance multiplier of the benchmark frontier.
-    """
-
-    rho: np.ndarray        # (T+1,), the market's rho_t
-    gains: np.ndarray      # (T, n)
-    b: np.ndarray          # (T,)
-    d_factors: np.ndarray  # (T+1,), d_factors[T] = 1
-
-
-def time_consistent_aux(market: MarketSpec) -> TimeConsistentAux:
-    market.validate()
-    T, n = market.horizon, market.n_assets
-    gains = np.zeros((T, n))
-    b = np.zeros(T)
-    for t, period in enumerate(market.periods):
-        gains[t] = period.unconstrained_gain()
-        b[t] = float(period.mean @ gains[t])
-        if b[t] <= 0.0:
+def _benchmark_b(table: RecursionTable) -> list[float]:
+    """The unconstrained table's b_t, each of which must be positive."""
+    b = [table.diagnostics[t]["b"] for t in range(table.horizon)]
+    for t, b_t in enumerate(b):
+        if b_t <= 0.0:
             raise InvalidTarget(
                 f"time-consistent benchmark needs E[P] != 0 each period; "
-                f"period {t} has b = {b[t]!r}")
-    d_factors = np.ones(T + 1)
-    for t in reversed(range(T)):
-        d_factors[t] = d_factors[t + 1] * (1.0 - b[t]) / b[t]
-    rho = np.array([market.rho(t) for t in range(T + 1)])
-    return TimeConsistentAux(rho, gains, b, d_factors)
+                f"period {t} has b = {b_t!r}")
+    return b
 
 
-def tc_frontier_point(aux: TimeConsistentAux, x0: float,
+def tc_frontier_point(table: RecursionTable, x0: float,
                       mean_target: float) -> FrontierPoint:
-    """Frontier of the per-period-optimal benchmark policy."""
-    gap = mean_target - aux.rho[0] * x0
+    """Benchmark frontier on the unconstrained table, gap^2 prod (1-b)/b."""
+    factor = 1.0
+    for b_t in reversed(_benchmark_b(table)):
+        factor = factor * (1.0 - b_t) / b_t
+    gap = mean_target - table.rho(0) * x0
     if gap < 0.0:
         raise InvalidTarget(
             f"benchmark frontier defined for targets >= rho_0 x0, "
             f"got {mean_target}")
-    return FrontierPoint(mean_target, gap * gap * aux.d_factors[0], True)
+    return FrontierPoint(mean_target, gap * gap * factor, True)
 
 
 class InducedTarget(NamedTuple):
@@ -174,14 +155,15 @@ class Policy:
     """
 
     kind: str
-    horizon: int
-    n_assets: int
+    table: RecursionTable
     start_time: int
     x_start: float
-    table: Optional[RecursionTable] = None
-    aux: Optional[TimeConsistentAux] = None
-    d: Optional[float] = None
+    d: float
     mu: Optional[float] = None
+
+    @property
+    def horizon(self) -> int:
+        return self.table.horizon
 
     def control(self, t: int, x):
         if not self.start_time <= t < self.horizon:
@@ -190,16 +172,16 @@ class Policy:
         x_arr = np.asarray(x, dtype=float)
         scalar = x_arr.ndim == 0
         x_arr = np.atleast_1d(x_arr)
+        table = self.table
         if self.kind == "minimum_variance":
-            u = np.zeros((x_arr.shape[0], self.n_assets))
+            u = np.zeros((x_arr.shape[0], table.n_assets))
         elif self.kind == "time_consistent":
-            aux = self.aux
-            coeff = (self.d - x_arr * aux.rho[t]) / (aux.b[t] * aux.rho[t + 1])
-            u = coeff[:, None] * aux.gains[t]
+            b_t = table.diagnostics[t]["b"]
+            coeff = (self.d - x_arr * table.rho(t)) / (b_t * table.rho(t + 1))
+            u = coeff[:, None] * table.k_plus[t]
         else:
             # precommitted / truncated share the two-piece rule: the
             # gain on coeff's branch, scaled by |coeff|
-            table = self.table
             coeff = table.riskless_rates[t] * (self.threshold(t) - x_arr)
             gains = np.stack((table.k_minus[t], table.k_plus[t]))
             u = gains[(coeff >= 0.0).astype(np.intp)]
@@ -220,14 +202,12 @@ def precommitted(table: RecursionTable, x0: float, d: float) -> Policy:
             f"precommitted policy defined for d >= rho_0 x0 = "
             f"{table.rho(0) * x0}, got {d}")
     mu = mu_star(table, x0, d)
-    return Policy("precommitted", table.horizon, table.n_assets, 0, x0,
-                  table=table, d=d, mu=mu)
+    return Policy("precommitted", table, 0, x0, d, mu)
 
 
 def minimum_variance(table: RecursionTable, x0: float) -> Policy:
     """Hold only the riskless asset."""
-    return Policy("minimum_variance", table.horizon, table.n_assets, 0, x0,
-                  table=table, d=table.rho(0) * x0, mu=0.0)
+    return Policy("minimum_variance", table, 0, x0, table.rho(0) * x0, 0.0)
 
 
 def truncated(table: RecursionTable, k: int, x_k: float, d_k: float) -> Policy:
@@ -236,12 +216,12 @@ def truncated(table: RecursionTable, k: int, x_k: float, d_k: float) -> Policy:
         raise ValueError(f"k must lie in [0, {table.horizon}), got {k}")
     mu_k = _multiplier(table, k, x_k, d_k,
                        f"truncated target {d_k} from x_{k} = {x_k}")
-    return Policy("truncated", table.horizon, table.n_assets, k, x_k,
-                  table=table, d=d_k, mu=mu_k)
+    return Policy("truncated", table, k, x_k, d_k, mu_k)
 
 
 def time_consistent(market: MarketSpec, x0: float, d: float) -> Policy:
-    """Per-period-optimal benchmark (no cone constraints)."""
-    aux = time_consistent_aux(market)
-    return Policy("time_consistent", market.horizon, market.n_assets, 0, x0,
-                  aux=aux, d=d)
+    """Per-period-optimal benchmark (no cone constraints): the control
+    (d - rho_t x) / (b_t rho_{t+1}) K_t^+ on the unconstrained table."""
+    table = unconstrained_table(market)
+    _benchmark_b(table)
+    return Policy("time_consistent", table, 0, x0, d)

@@ -520,7 +520,7 @@ def backward_recursion(market: MarketSpec, cones_by_period,
                 raise ConsistencyError(
                     f"cost constant out of range at t={t} "
                     f"sign={'+' if sign > 0 else '-'}: "
-                    f"{c_store[t]!r} vs next {c_next!r}")
+                    f"{float(c_store[t])!r} vs next {float(c_next)!r}")
             c_store[t] = min(c_store[t], c_next)
             diagnostics.append({"t": t, "sign": sign, **{
                 f.name: getattr(res, f.name) for f in fields(res)
@@ -539,7 +539,8 @@ def unconstrained_table(market: MarketSpec) -> RecursionTable:
 
     With the whole space admissible the minimisers are the plus/minus
     images of E[PP']^{-1} E[P] and the cost constants collapse to the
-    product prod_i (1 - B_i) with B_i = E[P]'E[PP']^{-1}E[P].
+    product prod_i (1 - B_i) with B_i = E[P]'E[PP']^{-1}E[P].  Each
+    diagnostics entry keeps B_t as ``b`` for the time-consistent benchmark.
     """
     market.validate()
     T, n = market.horizon, market.n_assets

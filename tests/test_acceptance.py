@@ -21,7 +21,7 @@ from conftest import random_cone, random_tree_market
 from oracles import brute_force_min_variance, node_condition_tcie
 from conemv.errors import InvalidTarget, TargetUnattainable
 from conemv.policy import (Policy, frontier_point, mu_star, precommitted,
-                           tc_frontier_point, time_consistent_aux)
+                           tc_frontier_point)
 from conemv.presets import (limited_short_cone, mean_half_space_cone,
                             three_index_market, three_index_moments)
 from conemv.sim import sample_returns, simulate, summarize
@@ -186,8 +186,8 @@ def replay_published_case3(market, family: str) -> float:
         k_minus=np.zeros((3, 3)),
         c_plus=np.ones(4), c_minus=np.ones(4),
         zero_tols=np.full(3, 1e-9))
-    pol = Policy(kind="precommitted", horizon=3, n_assets=3, start_time=0,
-                 x_start=X0, table=table, d=TARGET, mu=spec["mu"])
+    pol = Policy(kind="precommitted", table=table, start_time=0,
+                 x_start=X0, d=TARGET, mu=spec["mu"])
     return summarize(pol, market, SIM_PATHS, 0)[1].probability
 
 
@@ -342,8 +342,6 @@ def test_criterion_9_property_suites():
 
 
 def test_criterion_10_frontier_dominance(accept):
-    market = accept["markets"]["gaussian"]
-    aux = time_consistent_aux(market)
     case1 = accept["tables"][("gaussian", "unconstrained")]
     case2 = accept["tables"][("gaussian", "half_space")]
     case3 = accept["tables"][("gaussian", "limited_short")]
@@ -352,14 +350,14 @@ def test_criterion_10_frontier_dominance(accept):
     for mean in grid:
         mean = float(mean)
         pre = frontier_point(case1, X0, mean).variance
-        tc = tc_frontier_point(aux, X0, mean).variance
+        tc = tc_frontier_point(case1, X0, mean).variance
         half = frontier_point(case2, X0, mean).variance
         poly = frontier_point(case3, X0, mean).variance
         assert pre <= tc + 1e-12
         assert pre <= half + 1e-9
         assert half <= poly + 1e-9
     var_pre = frontier_point(case1, X0, TARGET).variance
-    var_tc = tc_frontier_point(aux, X0, TARGET).variance
+    var_tc = tc_frontier_point(case1, X0, TARGET).variance
     assert var_pre == pytest.approx(0.0348, abs=1e-4)
     assert var_tc == pytest.approx(1.815, abs=5e-3)
     note(10, "PASS", f"precommitted <= time-consistent on 50 means, "

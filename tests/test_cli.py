@@ -183,6 +183,19 @@ class TestConfigErrors:
         res = run_cli("solve", "--config", path)
         assert res.returncode == 2
 
+    @pytest.mark.parametrize("atoms,line", [
+        ([[[-0.1], 0.5], [[0.2], 0.4]],
+         "atom probabilities sum to 0.9, not 1"),
+        ([[[0.1], 0.5], [[0.1], 0.5]],
+         "degenerate period: E[P]'E[PP']^-1 E[P] = 0.9999999999999999"),
+    ], ids=["probabilities", "degenerate"])
+    def test_market_error_prints_plain_floats(self, tmp_path, atoms, line):
+        cfg = coin_config()
+        cfg["market"]["atoms"] = atoms
+        res = run_cli("solve", "--config", write_config(tmp_path, cfg))
+        assert res.returncode == 2
+        assert res.stderr == f"error: period 0: {line}\n"
+
     def test_cone_list_wrong_length(self, tmp_path):
         cfg = coin_config(cones=[{"type": "whole_space"}])
         path = write_config(tmp_path, cfg)
@@ -306,6 +319,17 @@ class TestRuntimeErrors:
                             coin_config(d=1.10, cones=ORIGIN_ONLY_CONE))
         res = run_cli("simulate", "--config", path, "--paths", "100")
         assert res.returncode == 1
+
+    def test_zero_mean_time_consistent_prints_plain_b(self, tmp_path):
+        cfg = coin_config()
+        cfg["market"]["atoms"] = [[[-0.1], 0.5], [[0.1], 0.5]]
+        cfg["policy"] = {"kind": "time_consistent", "x0": 1.0, "d": 1.1}
+        res = run_cli("simulate", "--config", write_config(tmp_path, cfg),
+                      "--paths", "100")
+        assert res.returncode == 1
+        assert res.stderr == (
+            "error: time-consistent benchmark needs E[P] != 0 each period; "
+            "period 0 has b = 0.0\n")
 
 
 class TestFrontier:

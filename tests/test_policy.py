@@ -13,7 +13,6 @@ from conemv.policy import (
     precommitted,
     tc_frontier_point,
     time_consistent,
-    time_consistent_aux,
     truncated,
     wealth_threshold,
 )
@@ -104,15 +103,33 @@ class TestFrontier:
 
 class TestTimeConsistentBenchmark:
     def test_aux_factors(self, three_gauss):
-        aux = time_consistent_aux(three_gauss)
+        # the benchmark reads its gains and b_t from the closed-form
+        # unconstrained table
+        table = unconstrained_table(three_gauss)
         period = three_gauss.periods[0]
         gain = np.linalg.solve(period.second_moment(), period.mean)
         b = float(period.mean @ gain)
-        np.testing.assert_allclose(aux.gains[0], gain, rtol=1e-12)
-        assert aux.b[0] == pytest.approx(b, rel=1e-12)
-        assert aux.d_factors[0] == pytest.approx(((1.0 - b) / b) ** 3,
-                                                 rel=1e-12)
-        assert aux.rho.tolist() == [three_gauss.rho(t) for t in range(4)]
+        np.testing.assert_allclose(table.k_plus[0], gain, rtol=1e-12)
+        assert table.diagnostics[0]["b"] == pytest.approx(b, rel=1e-12)
+        pt = tc_frontier_point(table, 1.0, table.rho(0) + 1.0)
+        assert pt.variance == pytest.approx(((1.0 - b) / b) ** 3, rel=1e-12)
+        assert [table.rho(t) for t in range(4)] == \
+            [three_gauss.rho(t) for t in range(4)]
+
+    def test_control_is_the_closed_form_bit_for_bit(self, three_t):
+        # (d - x rho_t) / (b_t rho_{t+1}) g_t with g_t and b_t computed
+        # here from the period, not from the table
+        x0, d = 1.0, 1.35
+        pol = time_consistent(three_t, x0, d)
+        x = np.array([0.7, 1.0, 1.2, 1.9])
+        for t, period in enumerate(three_t.periods):
+            g = period.unconstrained_gain()
+            b = float(period.mean @ g)
+            coeff = (d - x * three_t.rho(t)) / (b * three_t.rho(t + 1))
+            np.testing.assert_array_equal(pol.control(t, x),
+                                          coeff[:, None] * g)
+            np.testing.assert_array_equal(pol.control(t, float(x[1])),
+                                          coeff[1] * g)
 
     def test_rho_checks_its_range_as_the_table_does(self, three_gauss,
                                                     gauss_unc_table):
@@ -122,35 +139,36 @@ class TestTimeConsistentBenchmark:
                     owner.rho(t)
 
     def test_riskless_target_zero_variance(self, three_gauss):
-        aux = time_consistent_aux(three_gauss)
-        pt = tc_frontier_point(aux, 1.0, aux.rho[0])
+        table = unconstrained_table(three_gauss)
+        pt = tc_frontier_point(table, 1.0, table.rho(0))
         assert pt.variance == 0.0
 
     def test_three_index_reference_variance(self, three_gauss):
-        aux = time_consistent_aux(three_gauss)
-        pt = tc_frontier_point(aux, 1.0, 1.35)
+        table = unconstrained_table(three_gauss)
+        pt = tc_frontier_point(table, 1.0, 1.35)
         assert pt.variance == pytest.approx(1.815, abs=5e-3)
-        assert aux.d_factors[0] == pytest.approx(49.05, abs=0.05)
+        gap = 1.35 - table.rho(0)
+        assert pt.variance / gap ** 2 == pytest.approx(49.05, abs=0.05)
 
     def test_target_below_riskless_rejected(self, three_gauss):
-        aux = time_consistent_aux(three_gauss)
+        table = unconstrained_table(three_gauss)
         with pytest.raises(InvalidTarget):
-            tc_frontier_point(aux, 1.0, 1.0)
+            tc_frontier_point(table, 1.0, 1.0)
 
     def test_zero_mean_period_rejected(self):
         period = PeriodDistribution.discrete([[-0.1], [0.1]], [0.5, 0.5])
         market = MarketSpec(horizon=1, riskless_rates=[1.05],
                             periods=[period])
+        with pytest.raises(InvalidTarget, match=r"period 0 has b = 0\.0$"):
+            time_consistent(market, 1.0, 1.1)
         with pytest.raises(InvalidTarget):
-            time_consistent_aux(market)
+            tc_frontier_point(unconstrained_table(market), 1.0, 1.1)
 
-    def test_precommitted_dominates_benchmark(self, three_gauss,
-                                              gauss_unc_table):
-        aux = time_consistent_aux(three_gauss)
+    def test_precommitted_dominates_benchmark(self, gauss_unc_table):
         riskless = gauss_unc_table.rho(0)
         for d in np.linspace(riskless + 0.01, riskless + 0.6, 25):
             pre = frontier_point(gauss_unc_table, 1.0, d).variance
-            bench = tc_frontier_point(aux, 1.0, d).variance
+            bench = tc_frontier_point(gauss_unc_table, 1.0, d).variance
             assert pre <= bench + 1e-15
 
 
@@ -300,7 +318,7 @@ class TestPolicies:
     def test_time_consistent_zero_at_moving_target(self, three_gauss):
         pol = time_consistent(three_gauss, 1.0, 1.35)
         for t in range(3):
-            x = pol.d / pol.aux.rho[t]
+            x = pol.d / pol.table.rho(t)
             np.testing.assert_allclose(pol.control(t, x), np.zeros(3),
                                        atol=1e-14)
 
@@ -309,7 +327,6 @@ class TestPolicies:
         # wealth, discounted, equals the target exactly on a tree
         market = random_tree_market(seed=9, horizon=2, n_assets=2)
         pol = time_consistent(market, 1.0, 1.4)
-        aux = pol.aux
         rng = np.random.default_rng(0)
         for t in range(2):
             period = market.periods[t]
@@ -320,7 +337,7 @@ class TestPolicies:
                 cond_mean = float(period.probs @ nxt)
                 # defining property: the rolled-up conditional mean hits
                 # the target exactly after every single period
-                assert cond_mean * aux.rho[t + 1] == pytest.approx(
+                assert cond_mean * market.rho(t + 1) == pytest.approx(
                     pol.d, rel=1e-12)
 
     def test_truncated_requires_attainable_target(self):
