@@ -5,10 +5,12 @@ read a JSON run configuration (see :mod:`conemv.config`); results go
 to stdout or --out.  Exit codes: 0 success, 1 runtime failure
 (non-convergence, unattainable target), 2 configuration problems.
 
-Only tcie keeps the SAA backend, with its frozen samples, after the
-solve.  simulate and vssm draw, reduce and drop one block of
-``sim._BLOCK`` paths at a time and keep at most 33 bytes a path, not
-the paths' returns, so their memory grows slowly with the path count.
+No command keeps the SAA backend after its solve, and a
+time-consistent simulate solves no table: its policy reads only the
+closed-form unconstrained table.  simulate and vssm draw, reduce and
+drop one block of ``sim._BLOCK`` paths at a time and keep at most 33
+bytes a path, not the paths' returns, so their memory grows slowly
+with the path count.
 """
 
 from __future__ import annotations
@@ -113,14 +115,16 @@ def _solve_table(cfg):
     return backward_recursion(cfg.market, cfg.cones, cfg.make_backend())
 
 
-def _build_policy(cfg, table):
+def _build_policy(cfg):
+    """The configured policy; only a cone-constrained one solves."""
     kind = cfg.policy_kind
+    if kind == "time_consistent":
+        return policy_mod.time_consistent(cfg.market, cfg.x0, cfg.d)
+    table = _solve_table(cfg)
     if kind == "precommitted":
         return policy_mod.precommitted(table, cfg.x0, cfg.d)
     if kind == "minimum_variance":
         return policy_mod.minimum_variance(table, cfg.x0)
-    if kind == "time_consistent":
-        return policy_mod.time_consistent(cfg.market, cfg.x0, cfg.d)
     return policy_mod.truncated(table, cfg.truncate_k, cfg.truncate_x_k,
                                 cfg.truncate_d_k)
 
@@ -201,7 +205,7 @@ def cmd_simulate(args) -> int:
     # terminal wealth, the terminal statistics' temporaries (3) and
     # the crossed flag
     _require_path_memory(cfg, args.paths, 8 * 4 + 1)
-    pol = _build_policy(cfg, _solve_table(cfg))
+    pol = _build_policy(cfg)
     stats, report = sim.summarize(pol, cfg.market, args.paths, cfg.seed)
     payload = {
         "policy": cfg.policy_kind,
@@ -217,12 +221,11 @@ def cmd_simulate(args) -> int:
 
 def cmd_tcie(args) -> int:
     cfg = _load_config(args)
-    backend = cfg.make_backend()  # transition_probs reads its samples
-    table = backward_recursion(cfg.market, cfg.cones, backend)
+    table = _solve_table(cfg)
     payload = dataclasses.asdict(tcie.check_tcie(table, cfg.market))
     for period in payload["periods"]:
         period["transition"] = dataclasses.asdict(tcie.transition_probs(
-            table, cfg.market, period["t"], backend=backend))
+            table, cfg.market, period["t"]))
     try:
         mu = policy_mod.mu_star(table, cfg.x0, cfg.d)
         payload["thresholds"] = _thresholds(cfg, table, mu)

@@ -17,6 +17,7 @@ as one; then a boolean anywhere, or a string outside the name keys
 from __future__ import annotations
 
 import math
+import numbers
 from dataclasses import dataclass
 from typing import Optional
 
@@ -134,6 +135,9 @@ def _parse_period(section: dict) -> PeriodDistribution:
         if key not in section:
             raise ConfigError(f"{family} market needs {key!r}")
     mean, cov = section["mean"], section["covariance"]
+    for key, value in (("mean", mean), ("covariance", cov)):
+        if value is None or isinstance(value, numbers.Real):
+            raise ConfigError(f"{key!r} must be an array, got {value!r}")
     if family == "gaussian":
         return PeriodDistribution.gaussian(mean, cov)
     if "df" not in section:
@@ -150,8 +154,15 @@ def _parse_market(section) -> MarketSpec:
     horizon = _number(section, "horizon", None, int)
     if horizon < 1:
         raise ConfigError(f"horizon must be a positive integer, got {horizon!r}")
+    # before [period] * horizon, which a horizon of 10**9 would make an
+    # 8 GB list
+    rates = section["riskless_rates"]
+    if not isinstance(rates, list):
+        raise ConfigError("'riskless_rates' must be a list of numbers")
+    if len(rates) != horizon:
+        raise ConfigError(f"need {horizon} riskless rates, got {len(rates)}")
     try:
-        market = MarketSpec(horizon, section["riskless_rates"],
+        market = MarketSpec(horizon, rates,
                             [_parse_period(section)] * horizon)
         market.validate()
     except (TypeError, ValueError, DimensionMismatch) as exc:
@@ -188,7 +199,8 @@ def parse_config(data: dict) -> RunConfig:
     if not isinstance(policy, dict):
         raise ConfigError("'policy' must be an object")
     cfg.policy_kind = policy.get("kind", "precommitted")
-    if cfg.policy_kind not in _POLICY_KINDS:
+    if not isinstance(cfg.policy_kind, str) or \
+            cfg.policy_kind not in _POLICY_KINDS:
         raise ConfigError(f"unknown policy kind {cfg.policy_kind!r}")
     cfg.x0 = _number(policy, "x0", 1.0)
     cfg.d = _number(policy, "d", cfg.market.rho(0) * cfg.x0)

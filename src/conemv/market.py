@@ -53,7 +53,7 @@ _ATOL = 1e-12
 
 
 # scipy.special is imported on first use: it is most of the package's
-# import time, and only sampling needs it.
+# import time, and only sampling and the laws of P'k need it.
 
 def ndtri(p: np.ndarray) -> np.ndarray:
     """Overwrite p with its standard normal quantiles, elementwise, over
@@ -333,6 +333,28 @@ class PeriodDistribution:
         if k @ self.cov @ k <= 0.0:
             return float(self.mean @ k)
         return np.inf
+
+    def cdf_inner(self, k: np.ndarray, a: float) -> float:
+        """Pr(P'k <= a), exactly.
+
+        Discrete laws sum the weights of the atoms with P'k <= a.  The
+        gaussian and Student-t laws are elliptical, so P'k = mu'k + s Z
+        with s^2 = k' cov k and Z standard normal, or Student t with df
+        degrees of freedom scaled by sqrt((df - 2) / df), as the draw
+        scales the covariance.  For s = 0 it is the step at mu'k.
+        """
+        k = np.asarray(k, dtype=float)
+        if self.family == "discrete":
+            return float(self.probs @ (self.atoms @ k <= a))
+        loc, var = float(self.mean @ k), float(k @ self.cov @ k)
+        if var <= 0.0:
+            return float(loc <= a)
+        from scipy import special
+        z = (a - loc) / np.sqrt(var)
+        if self.family == "gaussian":
+            return float(special.ndtr(z))
+        return float(special.stdtr(self.df, z / np.sqrt((self.df - 2.0)
+                                                        / self.df)))
 
 
 @dataclass(frozen=True, eq=False)

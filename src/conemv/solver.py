@@ -34,7 +34,8 @@ Each backend owns its evaluator: ``backend.cost(t, sign, k, c_plus,
 c_minus)`` is the only way the solver reaches an expectation.  The
 exact backend sums over discrete atoms; sample-average approximation
 reads one frozen sample matrix per period (common random numbers across
-all evaluations), which tcie's crossing probabilities reuse.
+all evaluations of that period).  The recursion visits each period once,
+so the backend holds only the period it drew last.
 
 The frozen sample is stored in ascending row-norm order with per-block
 moments.  Rows with |P| |K| < 1 cannot cross to the minority branch, so
@@ -161,10 +162,13 @@ def require_memory(need: int, what: str) -> None:
 class SaaBackend:
     """Sample-average approximation with frozen per-period samples.
 
-    The sample matrix for period t is drawn once (counter-based stream,
-    so the draw is independent of evaluation order), stored in row-norm
-    order (see :class:`SampleScreen`) and reused by every cost and
-    gradient evaluation at that period.
+    The sample matrix for period t is drawn from its counter-based
+    stream, stored in row-norm order (see :class:`SampleScreen`) and
+    reused by every cost and gradient evaluation at that period.  Only
+    the period drawn last is held: a call for another period drops it
+    first, and a dropped period drawn again is bit-identical.  A solve
+    draws each period once; a backend reused for another solve draws
+    them again.
     """
 
     kind = "saa"
@@ -175,23 +179,22 @@ class SaaBackend:
         self.market = market
         self.sample_count = int(sample_count)
         self.seed = int(seed)
-        self._cache: dict[int, SampleScreen] = {}
-        # T - 1 frozen samples plus the peak while the last is drawn
-        # (uniforms, their product and the Student-t scale) or sorted
-        # (the draw, its permutation, norms and order): at most 3n + 2
-        # doubles a row
-        require_memory(8 * self.sample_count * ((market.horizon + 2)
-                                                * market.n_assets + 2),
+        self._held: Optional[tuple[int, SampleScreen]] = None
+        # one period's peak: while it is drawn (uniforms, their product
+        # and the Student-t scale) or sorted (the draw, its permutation,
+        # norms and order), at most 3n + 2 doubles a row; while it is
+        # evaluated (the sample, five row temporaries and the minority
+        # rows), at most 2n + 5
+        n = market.n_assets
+        require_memory(8 * self.sample_count * max(3 * n + 2, 2 * n + 5),
                        f"{self.sample_count} SAA samples")
 
     def screen(self, t: int) -> SampleScreen:
-        if t not in self._cache:
-            self._cache[t] = SampleScreen(self.market.sample_block(
-                t, self.seed, 0, self.sample_count, stream=STREAM_SAA))
-        return self._cache[t]
-
-    def points(self, t: int) -> np.ndarray:
-        return self.screen(t).points
+        if self._held is None or self._held[0] != t:
+            self._held = None  # freed before the next period is drawn
+            self._held = (t, SampleScreen(self.market.sample_block(
+                t, self.seed, 0, self.sample_count, stream=STREAM_SAA)))
+        return self._held[1]
 
     def n_rows(self, t: int) -> int:
         return self.sample_count

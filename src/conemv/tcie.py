@@ -15,6 +15,12 @@ Otherwise some reachable state strictly above the threshold faces a
 truncated problem whose optimum differs from the policy tail, and the
 verdict reports the first offending period.  The verdict depends only
 on the market and cones through the recursion table, not on (x0, d).
+
+The one-step transition probabilities of the threshold crossing,
+Pr(P'K^+ <= 1) and Pr(P'K^- <= -1), come from each period's law in
+closed form (:meth:`conemv.market.PeriodDistribution.cdf_inner`): P'K
+is elliptical on gaussian and Student-t periods, so they are univariate
+CDFs, and discrete periods sum atom weights.  No sample is read.
 """
 
 from __future__ import annotations
@@ -24,7 +30,6 @@ from typing import Optional
 
 import numpy as np
 
-from .errors import BackendMismatch
 from .market import MarketSpec
 from .solver import RecursionTable
 
@@ -100,34 +105,20 @@ class TransitionProbs:
     cross_up: float        # Pr(P'K^+ > 1)
     return_from_above: float  # Pr(P'K^- <= -1)
     stay_above: float      # Pr(P'K^- > -1)
-    standard_error: float  # 0 for exact enumeration
+    standard_error: float  # 0: the probabilities are exact
 
 
 def transition_probs(table: RecursionTable, market: MarketSpec, t: int,
                      backend=None) -> TransitionProbs:
-    """One-step threshold transition probabilities at period t.
+    """One-step threshold transition probabilities at period t, exact
+    on every family: :meth:`PeriodDistribution.cdf_inner` gives
+    Pr(P'K^+ <= 1) and Pr(P'K^- <= -1) from the period's law.
 
-    Exact on discrete periods; otherwise Monte Carlo over the frozen
-    period sample of the SAA backend that solved ``table``, which a
-    continuous period requires.
+    ``backend`` is accepted and unused.  The benchmark's workloads still
+    pass it; it goes with their next change.
     """
     period = market.periods[t]
-    if period.family == "discrete":
-        pts, w = period.atoms, period.probs
-        se = 0.0
-    else:
-        if backend is None:
-            raise BackendMismatch(f"period {t} is {period.family}: its "
-                                  "crossings need the solve's SAA backend")
-        pts, w = backend.points(t), None
-        se = 0.5 / np.sqrt(pts.shape[0])
-
-    def prob(mask):
-        return float(np.mean(mask)) if w is None else float(w @ mask)
-
-    y_plus = pts @ table.k_plus[t]
-    y_minus = pts @ table.k_minus[t]
-    p_below = prob(y_plus <= 1.0)
-    p_return = prob(y_minus <= -1.0)
+    p_below = period.cdf_inner(table.k_plus[t], 1.0)
+    p_return = period.cdf_inner(table.k_minus[t], -1.0)
     return TransitionProbs(p_below, 1.0 - p_below, p_return, 1.0 - p_return,
-                           se)
+                           0.0)

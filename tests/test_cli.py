@@ -14,7 +14,7 @@ from types import SimpleNamespace
 import numpy as np
 import pytest
 
-from conemv import cli, sim, solver, tcie, vssm
+from conemv import cli, config, sim, solver, tcie, vssm
 from conemv.config import parse_config
 
 from conftest import nested, summary_of_wealth
@@ -208,6 +208,44 @@ class TestConfigErrors:
         path = write_config(tmp_path, cfg)
         res = run_cli("solve", "--config", path)
         assert res.returncode == 2
+
+    @pytest.mark.parametrize("kind", [{"x0": 1.0}, [1, 2]],
+                             ids=["object", "list"])
+    def test_policy_kind_not_a_name(self, tmp_path, capsys, kind):
+        cfg = coin_config()
+        cfg["policy"]["kind"] = kind
+        assert cli.main(["solve", "--config",
+                         write_config(tmp_path, cfg)]) == 2
+        assert capsys.readouterr().err == \
+            f"error: unknown policy kind {kind!r}\n"
+
+    @pytest.mark.parametrize("value", [None, 0.04], ids=["null", "scalar"])
+    @pytest.mark.parametrize("key", ["mean", "covariance"])
+    def test_null_or_scalar_moments(self, tmp_path, capsys, key, value):
+        cfg = saa_config()
+        cfg["market"][key] = value
+        assert cli.main(["solve", "--config",
+                         write_config(tmp_path, cfg)]) == 2
+        assert capsys.readouterr().err == \
+            f"error: {key!r} must be an array, got {value!r}\n"
+
+    @pytest.mark.parametrize("horizon", [10**30, 10**9])
+    def test_horizon_checked_before_allocation(self, tmp_path, capsys,
+                                               monkeypatch, horizon):
+        """The rates' count is compared first: neither the period nor
+        the market, whose period list a horizon this long would fill,
+        is built."""
+        def built(*args):
+            raise AssertionError("allocated before the length check")
+
+        monkeypatch.setattr(config, "_parse_period", built)
+        monkeypatch.setattr(config, "MarketSpec", built)
+        cfg = coin_config()
+        cfg["market"]["horizon"] = horizon
+        assert cli.main(["solve", "--config",
+                         write_config(tmp_path, cfg)]) == 2
+        assert capsys.readouterr().err == \
+            f"error: need {horizon} riskless rates, got 2\n"
 
     def test_truncated_missing_keys(self, tmp_path):
         cfg = coin_config()
@@ -435,6 +473,22 @@ class TestSimulate:
         assert set(exc["thresholds"]) == {"1"}
         assert 0.0 <= exc["probability"] <= 1.0
 
+    def test_time_consistent_runs_no_cone_solve(self, tmp_path,
+                                                monkeypatch, capsys):
+        """Its policy reads only the closed-form unconstrained table."""
+        cfg = json.loads((CONFIGS / "three_index_limited_short_gaussian"
+                          ".json").read_text())
+        cfg["policy"] = STREAM_POLICIES["time_consistent"]
+
+        def no_solve(*args):
+            raise AssertionError("solved a cone table")
+
+        monkeypatch.setattr(cli, "backward_recursion", no_solve)
+        assert cli.main(["simulate", "--config", write_config(tmp_path, cfg),
+                         "--paths", "1000"]) == 0
+        assert json.loads(capsys.readouterr().out)["policy"] == \
+            "time_consistent"
+
     def test_terminal_mean_near_target(self, tmp_path):
         path = write_config(tmp_path, coin_config(d=1.10))
         res = run_cli("simulate", "--config", path, "--paths", "40000")
@@ -500,7 +554,7 @@ class TestStreaming:
             self, tmp_path, monkeypatch, capsys, policy):
         data, path = self.config(tmp_path, policy)
         cfg = parse_config(data)
-        pol = cli._build_policy(cfg, cli._solve_table(cfg))
+        pol = cli._build_policy(cfg)
         ens = sim.simulate(pol, cfg.market, STREAM_PATHS, cfg.seed)
         thresholds = None
         if policy in ("precommitted", "truncated"):
@@ -567,10 +621,11 @@ class TestStreaming:
         capsys.readouterr()
         assert len(needs) == 1 and peak - base[0] <= needs[0]
 
-    @pytest.mark.parametrize("command", ["simulate", "vssm"])
+    @pytest.mark.parametrize("command", ["simulate", "vssm", "tcie"])
     def test_backend_freed_before_the_monte_carlo(
             self, tmp_path, monkeypatch, capsys, command):
-        # the frozen SAA samples are dead weight once the table is solved
+        # the frozen SAA samples are dead weight once the table is solved;
+        # tcie's transitions read the period laws, not the samples
         held = [o for o in gc.get_objects()
                 if isinstance(o, solver.SaaBackend)]
 
@@ -591,8 +646,13 @@ class TestStreaming:
         monkeypatch.setattr(sim, "simulate", checked(sim.simulate))
         monkeypatch.setattr(sim, "sample_returns",
                             checked(sim.sample_returns))
+        monkeypatch.setattr(tcie, "transition_probs",
+                            checked(tcie.transition_probs))
         path = write_config(tmp_path, saa_config())
-        assert cli.main([command, "--config", path, "--paths", "500"]) == 0
+        argv = [command, "--config", path]
+        if command != "tcie":
+            argv += ["--paths", "500"]
+        assert cli.main(argv) == 0
         capsys.readouterr()
         assert seen and not any(seen), seen
 

@@ -1,15 +1,19 @@
 """The screened SAA cost kernel against a plain full pass, the row-norm
 layout of frozen samples, and the evaluation counters of a solve."""
 
+import gc
 import json
+import tracemalloc
+import weakref
 
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from conemv import solver
 from conemv.errors import InsufficientMemory
-from conemv.presets import mean_half_space_cone
+from conemv.presets import mean_half_space_cone, three_index_market
 from conemv.rng import STREAM_SAA
 from conemv.solver import (ExactDiscreteBackend, SaaBackend,
                            SampleScreen, SolverOptions, _SCREEN_BLOCK,
@@ -131,8 +135,8 @@ def test_saa_points_are_a_row_permutation_of_the_draw(three_gauss):
         drawn = three_gauss.sample_block(t, 11, 0, n, stream=STREAM_SAA)
         norms = np.sqrt(np.einsum("ij,ij->i", drawn, drawn))
         order = np.argsort(norms, kind="stable")
-        np.testing.assert_array_equal(a.points(t), drawn[order])
-        np.testing.assert_array_equal(a.points(t), b.points(t))
+        np.testing.assert_array_equal(a.screen(t).points, drawn[order])
+        np.testing.assert_array_equal(a.screen(t).points, b.screen(t).points)
 
 
 def test_tied_norms_keep_the_stable_order():
@@ -149,6 +153,43 @@ def test_tied_norms_keep_the_stable_order():
 def test_memory_preflight_refuses_before_drawing(three_gauss):
     with pytest.raises(InsufficientMemory, match="GiB"):
         SaaBackend(three_gauss, 10_000_000_000, seed=0)
+
+
+def test_a_dropped_period_draws_again_bit_for_bit(three_t):
+    """The backend holds the period it drew last; a period drawn again
+    after it was dropped is the first draw, bit for bit."""
+    backend = SaaBackend(three_t, B + 1000, seed=11)
+    first = backend.screen(0)
+    assert backend.screen(0) is first  # held, not drawn again
+    kept = {name: getattr(first, name).copy()
+            for name in ("points", "top", "rows", "moments")}
+    held = weakref.ref(first)
+    backend.screen(1)
+    del first
+    gc.collect()
+    assert held() is None  # period 0 was dropped
+    again = backend.screen(0)
+    for name, value in kept.items():
+        np.testing.assert_array_equal(getattr(again, name), value)
+
+
+@pytest.mark.parametrize("family", ["gaussian", "student_t"])
+def test_solve_peak_stays_within_the_preflight(monkeypatch, family):
+    """A 200K-sample, three-period solve allocates at its peak no more
+    than the backend's preflight counts, which is one period's."""
+    market = three_index_market(family)
+    market.sample_block(0, 0, 0, 2)  # scipy.special and the t table
+    needs = []
+    monkeypatch.setattr(solver, "require_memory",
+                        lambda need, what: needs.append(need))
+    tracemalloc.start()
+    try:
+        backward_recursion(market, mean_half_space_cone(),
+                           SaaBackend(market, 200_000, seed=2))
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert len(needs) == 1 and peak <= needs[0]
 
 
 def test_solve_reports_evaluations_and_rows_read(three_gauss):

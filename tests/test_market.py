@@ -8,7 +8,7 @@ import time
 
 import numpy as np
 import pytest
-from scipy import special
+from scipy import special, stats
 
 from conemv import market as market_module
 from conemv import rng
@@ -23,7 +23,7 @@ from conemv.presets import (
     three_index_moments,
 )
 
-from conftest import nested
+from conftest import nested, random_tree_market
 
 # Published second-moment matrix for the three-index calibration, kept as a
 # regression anchor (entries rounded to 1e-4 in the source table).
@@ -643,3 +643,64 @@ class TestSupportBounds:
         mean, cov = three_index_moments()
         period = PeriodDistribution.gaussian(mean, cov)
         assert period.support_max_inner(np.zeros(3)) == pytest.approx(0.0)
+
+
+class TestInnerProductLaw:
+    """cdf_inner(k, a) = Pr(P'k <= a), exactly for every family."""
+
+    @pytest.mark.parametrize("seed", range(8))
+    def test_discrete_is_the_weighted_atom_count(self, seed):
+        market = random_tree_market(seed=seed, horizon=2, n_assets=2)
+        gen = np.random.default_rng(seed)
+        for period in market.periods:
+            for _ in range(5):
+                k, a = gen.normal(size=2), float(gen.normal())
+                assert period.cdf_inner(k, a) == float(
+                    period.probs @ (period.atoms @ k <= a))
+            # an atom exactly at a counts as below
+            k = gen.normal(size=2)
+            y = period.atoms @ k
+            assert period.cdf_inner(k, float(y[0])) == float(
+                period.probs @ (y <= y[0]))
+
+    @pytest.mark.parametrize("family", ["gaussian", "student_t"])
+    def test_elliptical_laws_match_scipy(self, family):
+        market = three_index_market(family)
+        period = market.periods[0]
+        gen = np.random.default_rng(3)
+        for _ in range(20):
+            k = gen.normal(scale=2.0, size=3)
+            loc = float(period.mean @ k)
+            s = float(np.sqrt(k @ period.cov @ k))
+            for a in (-1.0, 1.0, loc, loc + 3.0 * s, loc - 5.0 * s):
+                if family == "gaussian":
+                    want = stats.norm.cdf(a, loc=loc, scale=s)
+                else:
+                    df = period.df
+                    want = stats.t.cdf(a, df, loc=loc,
+                                       scale=s * np.sqrt((df - 2.0) / df))
+                assert period.cdf_inner(k, a) == pytest.approx(
+                    want, rel=0, abs=1e-14)
+
+    @pytest.mark.parametrize("family", ["gaussian", "student_t"])
+    def test_zero_spread_is_the_step(self, family):
+        period = three_index_market(family).periods[0]
+        zero = np.zeros(3)
+        assert period.cdf_inner(zero, 0.0) == 1.0
+        assert period.cdf_inner(zero, 1.0) == 1.0
+        assert period.cdf_inner(zero, -1.0) == 0.0
+
+    @pytest.mark.parametrize("family", ["gaussian", "student_t"])
+    def test_agrees_with_the_draw(self, family):
+        """The law is the sampler's: the share of 200,000 drawn P'k at
+        or below a lies within 4 SE of it, in both tails and the body."""
+        market = three_index_market(family)
+        k = np.array([1.0, 0.5, -0.2])
+        y = market.sample_block(0, 5, 0, 200_000) @ k
+        period = market.periods[0]
+        loc = float(period.mean @ k)
+        s = float(np.sqrt(k @ period.cov @ k))
+        for a in (loc - 3.0 * s, loc - s, loc, loc + 2.5 * s):
+            p = period.cdf_inner(k, a)
+            se = np.sqrt(p * (1.0 - p) / y.shape[0])
+            assert abs(float(np.mean(y <= a)) - p) <= 4.0 * se, a

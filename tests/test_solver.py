@@ -318,7 +318,7 @@ class TestBackends:
         else:
             assert type(made) is SaaBackend
             assert (made.sample_count, made.seed) == (1000, 5)
-            assert made.points(0).shape == (1000, 1)
+            assert made.screen(0).points.shape == (1000, 1)
             assert made.describe() == {"kind": "saa", "samples": 1000,
                                        "seed": 5}
 
@@ -327,8 +327,8 @@ class TestBackends:
             SaaBackend(three_gauss, 1, seed=0)
 
     def test_saa_points_are_seed_deterministic(self, three_gauss):
-        a = SaaBackend(three_gauss, 1000, seed=5).points(0)
-        b = SaaBackend(three_gauss, 1000, seed=5).points(0)
+        a = SaaBackend(three_gauss, 1000, seed=5).screen(0).points
+        b = SaaBackend(three_gauss, 1000, seed=5).screen(0).points
         np.testing.assert_array_equal(a, b)
 
 

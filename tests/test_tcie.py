@@ -1,10 +1,14 @@
 """Time-consistency-in-efficiency verdicts, thresholds, and transitions."""
+import json
+from pathlib import Path
+
 import numpy as np
 import pytest
 import scipy.stats
 
 from conemv.cones import ConvexCone, construct_tcie_cone
-from conemv.errors import BackendMismatch, TargetUnattainable
+from conemv.config import parse_config
+from conemv.errors import TargetUnattainable
 from conemv.market import MarketSpec, PeriodDistribution
 from conemv.policy import mu_star, precommitted
 from conemv.sim import simulate
@@ -19,12 +23,7 @@ from conemv.tcie import check_tcie, transition_probs
 from conftest import random_tree_market
 from oracles import exhaustive_tcie, node_condition_tcie
 
-
-@pytest.fixture(scope="module")
-def gauss_backend(three_gauss):
-    """The 200,000-row, seed-0 sample the transition check prices the
-    closed-form table's crossings on."""
-    return SaaBackend(three_gauss, 200_000, seed=0)
+CONFIGS = Path(__file__).resolve().parents[1] / "configs"
 
 
 def small_move_market(horizon=2):
@@ -129,9 +128,7 @@ class TestTransitionProbs:
         from conemv.presets import mean_half_space_cone
         table = backward_recursion(three_gauss, mean_half_space_cone(),
                                    SaaBackend(three_gauss, 50_000, seed=2))
-        probs = transition_probs(table, three_gauss, 1,
-                                 backend=SaaBackend(three_gauss, 50_000,
-                                                    seed=0))
+        probs = transition_probs(table, three_gauss, 1)
         assert probs.return_from_above == 0.0
         assert probs.stay_above == 1.0
 
@@ -143,43 +140,57 @@ class TestTransitionProbs:
         mu_y = float(period.mean @ k)
         sd_y = float(np.sqrt(k @ period.cov @ k))
         exact = scipy.stats.norm.sf((1.0 - mu_y) / sd_y)
-        probs = transition_probs(gauss_unc_table, three_gauss, t,
-                                 backend=SaaBackend(three_gauss, 200_000,
-                                                    seed=3))
-        se = np.sqrt(exact * (1.0 - exact) / 200_000)
-        assert abs(probs.cross_up - exact) <= 4.0 * se
-        assert probs.standard_error > 0.0
+        probs = transition_probs(gauss_unc_table, three_gauss, t)
+        assert probs.cross_up == pytest.approx(exact, rel=0, abs=1e-14)
+        assert probs.standard_error == 0.0
 
-    def test_backend_samples_are_reused(self, three_gauss,
-                                        gauss_unc_table):
-        backend = SaaBackend(three_gauss, 10_000, seed=5)
-        a = transition_probs(gauss_unc_table, three_gauss, 0,
-                             backend=backend)
-        b = transition_probs(gauss_unc_table, three_gauss, 0,
-                             backend=backend)
-        assert a.cross_up == b.cross_up
-
-    def test_continuous_periods_need_a_backend(self, three_gauss, three_t,
-                                               gauss_unc_table):
+    def test_continuous_periods_need_no_backend(self, three_gauss, three_t):
+        # a backend is accepted, read for nothing and drawn from never
         for market in (three_gauss, three_t):
+            table = unconstrained_table(market)
             for t in range(market.horizon):
-                with pytest.raises(BackendMismatch, match=f"period {t}"):
-                    transition_probs(gauss_unc_table, market, t)
-        # a discrete period stays exact without one, beside a gaussian
+                backend = SaaBackend(market, 10_000, seed=5)
+                got = transition_probs(table, market, t, backend=backend)
+                assert got == transition_probs(table, market, t)
+                assert backend._held is None
+                period = market.periods[t]
+                assert got.stay_below == period.cdf_inner(table.k_plus[t], 1.0)
+                assert got.return_from_above == \
+                    period.cdf_inner(table.k_minus[t], -1.0)
+                assert got.standard_error == 0.0
+        # a discrete period beside a gaussian one
         mixed = MarketSpec(horizon=2, riskless_rates=[1.05, 1.05],
                            periods=[small_move_market(1).periods[0],
                                     PeriodDistribution.gaussian([0.06],
                                                                 [[0.04]])])
         table = unconstrained_table(mixed)
-        assert transition_probs(table, mixed, 0).standard_error == 0.0
-        with pytest.raises(BackendMismatch):
-            transition_probs(table, mixed, 1)
+        for t in range(2):
+            assert transition_probs(table, mixed, t).standard_error == 0.0
+
+    @pytest.mark.parametrize("name", sorted(p.stem for p in CONFIGS.glob(
+        "*.json")))
+    def test_in_sample_transitions_are_within_4_se(self, name):
+        """The counts over the solve's 1M-row sample, which `conemv tcie`
+        printed before its probabilities were exact, lie within 4 SE of
+        them on every shipped config."""
+        cfg = parse_config(json.loads((CONFIGS / f"{name}.json").read_text()))
+        assert cfg.samples == 1_000_000
+        backend = cfg.make_backend()
+        table = backward_recursion(cfg.market, cfg.cones, backend)
+        for t in range(table.horizon):
+            pts = backend.screen(t).points
+            exact = transition_probs(table, cfg.market, t)
+            for k, a, p in ((table.k_plus[t], 1.0, exact.stay_below),
+                            (table.k_minus[t], -1.0,
+                             exact.return_from_above)):
+                counted = float(np.mean(pts @ k <= a))
+                se = np.sqrt(p * (1.0 - p) / cfg.samples)
+                assert abs(counted - p) <= 4.0 * se, (t, a, counted, p)
 
 
 class TestConditionalConsistency:
     def test_simulated_transitions_match_theory(self, three_gauss,
-                                                gauss_unc_table,
-                                                gauss_backend):
+                                                gauss_unc_table):
         # Paths strictly below the threshold at t stay weakly below at
         # t + 1 with Pr(P'K^+ <= 1); paths strictly above return with
         # Pr(P'K^- <= -1).  Cells of fewer than 100 paths are not judged.
@@ -187,8 +198,7 @@ class TestConditionalConsistency:
         wealth = simulate(pol, three_gauss, n_paths=200_000, seed=7).wealth
         checked = set()
         for t in range(gauss_unc_table.horizon):
-            probs = transition_probs(gauss_unc_table, three_gauss, t,
-                                     backend=gauss_backend)
+            probs = transition_probs(gauss_unc_table, three_gauss, t)
             stays_below = wealth[:, t + 1] <= pol.threshold(t + 1)
             for side, mask, theory in (
                     ("below", wealth[:, t] < pol.threshold(t),
@@ -200,7 +210,7 @@ class TestConditionalConsistency:
                     continue
                 se = np.sqrt(theory * (1.0 - theory) / count)
                 assert abs(stays_below[mask].mean() - theory) <= \
-                    4.0 * (se + probs.standard_error), (t, side)
+                    4.0 * se, (t, side)
                 checked.add((t, side))
         assert len(checked) >= 3
         assert (0, "below") in checked
