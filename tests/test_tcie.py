@@ -144,7 +144,7 @@ class TestTransitionProbs:
         assert probs.cross_up == pytest.approx(exact, rel=0, abs=1e-14)
         assert probs.standard_error == 0.0
 
-    def test_continuous_periods_need_no_backend(self, three_gauss, three_t):
+    def test_backend_is_never_drawn_from(self, three_gauss, three_t):
         # a backend is accepted, read for nothing and drawn from never
         for market in (three_gauss, three_t):
             table = unconstrained_table(market)
@@ -153,6 +153,12 @@ class TestTransitionProbs:
                 got = transition_probs(table, market, t, backend=backend)
                 assert got == transition_probs(table, market, t)
                 assert backend._held is None
+
+    def test_continuous_periods_need_no_backend(self, three_gauss, three_t):
+        for market in (three_gauss, three_t):
+            table = unconstrained_table(market)
+            for t in range(market.horizon):
+                got = transition_probs(table, market, t)
                 period = market.periods[t]
                 assert got.stay_below == period.cdf_inner(table.k_plus[t], 1.0)
                 assert got.return_from_above == \
