@@ -81,6 +81,7 @@ class ConvexCone:
         a = float_array(normal, "half_space normal", InvalidCone)
         if not np.all(np.isfinite(a)):
             raise InvalidCone("half_space normal must be finite")
+        _require_finite_gram(a)
         if a.ndim != 1 or np.linalg.norm(a) == 0.0:
             raise InvalidCone("half_space needs a nonzero normal vector")
         return cls("half_space", a.shape[0], normal=a)
@@ -95,6 +96,7 @@ class ConvexCone:
             raise InvalidCone("polyhedral cone needs at least one row")
         if not np.all(np.isfinite(a)):
             raise InvalidCone("polyhedral rows must be finite")
+        _require_finite_gram(a)
         norms = np.linalg.norm(a, axis=1)
         if np.any(norms == 0.0):
             raise InvalidCone("polyhedral rows must be nonzero")
@@ -245,6 +247,16 @@ class ConvexCone:
         raise NoConvergence(
             f"Dykstra projection did not settle within {max_cycles} cycles",
             best=u)
+
+
+def _require_finite_gram(a: np.ndarray) -> None:
+    """InvalidCone unless the Gram matrix A A' of the cone's rows (a'a
+    for a normal), which every projection solves with, is finite."""
+    with np.errstate(over="ignore", invalid="ignore"):
+        gram = np.dot(a, a.T)  # of any rank: the shape is checked after
+    if not np.all(np.isfinite(gram)):
+        raise InvalidCone("cone data overflow double precision: its Gram "
+                          "matrix is not finite")
 
 
 def cones_per_period(cones, horizon: int, dim: int) -> list[ConvexCone]:

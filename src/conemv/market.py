@@ -233,6 +233,13 @@ class PeriodDistribution:
         """E[P P']."""
         return self.cov + np.outer(self.mean, self.mean)
 
+    def draw_cov(self) -> np.ndarray:
+        """The matrix whose Cholesky factor the draw applies: the
+        covariance, scaled by (df - 2) / df for Student t."""
+        if self.family == "student_t":
+            return self.cov * (self.df - 2.0) / self.df
+        return self.cov
+
     def unconstrained_gain(self) -> np.ndarray:
         """E[P P']^-1 E[P], the one-period gain over the whole space."""
         return np.linalg.solve(self.second_moment(), self.mean)
@@ -272,7 +279,14 @@ class PeriodDistribution:
             # covariance itself must be strictly positive definite.
             if np.linalg.eigvalsh(cov)[0] <= 0:
                 raise InvalidMarket("covariance is not positive definite")
-        second = self.second_moment()
+        with np.errstate(over="ignore"):  # overflow is reported below
+            second, drawn = self.second_moment(), self.draw_cov()
+        if not np.isfinite(drawn).all():
+            raise InvalidMarket("the draw's scaled covariance overflows "
+                                "double precision")
+        if not np.isfinite(second).all():
+            raise InvalidMarket("second moment matrix E[PP'] overflows "
+                                "double precision")
         if np.linalg.eigvalsh(second)[0] <= 0:
             raise InvalidMarket("second moment matrix E[PP'] is singular")
         # Exclude riskless-dominating degeneracies: B = E[P]'E[PP']^{-1}E[P]
@@ -298,8 +312,7 @@ class PeriodDistribution:
             idx = np.searchsorted(np.cumsum(self.probs), u[:, 0], side="right")
             idx = np.minimum(idx, len(self.probs) - 1)
             return self.atoms[idx]
-        chol = np.linalg.cholesky(self.cov if self.family == "gaussian" else
-                                  self.cov * (self.df - 2.0) / self.df)
+        chol = np.linalg.cholesky(self.draw_cov())
         scale = None
         if self.family == "student_t":
             scale = gammaincinv(self.df / 2.0, u[:, n])
@@ -334,23 +347,30 @@ class PeriodDistribution:
             return float(self.mean @ k)
         return np.inf
 
-    def cdf_inner(self, k: np.ndarray, a: float) -> float:
-        """Pr(P'k <= a), exactly.
+    def cdf_inner(self, k: np.ndarray, a: float, upper: bool = False
+                  ) -> float:
+        """Pr(P'k <= a), or with ``upper`` its complement Pr(P'k > a),
+        exactly.
 
-        Discrete laws sum the weights of the atoms with P'k <= a.  The
-        gaussian and Student-t laws are elliptical, so P'k = mu'k + s Z
+        Discrete laws sum the weights of the atoms with P'k <= a (P'k > a).
+        The gaussian and Student-t laws are elliptical, so P'k = mu'k + s Z
         with s^2 = k' cov k and Z standard normal, or Student t with df
         degrees of freedom scaled by sqrt((df - 2) / df), as the draw
-        scales the covariance.  For s = 0 it is the step at mu'k.
+        scales the covariance.  For s = 0 it is the step at mu'k.  The
+        upper tail is Pr(Z <= -z), not 1 - Pr(Z <= z), so a tail far
+        below the rounding of 1 keeps its relative precision.
         """
         k = np.asarray(k, dtype=float)
         if self.family == "discrete":
-            return float(self.probs @ (self.atoms @ k <= a))
+            y = self.atoms @ k
+            return float(self.probs @ ((y > a) if upper else (y <= a)))
         loc, var = float(self.mean @ k), float(k @ self.cov @ k)
         if var <= 0.0:
-            return float(loc <= a)
+            return float((loc > a) if upper else (loc <= a))
         from scipy import special
         z = (a - loc) / np.sqrt(var)
+        if upper:
+            z = -z
         if self.family == "gaussian":
             return float(special.ndtr(z))
         return float(special.stdtr(self.df, z / np.sqrt((self.df - 2.0)

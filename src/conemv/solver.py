@@ -35,7 +35,9 @@ c_minus)`` is the only way the solver reaches an expectation.  The
 exact backend sums over discrete atoms; sample-average approximation
 reads one frozen sample matrix per period (common random numbers across
 all evaluations of that period).  The recursion visits each period once,
-so the backend holds only the period it drew last.
+so the backend holds only the period it drew last, and only while the
+recursion runs: it drops that period when the recursion returns or
+raises, since nothing after the solve reads a sample.
 
 The frozen sample is stored in ascending row-norm order with per-block
 moments.  Rows with |P| |K| < 1 cannot cross to the minority branch, so
@@ -54,7 +56,7 @@ import numpy as np
 
 from .cones import ConvexCone, cones_per_period
 from .errors import (BackendMismatch, ConsistencyError, InsufficientMemory,
-                     NoConvergence, TargetUnattainable)
+                     InvalidMarket, NoConvergence, TargetUnattainable)
 from .market import MarketSpec, PeriodDistribution
 from .rng import STREAM_SAA
 
@@ -86,6 +88,9 @@ class ExactDiscreteBackend:
     def n_rows(self, t: int) -> int:
         return self.market.periods[t].atoms.shape[0]
 
+    def release(self) -> None:
+        """Nothing to drop: the atoms belong to the market."""
+
     def cost(self, t: int, sign: int, k, c_plus: float,
              c_minus: float) -> Cost:
         """Every atom is read directly, with its probability."""
@@ -106,21 +111,23 @@ class SampleScreen:
     """
 
     def __init__(self, drawn: np.ndarray):
-        norms = np.sqrt(np.einsum("ij,ij->i", drawn, drawn))
+        norms = np.einsum("ij,ij->i", drawn, drawn)
+        np.sqrt(norms, out=norms)
         # A stable argsort's order: without ties the 4x faster default
         # sort finds the same, only ascending, order.
         order = np.argsort(norms)
         ranked = np.take(norms, order)
         if np.any(ranked[1:] == ranked[:-1]):
             order = np.argsort(norms, kind="stable")
-        # out of place: a take into ``drawn`` itself would buffer the
-        # overlap in a second sample-sized array and copy it back
-        self.points = pts = np.take(drawn, order, axis=0)
-        del norms, order
-        n_rows, n = pts.shape
+        n_rows, n = drawn.shape
         ends = np.minimum(np.arange(1, -(-n_rows // _SCREEN_BLOCK) + 1)
                           * _SCREEN_BLOCK, n_rows)
         self.top = ranked[ends - 1]
+        del norms, ranked  # the gather holds the draw, its copy and order
+        # out of place: a take into ``drawn`` itself would buffer the
+        # overlap in a second sample-sized array and copy it back
+        self.points = pts = np.take(drawn, order, axis=0)
+        del order
         self.rows = np.concatenate(([0], ends))
         self.moments = np.zeros((len(ends) + 1, n + 1, n + 1))
         aug = np.ones((_SCREEN_BLOCK, n + 1))
@@ -166,9 +173,10 @@ class SaaBackend:
     stream, stored in row-norm order (see :class:`SampleScreen`) and
     reused by every cost and gradient evaluation at that period.  Only
     the period drawn last is held: a call for another period drops it
-    first, and a dropped period drawn again is bit-identical.  A solve
-    draws each period once; a backend reused for another solve draws
-    them again.
+    first, :meth:`release` drops it at the end of a solve, and a dropped
+    period drawn again is bit-identical.  A solve draws each period
+    once; a backend reused for another solve, or a cost asked of it
+    after one, draws them again.
     """
 
     kind = "saa"
@@ -180,21 +188,33 @@ class SaaBackend:
         self.sample_count = int(sample_count)
         self.seed = int(seed)
         self._held: Optional[tuple[int, SampleScreen]] = None
-        # one period's peak: while it is drawn (uniforms, their product
-        # and the Student-t scale) or sorted (the draw, its permutation,
-        # norms and order), at most 3n + 2 doubles a row; while it is
-        # evaluated (the sample, five row temporaries and the minority
-        # rows), at most 2n + 5
+        # one period's peak, in doubles a row: its draw, 2n + 2 (the
+        # uniforms, their product and the Student-t scale); its sort,
+        # 2n + 1 (the draw, its permutation and the order), or n + 4
+        # before the gather (norms, ranks and a tie-break order); its
+        # evaluation, 2n + 5 (the sample, five row temporaries and the
+        # minority rows)
         n = market.n_assets
-        require_memory(8 * self.sample_count * max(3 * n + 2, 2 * n + 5),
+        require_memory(8 * self.sample_count * (2 * n + 5),
                        f"{self.sample_count} SAA samples")
 
     def screen(self, t: int) -> SampleScreen:
         if self._held is None or self._held[0] != t:
             self._held = None  # freed before the next period is drawn
-            self._held = (t, SampleScreen(self.market.sample_block(
-                t, self.seed, 0, self.sample_count, stream=STREAM_SAA)))
+            # an overflow is reported once, below, not as numpy warnings
+            with np.errstate(over="ignore", invalid="ignore"):
+                screen = SampleScreen(self.market.sample_block(
+                    t, self.seed, 0, self.sample_count, stream=STREAM_SAA))
+            if not np.all(np.isfinite(screen.moments[-1])):
+                raise InvalidMarket(
+                    f"period {t}: the sums over {self.sample_count} SAA "
+                    "samples overflow double precision")
+            self._held = (t, screen)
         return self._held[1]
+
+    def release(self) -> None:
+        """Drop the held period; a later call draws it again."""
+        self._held = None
 
     def n_rows(self, t: int) -> int:
         return self.sample_count
@@ -498,36 +518,41 @@ def backward_recursion(market: MarketSpec, cones_by_period,
     diagnostics = []
     gap_bound = 100.0 * opts.tol
 
-    for t in reversed(range(T)):
-        zero_tols[t] = default_zero_tol(market.periods[t])
-        for sign, k_store, c_store in ((1, k_plus, c_plus),
-                                       (-1, k_minus, c_minus)):
-            c_next = c_store[t + 1]
-            res = minimize_over_cone(backend, t, sign, cones_list[t],
-                                     c_plus[t + 1], c_minus[t + 1], opts)
-            # a zero test or a snap returns h(0) = L(0) = the next
-            # constant, by construction
-            if not res.snapped_zero:
-                # h - L = grad'K / 2 holds exactly on a frozen sample as
-                # on atoms, so one deterministic bound serves both backends
-                lin = linear_form(backend, t, sign, res.k,
-                                  c_plus[t + 1], c_minus[t + 1])
-                res.cross_gap = abs(res.value - lin)
-                if res.cross_gap > gap_bound:
+    # the recursion reads each period's sample, and nothing after it
+    # does: the backend's held period goes on return or raise
+    try:
+        for t in reversed(range(T)):
+            zero_tols[t] = default_zero_tol(market.periods[t])
+            for sign, k_store, c_store in ((1, k_plus, c_plus),
+                                           (-1, k_minus, c_minus)):
+                c_next = c_store[t + 1]
+                res = minimize_over_cone(backend, t, sign, cones_list[t],
+                                         c_plus[t + 1], c_minus[t + 1], opts)
+                # a zero test or a snap returns h(0) = L(0) = the next
+                # constant, by construction
+                if not res.snapped_zero:
+                    # h - L = grad'K / 2 holds exactly on a frozen sample as
+                    # on atoms, so one deterministic bound serves both backends
+                    lin = linear_form(backend, t, sign, res.k,
+                                      c_plus[t + 1], c_minus[t + 1])
+                    res.cross_gap = abs(res.value - lin)
+                    if res.cross_gap > gap_bound:
+                        raise ConsistencyError(
+                            f"quadratic/linear cost mismatch at t={t} "
+                            f"sign={sign:+d}: {res.value!r} vs {lin!r} "
+                            f"(tol {gap_bound:.3e})")
+                k_store[t], c_store[t] = res.k, res.value
+                if not (0.0 < c_store[t] <= c_next * (1.0 + 1e-12) + 1e-15):
                     raise ConsistencyError(
-                        f"quadratic/linear cost mismatch at t={t} "
-                        f"sign={sign:+d}: {res.value!r} vs {lin!r} "
-                        f"(tol {gap_bound:.3e})")
-            k_store[t], c_store[t] = res.k, res.value
-            if not (0.0 < c_store[t] <= c_next * (1.0 + 1e-12) + 1e-15):
-                raise ConsistencyError(
-                    f"cost constant out of range at t={t} "
-                    f"sign={'+' if sign > 0 else '-'}: "
-                    f"{float(c_store[t])!r} vs next {float(c_next)!r}")
-            c_store[t] = min(c_store[t], c_next)
-            diagnostics.append({"t": t, "sign": sign, **{
-                f.name: getattr(res, f.name) for f in fields(res)
-                if f.name not in ("k", "converged")}})
+                        f"cost constant out of range at t={t} "
+                        f"sign={'+' if sign > 0 else '-'}: "
+                        f"{float(c_store[t])!r} vs next {float(c_next)!r}")
+                c_store[t] = min(c_store[t], c_next)
+                diagnostics.append({"t": t, "sign": sign, **{
+                    f.name: getattr(res, f.name) for f in fields(res)
+                    if f.name not in ("k", "converged")}})
+    finally:
+        backend.release()
 
     return RecursionTable(
         horizon=T, n_assets=n,

@@ -112,13 +112,16 @@ def transition_probs(table: RecursionTable, market: MarketSpec, t: int,
                      backend=None) -> TransitionProbs:
     """One-step threshold transition probabilities at period t, exact
     on every family: :meth:`PeriodDistribution.cdf_inner` gives
-    Pr(P'K^+ <= 1) and Pr(P'K^- <= -1) from the period's law.
+    Pr(P'K^+ <= 1) and Pr(P'K^- <= -1) from the period's law, and each
+    complement from the law's upper tail, so a crossing far rarer than
+    the rounding of 1 keeps its relative precision.
 
     ``backend`` is accepted and unused.  The benchmark's workloads still
     pass it; it goes with their next change.
     """
     period = market.periods[t]
-    p_below = period.cdf_inner(table.k_plus[t], 1.0)
-    p_return = period.cdf_inner(table.k_minus[t], -1.0)
-    return TransitionProbs(p_below, 1.0 - p_below, p_return, 1.0 - p_return,
-                           0.0)
+    k_plus, k_minus = table.k_plus[t], table.k_minus[t]
+    return TransitionProbs(period.cdf_inner(k_plus, 1.0),
+                           period.cdf_inner(k_plus, 1.0, upper=True),
+                           period.cdf_inner(k_minus, -1.0),
+                           period.cdf_inner(k_minus, -1.0, upper=True), 0.0)

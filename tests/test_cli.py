@@ -229,6 +229,45 @@ class TestConfigErrors:
         assert capsys.readouterr().err == \
             f"error: {key!r} must be an array, got {value!r}\n"
 
+    @pytest.mark.filterwarnings("error")  # a numpy warning fails the case
+    @pytest.mark.parametrize("command", [["solve", "--samples", "3000"],
+                                         ["make-cone"]],
+                             ids=["solve", "make-cone"])
+    @pytest.mark.parametrize("value", [1e308, -1e308])
+    @pytest.mark.parametrize("where", [("market", "mean", 0),
+                                       ("market", "covariance", 0, 0),
+                                       ("cones", "A", 0, 1)],
+                             ids=["mean", "covariance", "cone"])
+    def test_extreme_finite_entry(self, tmp_path, capsys, where, value,
+                                  command):
+        """One entry at +-1e308 overflows the second moment, the draw's
+        scaled covariance or the cone's Gram matrix, or leaves the
+        covariance indefinite: the parse refuses it in one line."""
+        cfg = json.loads((CONFIGS / "three_index_limited_short_student_t"
+                          ".json").read_text())
+        node = cfg
+        for key in where[:-1]:
+            node = node[key]
+        node[where[-1]] = value
+        path = write_config(tmp_path, cfg)
+        assert cli.main([command[0], "--config", path, *command[1:]]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error: ") and err.count("\n") == 1, err
+
+    @pytest.mark.filterwarnings("error")
+    def test_sample_sums_that_overflow(self, tmp_path, capsys):
+        """A gaussian covariance entry of 1e308 parses, as every matrix
+        the parse forms is finite, but its samples' squares overflow: the
+        draw refuses it in one line."""
+        cfg = json.loads((CONFIGS / "three_index_limited_short_gaussian"
+                          ".json").read_text())
+        cfg["market"]["covariance"][0][0] = 1e308
+        path = write_config(tmp_path, cfg)
+        assert cli.main(["solve", "--config", path, "--samples", "3000"]) == 2
+        assert capsys.readouterr().err == (
+            "error: period 2: the sums over 3000 SAA samples overflow double "
+            "precision\n")
+
     @pytest.mark.parametrize("horizon", [10**30, 10**9])
     def test_horizon_checked_before_allocation(self, tmp_path, capsys,
                                                monkeypatch, horizon):

@@ -12,7 +12,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from conemv import solver
-from conemv.errors import InsufficientMemory
+from conemv.errors import InsufficientMemory, NoConvergence
 from conemv.presets import mean_half_space_cone, three_index_market
 from conemv.rng import STREAM_SAA
 from conemv.solver import (ExactDiscreteBackend, SaaBackend,
@@ -171,6 +171,67 @@ def test_a_dropped_period_draws_again_bit_for_bit(three_t):
     again = backend.screen(0)
     for name, value in kept.items():
         np.testing.assert_array_equal(getattr(again, name), value)
+
+
+def test_the_sort_holds_2n_plus_1_doubles_a_row():
+    """Sorting a period holds at its peak the draw, its permutation and
+    the order: 2n + 1 doubles a row, plus the block table."""
+    n_rows, n = 200_000, 3
+    drawn = np.random.default_rng(8).normal(size=(n_rows, n))
+    tracemalloc.start()  # after the draw: its bytes are added below
+    try:
+        SampleScreen(drawn)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert drawn.nbytes + peak <= (2 * n + 1) * 8 * n_rows + 64 * 1024
+
+
+def recorded_screens(monkeypatch) -> list:
+    """Weak references to every SampleScreen the solver builds from now."""
+    made = []
+
+    class Recorded(SampleScreen):
+        def __init__(self, drawn):
+            super().__init__(drawn)
+            made.append(weakref.ref(self))
+
+    monkeypatch.setattr(solver, "SampleScreen", Recorded)
+    return made
+
+
+def test_no_sample_outlives_a_solve_that_returns(monkeypatch, three_gauss):
+    made = recorded_screens(monkeypatch)
+    backend = SaaBackend(three_gauss, 20_000, seed=3)
+    backward_recursion(three_gauss, mean_half_space_cone(), backend)
+    gc.collect()
+    assert len(made) == three_gauss.horizon
+    assert made[-1]() is None  # while the backend lives on
+
+
+def test_no_sample_outlives_a_solve_that_raises(monkeypatch, three_gauss):
+    made = recorded_screens(monkeypatch)
+    backend = SaaBackend(three_gauss, 20_000, seed=3)
+    with pytest.raises(NoConvergence):
+        backward_recursion(three_gauss, mean_half_space_cone(), backend,
+                           SolverOptions(max_iter=0))
+    gc.collect()
+    assert len(made) == 1
+    assert made[-1]() is None  # while the backend lives on
+
+
+def test_a_cost_after_the_solve_draws_the_period_again(three_gauss):
+    """A cost asked of the backend after its solve draws the released
+    period again, bit for bit: it equals the solve's own value."""
+    backend = SaaBackend(three_gauss, 20_000, seed=3)
+    table = backward_recursion(three_gauss, mean_half_space_cone(), backend)
+    assert backend._held is None
+    solved = next(d for d in table.diagnostics
+                  if (d["t"], d["sign"]) == (0, 1))
+    assert solved["method"] == "projected_gradient"
+    again = backend.cost(0, 1, table.k_plus[0], table.c_plus[1],
+                         table.c_minus[1])
+    assert again.value == solved["value"]
 
 
 @pytest.mark.parametrize("family", ["gaussian", "student_t"])

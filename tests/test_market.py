@@ -646,7 +646,8 @@ class TestSupportBounds:
 
 
 class TestInnerProductLaw:
-    """cdf_inner(k, a) = Pr(P'k <= a), exactly for every family."""
+    """cdf_inner(k, a) = Pr(P'k <= a), and with upper=True Pr(P'k > a),
+    exactly for every family."""
 
     @pytest.mark.parametrize("seed", range(8))
     def test_discrete_is_the_weighted_atom_count(self, seed):
@@ -657,14 +658,20 @@ class TestInnerProductLaw:
                 k, a = gen.normal(size=2), float(gen.normal())
                 assert period.cdf_inner(k, a) == float(
                     period.probs @ (period.atoms @ k <= a))
+                assert period.cdf_inner(k, a, upper=True) == float(
+                    period.probs @ (period.atoms @ k > a))
             # an atom exactly at a counts as below
             k = gen.normal(size=2)
             y = period.atoms @ k
             assert period.cdf_inner(k, float(y[0])) == float(
                 period.probs @ (y <= y[0]))
+            assert period.cdf_inner(k, float(y[0]), upper=True) == float(
+                period.probs @ (y > y[0]))
 
     @pytest.mark.parametrize("family", ["gaussian", "student_t"])
     def test_elliptical_laws_match_scipy(self, family):
+        """The lower tail within 1e-14, and the upper tail within 1e-12
+        relative, out to where 1 - Pr(P'k <= a) rounds to zero."""
         market = three_index_market(family)
         period = market.periods[0]
         gen = np.random.default_rng(3)
@@ -672,15 +679,18 @@ class TestInnerProductLaw:
             k = gen.normal(scale=2.0, size=3)
             loc = float(period.mean @ k)
             s = float(np.sqrt(k @ period.cov @ k))
-            for a in (-1.0, 1.0, loc, loc + 3.0 * s, loc - 5.0 * s):
-                if family == "gaussian":
-                    want = stats.norm.cdf(a, loc=loc, scale=s)
-                else:
-                    df = period.df
-                    want = stats.t.cdf(a, df, loc=loc,
-                                       scale=s * np.sqrt((df - 2.0) / df))
+            if family == "gaussian":
+                law = stats.norm(loc=loc, scale=s)
+            else:
+                df = period.df
+                law = stats.t(df, loc=loc, scale=s * np.sqrt((df - 2.0) / df))
+            for a in (-1.0, 1.0, loc, loc + 3.0 * s, loc - 5.0 * s,
+                      loc + 9.0 * s, loc + 30.0 * s):
                 assert period.cdf_inner(k, a) == pytest.approx(
-                    want, rel=0, abs=1e-14)
+                    law.cdf(a), rel=0, abs=1e-14)
+                assert period.cdf_inner(k, a, upper=True) == pytest.approx(
+                    law.sf(a), rel=1e-12, abs=0)
+                assert law.sf(a) > 0.0
 
     @pytest.mark.parametrize("family", ["gaussian", "student_t"])
     def test_zero_spread_is_the_step(self, family):
@@ -689,6 +699,8 @@ class TestInnerProductLaw:
         assert period.cdf_inner(zero, 0.0) == 1.0
         assert period.cdf_inner(zero, 1.0) == 1.0
         assert period.cdf_inner(zero, -1.0) == 0.0
+        assert period.cdf_inner(zero, 0.0, upper=True) == 0.0
+        assert period.cdf_inner(zero, -1.0, upper=True) == 1.0
 
     @pytest.mark.parametrize("family", ["gaussian", "student_t"])
     def test_agrees_with_the_draw(self, family):

@@ -1,4 +1,5 @@
 """Time-consistency-in-efficiency verdicts, thresholds, and transitions."""
+import dataclasses
 import json
 from pathlib import Path
 
@@ -143,6 +144,41 @@ class TestTransitionProbs:
         probs = transition_probs(gauss_unc_table, three_gauss, t)
         assert probs.cross_up == pytest.approx(exact, rel=0, abs=1e-14)
         assert probs.standard_error == 0.0
+
+    def test_rare_crossing_keeps_relative_precision(self, three_gauss,
+                                                    gauss_unc_table):
+        """With K^+ scaled by 0.1 a crossing has probability near 7e-126,
+        which 1 - Pr(P'K^+ <= 1) would round to 0."""
+        table = dataclasses.replace(gauss_unc_table,
+                                    k_plus=0.1 * gauss_unc_table.k_plus,
+                                    k_minus=-0.1 * gauss_unc_table.k_plus)
+        for t in range(table.horizon):
+            period = three_gauss.periods[t]
+            probs = transition_probs(table, three_gauss, t)
+            for k, a, p in ((table.k_plus[t], 1.0, probs.cross_up),
+                            (table.k_minus[t], -1.0, probs.stay_above)):
+                loc = float(period.mean @ k)
+                s = float(np.sqrt(k @ period.cov @ k))
+                want = scipy.stats.norm.sf(a, loc=loc, scale=s)
+                assert 0.0 < p == pytest.approx(want, rel=1e-12, abs=0)
+            assert probs.cross_up < 1e-100
+
+    @pytest.mark.parametrize("seed", range(6))
+    def test_tree_transitions_are_atom_sums(self, seed):
+        market = random_tree_market(seed=seed, horizon=2, n_assets=2)
+        table = backward_recursion(market, ConvexCone.orthant(2),
+                                   ExactDiscreteBackend(market))
+        for t in range(table.horizon):
+            period = market.periods[t]
+            probs = transition_probs(table, market, t)
+            up = period.atoms @ table.k_plus[t]
+            down = period.atoms @ table.k_minus[t]
+            assert (probs.stay_below, probs.cross_up,
+                    probs.return_from_above, probs.stay_above) == (
+                float(period.probs @ (up <= 1.0)),
+                float(period.probs @ (up > 1.0)),
+                float(period.probs @ (down <= -1.0)),
+                float(period.probs @ (down > -1.0)))
 
     def test_backend_is_never_drawn_from(self, three_gauss, three_t):
         # a backend is accepted, read for nothing and drawn from never
