@@ -99,12 +99,14 @@ def _load_config(args):
 def _require_path_memory(cfg, n_paths: int, kept: int) -> None:
     """Refuse, before the solve, a path count whose ``kept`` bytes a
     path plus one block of paths do not fit.  A block holds its
-    (block, T, n) returns, its (block, T + 1) wealth and at most 2n + 5
-    doubles a path of temporaries: a draw's uniforms, product and
-    Student-t scale, or a control step's gains, coefficients and next
-    wealth."""
+    (block, T, n) returns, its (block, T + 1) wealth and at most n + 4
+    doubles a path of temporaries: a control step's wealth,
+    coefficients, branch index and gains, or the density's three
+    factors.  Before the wealth exists, a draw slab holds its uniforms
+    (n + 1, rounded up to a multiple of four) and Student-t scale,
+    which fit in the wealth's place and these n + 4."""
     T, n = cfg.market.horizon, cfg.market.n_assets
-    per_path = T * n + T + 1 + 2 * n + 5
+    per_path = T * n + T + 1 + n + 4
     require_memory(kept * n_paths + 8 * min(n_paths, sim._BLOCK) * per_path,
                    f"{n_paths} paths")
 

@@ -20,9 +20,10 @@ Each period's excess-return law is one of three families:
 Sampling is driven by the counter-based streams in :mod:`conemv.rng`
 and is bit-reproducible for a given (seed, path index, period) triple:
 a path's draw is the same for every block that contains it and for
-every number of draw-pool workers.  The quantile transforms run over
-row chunks on that pool; the Cholesky product, the Student-t scaling
-and the mean shift run on the whole block in the calling thread.  The
+every number of draw-pool workers.  A block is drawn one slab of rows
+at a time into the array that keeps it: per slab, the quantile
+transforms run over row chunks on that pool, and the Cholesky product,
+the Student-t scaling and the mean shift run in the calling thread.  The
 Student-t chi-square quantile is a quintic Hermite table of its
 logarithm in ndtri(u), built once per df (:func:`gammaincinv`) from
 nodes that scipy computes.  It agrees with ``scipy.special.gammaincinv``
@@ -299,39 +300,53 @@ class PeriodDistribution:
     # -- sampling ------------------------------------------------------
 
     def sample_block(self, seed: int, stream: int, period: int,
-                     lo: int, hi: int) -> np.ndarray:
-        """Draw excess returns for paths [lo, hi); shape (hi - lo, n).
+                     lo: int, hi: int, *, out=None) -> np.ndarray:
+        """Draw excess returns for paths [lo, hi) into ``out``, a new
+        (hi - lo, n) array when None, and return it.
 
         Deterministic in (seed, stream, period, path index); block
         boundaries and the number of draw-pool workers do not affect the
-        values.
+        values.  The rows are drawn one slab of ``rng._SLAB_ROWS`` at a
+        time, so besides ``out`` the draw holds one slab's uniforms and
+        Student-t scale.
         """
         n = self.n_assets
-        u = rng.uniform_block(seed, stream, period, lo, hi, n + 1)
+        if out is None:
+            out = np.empty((hi - lo, n))
+        chol_t = (None if self.family == "discrete"
+                  else np.linalg.cholesky(self.draw_cov()).T)
+        for a in range(0, hi - lo, rng._SLAB_ROWS):
+            b = min(a + rng._SLAB_ROWS, hi - lo)
+            # the slab's uniforms are freed before the next slab's are drawn
+            self._fill_slab(rng.uniform_block(seed, stream, period, lo + a,
+                                              lo + b, n + 1),
+                            chol_t, out[a:b])
+        return out
+
+    def _fill_slab(self, u: np.ndarray, chol_t, x: np.ndarray) -> None:
+        """Write into the rows x the draws of their uniforms u, (rows,
+        n + 1), which the normals overwrite."""
+        n = self.n_assets
         if self.family == "discrete":
             idx = np.searchsorted(np.cumsum(self.probs), u[:, 0], side="right")
-            idx = np.minimum(idx, len(self.probs) - 1)
-            return self.atoms[idx]
-        chol = np.linalg.cholesky(self.draw_cov())
+            x[...] = self.atoms[np.minimum(idx, len(self.probs) - 1)]
+            return
         scale = None
         if self.family == "student_t":
             scale = gammaincinv(self.df / 2.0, u[:, n])
             scale *= 2.0
             scale /= self.df
             np.sqrt(scale, out=scale)
-        # the normals overwrite their uniforms: no (rows, n) array besides
-        # the block and the product
         z = ndtri(u[:, :n])
-        rows = z.shape[0]
-        if rows == 1:
+        if z.shape[0] == 1:
             # OpenBLAS hands a one-row product to gemv, which rounds
-            # differently from the gemm that larger blocks take.
-            z = np.repeat(z, 2, axis=0)
-        x = (z @ chol.T)[:rows]
+            # differently from the gemm that larger slabs take.
+            x[...] = (np.repeat(z, 2, axis=0) @ chol_t)[:1]
+        else:
+            np.matmul(z, chol_t, out=x)
         if scale is not None:
             x /= scale[:, None]
         x += self.mean
-        return x
 
     def support_max_inner(self, k: np.ndarray) -> float:
         """Essential supremum of P'k (exact for discrete, else +inf).
@@ -434,8 +449,10 @@ class MarketSpec:
         return float(np.prod(self.riskless_rates[t:]))
 
     def sample_block(self, t: int, seed: int, lo: int, hi: int,
-                     stream: int = rng.STREAM_SIM) -> np.ndarray:
-        return self.periods[t].sample_block(seed, stream, t, lo, hi)
+                     stream: int = rng.STREAM_SIM, *, out=None) -> np.ndarray:
+        """Period t's draw for paths [lo, hi), into ``out`` if given; see
+        :meth:`PeriodDistribution.sample_block`."""
+        return self.periods[t].sample_block(seed, stream, t, lo, hi, out=out)
 
 
 def from_annual_table(mean_returns: Sequence[float],

@@ -10,11 +10,13 @@ bit-identical to sampling the block in one call.
 Philox advances in ticks of 4 output words, hence per-path strides are
 rounded up to a multiple of 4 doubles.
 
-Row-independent kernels of a draw (the Philox fill here, the quantile
-transforms in :mod:`conemv.market`) split a block larger than one chunk
-of ``_CHUNK_ROWS`` rows over a thread pool, one thread per CPU the
-process may run on.  Each chunk writes its own rows of one output, so
-the result is the same for every worker count.  The workers run only
+A draw of many rows runs one slab of ``_SLAB_ROWS`` rows at a time, so
+its scratch arrays are those of one slab (:mod:`conemv.market`).
+Row-independent kernels of a slab (the Philox fill here, the quantile
+transforms in :mod:`conemv.market`) split it into chunks of
+``_CHUNK_ROWS`` rows over a thread pool, one thread per CPU the process
+may run on.  Each chunk writes its own rows of one output, so the
+result is the same for every worker count.  The workers run only
 numpy and scipy kernels, which release the interpreter lock.
 """
 
@@ -30,7 +32,10 @@ STREAM_SAA = 1
 STREAM_SIM = 2
 
 _TICK = 4  # Philox outputs per counter increment
-_CHUNK_ROWS = 65_536  # rows per pool task
+_CHUNK_ROWS = 32_768  # rows per pool task
+# rows a draw holds scratch for at a time: two pool tasks, since a
+# slab of one chunk would run inline on one CPU
+_SLAB_ROWS = 2 * _CHUNK_ROWS
 
 _pool = None
 _pool_lock = threading.Lock()
@@ -110,28 +115,24 @@ def uniform_block(seed: int, stream: int, period: int,
     """Open-interval uniforms for paths [lo, hi) at one period.
 
     Returns an array of shape (hi - lo, n_uniforms) with entries in
-    [2^-54, 1 - 2^-53].  Path p always receives the same numbers
-    regardless of the block boundaries used to reach it.
+    [2^-54, 1 - 2^-53], a view of rows of ``path_stride(n_uniforms)``
+    doubles.  Path p always receives the same numbers regardless of the
+    block boundaries used to reach it.
     """
     if hi < lo:
         raise ValueError(f"empty block bounds: [{lo}, {hi})")
     stride = path_stride(n_uniforms)
     key = _key(seed, stream, period)
-    out = np.empty((hi - lo, n_uniforms))
+    out = np.empty((hi - lo, stride))
 
     def fill(a, b):
         bg = np.random.Philox(key=key)
         bg.advance((lo + a) * (stride // _TICK))
-        rows = out[a:b]
-        if stride == n_uniforms:
-            np.random.Generator(bg).random(out=rows)
-        else:
-            rows[...] = np.random.Generator(bg).random(
-                (b - a, stride))[:, :n_uniforms]
-        _into_open_interval(rows)
+        np.random.Generator(bg).random(out=out[a:b])
+        _into_open_interval(out[a:b])
 
     over_row_chunks(hi - lo, fill)
-    return out
+    return out[:, :n_uniforms]
 
 
 def _into_open_interval(rows: np.ndarray) -> None:

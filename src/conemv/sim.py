@@ -21,13 +21,14 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from . import rng
 from .market import MarketSpec
 from .policy import Policy
 
 DEFAULT_PATHS = 1_000_000
-# paths drawn and replayed together, two draw-pool chunks; only memory
+# paths replayed and reduced together, one draw slab; only memory
 # depends on it
-_BLOCK = 131_072
+_BLOCK = rng._SLAB_ROWS
 
 
 def blocks(n_paths: int):
@@ -65,10 +66,9 @@ def sample_returns(market: MarketSpec, n_paths: int, seed: int,
     market.validate()
     T, n = market.horizon, market.n_assets
     returns = np.empty((n_paths, T, n))
-    for lo, hi in blocks(n_paths):
-        for t in range(T):
-            returns[lo:hi, t] = market.sample_block(t, seed, first_path + lo,
-                                                    first_path + hi)
+    for t in range(T):
+        market.sample_block(t, seed, first_path, first_path + n_paths,
+                            out=returns[:, t])
     return returns
 
 
@@ -87,8 +87,9 @@ def replay_wealth(policy: Policy, market: MarketSpec,
         x = np.full(hi - lo, float(policy.x_start))
         for t in range(t0, T):
             u = policy.control(t, x)
-            x = market.riskless_rates[t] * x + np.einsum(
-                "ij,ij->i", returns[lo:hi, t], u)
+            x *= market.riskless_rates[t]
+            x += np.einsum("ij,ij->i", returns[lo:hi, t], u)
+            del u  # before the next step's control is formed
             wealth[lo:hi, t + 1] = x
     return wealth
 

@@ -188,8 +188,9 @@ class SaaBackend:
         self.sample_count = int(sample_count)
         self.seed = int(seed)
         self._held: Optional[tuple[int, SampleScreen]] = None
-        # one period's peak, in doubles a row: its draw, 2n + 2 (the
-        # uniforms, their product and the Student-t scale); its sort,
+        # one period's peak, in doubles a row: its draw, n (the sample)
+        # plus, for one slab of rows, the uniforms (n + 1 rounded up to
+        # a multiple of four) and the Student-t scale; its sort,
         # 2n + 1 (the draw, its permutation and the order), or n + 4
         # before the gather (norms, ranks and a tie-break order); its
         # evaluation, 2n + 5 (the sample, five row temporaries and the

@@ -5,6 +5,7 @@ import os
 import signal
 import sys
 import time
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -575,6 +576,48 @@ class TestDrawPool:
         assert (rng._pool is not None) == (workers > 1)
         for key, draw in serial.items():
             np.testing.assert_array_equal(chunked[key], draw, err_msg=str(key))
+
+    @pytest.mark.parametrize("slab_rows", [3, 4])
+    def test_slabbed_draws_equal_serial_draws(self, draw_pool, monkeypatch,
+                                              slab_rows):
+        # blocks straddle slab boundaries; (7, 20) and (0, 1) end in a
+        # slab of one row, and each slab's stages still run on the pool
+        draw_pool(1, rng._CHUNK_ROWS)
+        serial = draw_all()
+        draw_pool(2, 2)
+        monkeypatch.setattr(rng, "_SLAB_ROWS", slab_rows)
+        slabbed = draw_all()
+        assert rng._pool is not None
+        for key, draw in serial.items():
+            np.testing.assert_array_equal(slabbed[key], draw, err_msg=str(key))
+
+    @pytest.mark.parametrize("name", sorted(POOL_MARKETS))
+    def test_draw_fills_a_strided_out(self, monkeypatch, name):
+        market = POOL_MARKETS[name]
+        monkeypatch.setattr(rng, "_SLAB_ROWS", 64)
+        rows, t = 1_000, 1
+        paths = np.full((rows, market.horizon, market.n_assets), np.nan)
+        view = paths[:, t]
+        assert market.sample_block(t, 5, 30, 30 + rows, out=view) is view
+        np.testing.assert_array_equal(paths[:, t],
+                                      market.sample_block(t, 5, 30, 30 + rows))
+        assert np.isnan(np.delete(paths, t, axis=1)).all()
+
+    @pytest.mark.parametrize("family", ["gaussian", "student_t"])
+    def test_draw_holds_one_slab_of_scratch(self, family):
+        """Besides its (N, n) output, a draw holds one slab's uniforms
+        (four doubles a row at n = 3) and Student-t scale."""
+        market = three_index_market(family)
+        n_rows, n = 200_000, market.n_assets
+        market.sample_block(0, 1, 0, 2)  # scipy.special and the t table
+        tracemalloc.start()
+        try:
+            market.sample_block(0, 1, 0, n_rows)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak <= (8 * n * n_rows + 8 * (n + 3) * rng._SLAB_ROWS
+                        + 64 * 1024)
 
     @pytest.mark.parametrize("n_uniforms", [3, 4])
     def test_uniforms_are_one_philox_stream(self, draw_pool, n_uniforms):

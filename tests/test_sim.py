@@ -148,7 +148,7 @@ class TestReplay:
 
     def test_one_block_holds_its_wealth_once(self, three_t):
         """A block's peak is its returns, one (block, T + 1) wealth array
-        and at most 2n + 5 doubles a path of draw or control temporaries,
+        and at most n + 4 doubles a path of draw or control temporaries,
         the count the CLI's path preflight makes."""
         pol = precommitted(unconstrained_table(three_t), 1.0, 1.35)
         simulate(pol, three_t, n_paths=10, seed=3)  # imports and tables
@@ -159,7 +159,7 @@ class TestReplay:
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
-        assert peak <= 8 * sim._BLOCK * (T * n + T + 1 + 2 * n + 5)
+        assert peak <= 8 * sim._BLOCK * (T * n + T + 1 + n + 4)
 
     def test_minimum_variance_terminal_wealth_exact(self, gauss2_table):
         market, table = gauss2_table
