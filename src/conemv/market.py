@@ -21,9 +21,9 @@ Sampling is driven by the counter-based streams in :mod:`conemv.rng`
 and is bit-reproducible for a given (seed, path index, period) triple:
 a path's draw is the same for every block that contains it and for
 every number of draw-pool workers.  A block is drawn one slab of rows
-at a time into the array that keeps it: per slab, the quantile
-transforms run over row chunks on that pool, and the Cholesky product,
-the Student-t scaling and the mean shift run in the calling thread.  The
+at a time into the array that keeps it.  Each stage of a slab runs over
+row chunks on that pool: the quantile transforms, then the Cholesky
+product with the Student-t scaling and the mean shift.  The
 Student-t chi-square quantile is a quintic Hermite table of its
 logarithm in ndtri(u), built once per df (:func:`gammaincinv`) from
 nodes that scipy computes.  It agrees with ``scipy.special.gammaincinv``
@@ -325,7 +325,8 @@ class PeriodDistribution:
 
     def _fill_slab(self, u: np.ndarray, chol_t, x: np.ndarray) -> None:
         """Write into the rows x the draws of their uniforms u, (rows,
-        n + 1), which the normals overwrite."""
+        n + 1), which the normals overwrite.  Nothing is allocated per
+        chunk on the pool."""
         n = self.n_assets
         if self.family == "discrete":
             idx = np.searchsorted(np.cumsum(self.probs), u[:, 0], side="right")
@@ -338,15 +339,23 @@ class PeriodDistribution:
             scale /= self.df
             np.sqrt(scale, out=scale)
         z = ndtri(u[:, :n])
-        if z.shape[0] == 1:
-            # OpenBLAS hands a one-row product to gemv, which rounds
-            # differently from the gemm that larger slabs take.
-            x[...] = (np.repeat(z, 2, axis=0) @ chol_t)[:1]
-        else:
-            np.matmul(z, chol_t, out=x)
-        if scale is not None:
-            x /= scale[:, None]
-        x += self.mean
+
+        def affine(a, b):
+            if b - a == 1:
+                # OpenBLAS hands a one-row product to gemv, which rounds
+                # differently from the gemm that larger chunks take.
+                x[a:b] = (np.repeat(z[a:b], 2, axis=0) @ chol_t)[:1]
+            else:
+                np.matmul(z[a:b], chol_t, out=x[a:b])
+            if scale is not None:
+                x[a:b] /= scale[a:b, None]
+            x[a:b] += self.mean
+
+        # on the pool too: at a few assets a chunk's product is below the
+        # size at which OpenBLAS (0.3.31) starts its own threads, whereas
+        # a whole slab's woke them, and their spinning after each call
+        # slowed the next slab's transforms by a fifth on two CPUs
+        rng.over_row_chunks(z.shape[0], affine)
 
     def support_max_inner(self, k: np.ndarray) -> float:
         """Essential supremum of P'k (exact for discrete, else +inf).

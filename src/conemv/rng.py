@@ -13,9 +13,9 @@ rounded up to a multiple of 4 doubles.
 A draw of many rows runs one slab of ``_SLAB_ROWS`` rows at a time, so
 its scratch arrays are those of one slab (:mod:`conemv.market`).
 Row-independent kernels of a slab (the Philox fill here, the quantile
-transforms in :mod:`conemv.market`) split it into chunks of
-``_CHUNK_ROWS`` rows over a thread pool, one thread per CPU the process
-may run on.  Each chunk writes its own rows of one output, so the
+transforms and the product in :mod:`conemv.market`) split it into
+chunks of ``_CHUNK_ROWS`` rows over a thread pool, one thread per CPU
+the process may run on.  Each chunk writes its own rows of one output, so the
 result is the same for every worker count.  The workers run only
 numpy and scipy kernels, which release the interpreter lock.
 """
