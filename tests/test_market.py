@@ -581,7 +581,8 @@ class TestDrawPool:
     def test_slabbed_draws_equal_serial_draws(self, draw_pool, monkeypatch,
                                               slab_rows):
         # blocks straddle slab boundaries; (7, 20) and (0, 1) end in a
-        # slab of one row, and each slab's stages still run on the pool
+        # slab of one row, 3-row slabs end in a chunk of one row, and
+        # each slab's stages still run on the pool
         draw_pool(1, rng._CHUNK_ROWS)
         serial = draw_all()
         draw_pool(2, 2)
