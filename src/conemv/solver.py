@@ -35,16 +35,13 @@ c_minus)`` is the only way the solver reaches an expectation.  The
 exact backend sums over discrete atoms; sample-average approximation
 reads one frozen sample matrix per period (common random numbers across
 all evaluations of that period).  The recursion visits each period once,
-so the backend holds only the period it drew last, and only while the
-recursion runs: it drops that period when the recursion returns or
-raises, since nothing after the solve reads a sample.
-
-The frozen sample is stored in ascending row-norm order with per-block
-moments.  Rows with |P| |K| < 1 cannot cross to the minority branch, so
-the leading blocks that pass this test add c_maj E[(1 -+ P'K)^2] in
-closed form from their moments; only the other rows are read one by one.
-The Hessian likewise takes c_maj times the whole sample's moment plus
-(c_min - c_maj) sum p p' over the minority-branch rows.
+so the backend holds only the period it drew last, with its Gram matrix
+P'P, and only while the recursion runs: it drops that period when the
+recursion returns or raises, since nothing after the solve reads a
+sample.  On the sample each evaluation is one direct pass: c_maj times
+the sums over every row plus (c_min - c_maj) times those over the rows
+on the minority branch, the Hessian's whole-sample sum being the held
+Gram matrix.
 """
 
 from __future__ import annotations
@@ -64,8 +61,6 @@ _STEP_FLOOR = 1e-18
 _ARMIJO_SLOPE = 1e-4     # sufficient decrease, relative to the slope
 _ARMIJO_SHRINK = 0.5     # step factor per backtrack
 _RIDGE = 1e-8            # least metric eigenvalue, relative to the largest
-_SCREEN_BLOCK = 4096     # rows per entry of the screening table
-_SCREEN_MARGIN = 1e-12   # relative slack on |P| |K| < 1 for rounding
 
 
 # ---------------------------------------------------------------------------
@@ -85,9 +80,6 @@ class ExactDiscreteBackend:
                     f"{p.family}")
         self.market = market
 
-    def n_rows(self, t: int) -> int:
-        return self.market.periods[t].atoms.shape[0]
-
     def release(self) -> None:
         """Nothing to drop: the atoms belong to the market."""
 
@@ -99,51 +91,6 @@ class ExactDiscreteBackend:
 
     def describe(self) -> dict:
         return {"kind": self.kind}
-
-
-class SampleScreen:
-    """A frozen sample in ascending row-norm order plus its block table.
-
-    ``top[b]`` is the largest row norm in block b; ``moments[j]`` is the
-    sum of a a', a = (1, P), over the ``rows[j]`` rows of the first j
-    blocks.  ``points`` is the drawn matrix's row permutation, and no
-    other per-row array is kept.
-    """
-
-    def __init__(self, drawn: np.ndarray):
-        norms = np.einsum("ij,ij->i", drawn, drawn)
-        np.sqrt(norms, out=norms)
-        # A stable argsort's order: without ties the 4x faster default
-        # sort finds the same, only ascending, order.
-        order = np.argsort(norms)
-        ranked = np.take(norms, order)
-        if np.any(ranked[1:] == ranked[:-1]):
-            order = np.argsort(norms, kind="stable")
-        n_rows, n = drawn.shape
-        ends = np.minimum(np.arange(1, -(-n_rows // _SCREEN_BLOCK) + 1)
-                          * _SCREEN_BLOCK, n_rows)
-        self.top = ranked[ends - 1]
-        del norms, ranked  # the gather holds the draw, its copy and order
-        # out of place: a take into ``drawn`` itself would buffer the
-        # overlap in a second sample-sized array and copy it back
-        self.points = pts = np.take(drawn, order, axis=0)
-        del order
-        self.rows = np.concatenate(([0], ends))
-        self.moments = np.zeros((len(ends) + 1, n + 1, n + 1))
-        aug = np.ones((_SCREEN_BLOCK, n + 1))
-        for b, (lo, hi) in enumerate(zip(self.rows[:-1], ends)):
-            a = aug[:hi - lo]
-            a[:, 1:] = pts[lo:hi]
-            self.moments[b + 1] = a.T @ a
-        np.cumsum(self.moments, axis=0, out=self.moments)
-
-    def split(self, k: np.ndarray) -> tuple[int, np.ndarray]:
-        """Rows [0, r) proven to stay on the majority branch at k (by
-        Cauchy-Schwarz, |P'k| <= |P| |k| < 1), and their moments."""
-        knorm = float(np.linalg.norm(k))
-        bound = (1.0 - _SCREEN_MARGIN) / knorm if knorm > 0.0 else np.inf
-        j = int(np.searchsorted(self.top, bound))
-        return int(self.rows[j]), self.moments[j]
 
 
 def _available_bytes() -> Optional[int]:
@@ -170,13 +117,12 @@ class SaaBackend:
     """Sample-average approximation with frozen per-period samples.
 
     The sample matrix for period t is drawn from its counter-based
-    stream, stored in row-norm order (see :class:`SampleScreen`) and
-    reused by every cost and gradient evaluation at that period.  Only
-    the period drawn last is held: a call for another period drops it
-    first, :meth:`release` drops it at the end of a solve, and a dropped
-    period drawn again is bit-identical.  A solve draws each period
-    once; a backend reused for another solve, or a cost asked of it
-    after one, draws them again.
+    stream and reused, with its Gram matrix P'P, by every cost and
+    gradient evaluation at that period.  Only the period drawn last is
+    held: a call for another period drops it first, :meth:`release`
+    drops it at the end of a solve, and a dropped period drawn again is
+    bit-identical.  A solve draws each period once; a backend reused for
+    another solve, or a cost asked of it after one, draws them again.
     """
 
     kind = "saa"
@@ -187,44 +133,40 @@ class SaaBackend:
         self.market = market
         self.sample_count = int(sample_count)
         self.seed = int(seed)
-        self._held: Optional[tuple[int, SampleScreen]] = None
+        self._held: Optional[tuple[int, np.ndarray, np.ndarray]] = None
         # one period's peak, in doubles a row: its draw, n (the sample)
         # plus, for one slab of rows, the uniforms (n + 1 rounded up to
-        # a multiple of four) and the Student-t scale; its sort,
-        # 2n + 1 (the draw, its permutation and the order), or n + 4
-        # before the gather (norms, ranks and a tie-break order); its
-        # evaluation, 2n + 5 (the sample, five row temporaries and the
-        # minority rows)
+        # a multiple of four) and the Student-t scale; its evaluation
+        # with every row on the minority branch, under 2n + 3 (the
+        # sample and the minority rows, their indices and residuals)
         n = market.n_assets
-        require_memory(8 * self.sample_count * (2 * n + 5),
+        require_memory(8 * self.sample_count * (2 * n + 3),
                        f"{self.sample_count} SAA samples")
 
-    def screen(self, t: int) -> SampleScreen:
+    def period(self, t: int) -> tuple[np.ndarray, np.ndarray]:
+        """Period t's frozen sample and its Gram matrix P'P."""
         if self._held is None or self._held[0] != t:
             self._held = None  # freed before the next period is drawn
             # an overflow is reported once, below, not as numpy warnings
             with np.errstate(over="ignore", invalid="ignore"):
-                screen = SampleScreen(self.market.sample_block(
-                    t, self.seed, 0, self.sample_count, stream=STREAM_SAA))
-            if not np.all(np.isfinite(screen.moments[-1])):
+                sample = self.market.sample_block(
+                    t, self.seed, 0, self.sample_count, stream=STREAM_SAA)
+                gram = sample.T @ sample
+            if not np.all(np.isfinite(gram)):
                 raise InvalidMarket(
                     f"period {t}: the sums over {self.sample_count} SAA "
                     "samples overflow double precision")
-            self._held = (t, screen)
-        return self._held[1]
+            self._held = (t, sample, gram)
+        return self._held[1:]
 
     def release(self) -> None:
         """Drop the held period; a later call draws it again."""
         self._held = None
 
-    def n_rows(self, t: int) -> int:
-        return self.sample_count
-
     def cost(self, t: int, sign: int, k, c_plus: float,
              c_minus: float) -> Cost:
-        screen = self.screen(t)
-        return _h_and_grad(screen.points, None, sign, k, c_plus, c_minus,
-                           screen)
+        sample, gram = self.period(t)
+        return _h_and_grad(sample, None, sign, k, c_plus, c_minus, gram)
 
     def describe(self) -> dict:
         return {"kind": self.kind, "samples": self.sample_count,
@@ -239,49 +181,61 @@ class Cost(NamedTuple):
     value: float       # h_t^{sign}(k)
     grad: np.ndarray   # grad h_t^{sign}(k)
     lin: float         # E[c(k) (1 -+ P'k)]
-    rows_read: int     # rows the direct pass read
     hess: np.ndarray   # 2 E[c(k) P P'], the Hessian on k's piece
 
 
-def _h_and_grad(pts, w, sign, k, c_plus, c_minus, screen=None) -> Cost:
+def _h_and_grad(pts, w, sign, k, c_plus, c_minus, gram=None) -> Cost:
     """The one cost evaluator: value, gradient, linear form and Hessian
     at k.
 
-    ``pts`` holds the rows and ``w`` their weights (None for uniform
-    1/N; weighted rows have no screen).  With a ``screen`` whose
-    ``points`` are ``pts``, the leading rows that cannot cross add
-    c_maj (v'Mv, Mv) in closed form, where M is their moment matrix and
-    v = (1, -+k); the direct pass reads the rest.  Without one, every
-    row is read directly.  The uniform Hessian is c_maj times the whole
-    sample's moment plus (c_min - c_maj) sum p p' over the rows on the
-    minority branch, all of which the direct pass reads.
+    ``pts`` holds the rows and ``w`` their weights, None for uniform
+    1/N.  A uniform pass holds about one double a row: the residuals
+    r = 1 -+ P'k, in place of P'k, make c_maj (r'r, sum r, P'r) plus
+    (c_min - c_maj) times the same sums over the minority-branch rows
+    only; the Hessian is c_maj ``gram`` (P'P, computed here when None)
+    plus (c_min - c_maj) sum p p' over those rows.  With every row on
+    the minority branch it holds, the n of the sample included, under
+    2n + 3 doubles a row.
     """
     k = np.asarray(k, dtype=float)
-    skip, mom = (0, None) if screen is None else screen.split(k)
-    rows = pts[skip:] if skip else pts
-    y = rows @ k
-    resid = 1.0 - y if sign > 0 else 1.0 + y
-    c = np.where(y <= sign, c_plus, c_minus)  # c(k), row by row
-    coeff = c * resid
+    y = pts @ k
     if w is not None:
+        resid = 1.0 - y if sign > 0 else 1.0 + y
+        c = np.where(y <= sign, c_plus, c_minus)  # c(k), row by row
+        coeff = c * resid
         return Cost(float(w @ (coeff * resid)),
-                    -2.0 * sign * (rows.T @ (w * coeff)),
-                    float(w @ coeff), rows.shape[0],
-                    2.0 * (rows.T * (w * c)) @ rows)
-    value, lin, grad = np.sum(coeff * resid), np.sum(coeff), rows.T @ coeff
-    c_maj, c_min = (c_plus, c_minus) if sign > 0 else (c_minus, c_plus)
-    minor = rows[c != c_maj]
-    whole = pts.T @ pts if screen is None else screen.moments[-1][1:, 1:]
-    hess = c_maj * whole + (c_min - c_maj) * (minor.T @ minor)
-    if skip:
-        v = np.concatenate(([1.0], -sign * k))
-        mv = mom @ v
-        value += c_maj * (v @ mv)
-        lin += c_maj * mv[0]
-        grad = grad + c_maj * mv[1:]
+                    -2.0 * sign * (pts.T @ (w * coeff)),
+                    float(w @ coeff), 2.0 * (pts.T * (w * c)) @ pts)
+    # c_plus where y <= sign, as on the weighted rows
+    if sign > 0:
+        c_maj, c_min, minor = c_plus, c_minus, y > 1.0
+        r = np.subtract(1.0, y, out=y)
+    else:
+        c_maj, c_min, minor = c_minus, c_plus, y <= -1.0
+        r = np.add(1.0, y, out=y)
+    del y  # r is y's array
+    gram = pts.T @ pts if gram is None else gram
+    lin, grad, hess = c_maj * np.sum(r), c_maj * (pts.T @ r), c_maj * gram
+    # the minority rows count only where the branch constants differ
+    rows = np.flatnonzero(minor) if c_min != c_maj else np.empty(0, int)
+    del minor
+    r_m = r[rows]
+    # squared in place and summed pairwise: BLAS dot products for r'r
+    # and r_m'r_m misordered costs an ulp apart next to a minimiser, and
+    # the line search then wandered off it
+    value = c_maj * np.sum(np.square(r, out=r))
+    del r
+    if rows.size:
+        p_m = pts[rows]
+        del rows
+        d = c_min - c_maj
+        lin += d * np.sum(r_m)
+        grad = grad + d * (p_m.T @ r_m)
+        hess = hess + d * (p_m.T @ p_m)
+        value += d * np.sum(np.square(r_m, out=r_m))
     n_rows = pts.shape[0]
     return Cost(float(value / n_rows), (-2.0 * sign / n_rows) * grad,
-                float(lin / n_rows), rows.shape[0], (2.0 / n_rows) * hess)
+                float(lin / n_rows), (2.0 / n_rows) * hess)
 
 
 def linear_form(backend, t: int, sign: int, k, c_plus_next: float,
@@ -321,7 +275,6 @@ class MinimizeResult:
     value: float
     cross_gap: float = 0.0          # |h - L| at k, set by the recursion
     evaluations: int = 0            # cost evaluations
-    rows_touched_share: float = 0.0  # mean share of rows read directly
     backtracks: int = 0             # rejected Armijo trial steps
     projections: int = 0            # cone projections, residuals included
 
@@ -376,11 +329,12 @@ def minimize_over_cone(backend, t: int, sign: int, cone: ConvexCone,
         return MinimizeResult(np.zeros(period.n_assets), True, 0, 0.0, 0.0,
                               0.0, "zero_test", True, c_at_zero)
 
-    reads = []  # rows read directly, per evaluation
+    evaluations = 0
 
     def cost(k):
+        nonlocal evaluations
+        evaluations += 1
         c = backend.cost(t, sign, k, c_plus_next, c_minus_next)
-        reads.append(c.rows_read)
         return c.value, c.grad, c.hess
 
     projections = 0
@@ -434,9 +388,8 @@ def minimize_over_cone(backend, t: int, sign: int, cone: ConvexCone,
     vi = -float(np.linalg.norm(project(-grad))) - float(grad @ k)
     result = MinimizeResult(
         k, converged, iters, pg_res, comp, vi, "projected_gradient", snapped,
-        value, evaluations=len(reads),
-        rows_touched_share=sum(reads) / (len(reads) * backend.n_rows(t)),
-        backtracks=backtracks, projections=projections)
+        value, evaluations=evaluations, backtracks=backtracks,
+        projections=projections)
     if not converged:
         stalled = " stalled at the step floor" if iters < opts.max_iter else ""
         raise NoConvergence(

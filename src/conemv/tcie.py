@@ -105,7 +105,6 @@ class TransitionProbs:
     cross_up: float        # Pr(P'K^+ > 1)
     return_from_above: float  # Pr(P'K^- <= -1)
     stay_above: float      # Pr(P'K^- > -1)
-    standard_error: float  # 0: the probabilities are exact
 
 
 def transition_probs(table: RecursionTable, market: MarketSpec, t: int,
@@ -124,4 +123,4 @@ def transition_probs(table: RecursionTable, market: MarketSpec, t: int,
     return TransitionProbs(period.cdf_inner(k_plus, 1.0),
                            period.cdf_inner(k_plus, 1.0, upper=True),
                            period.cdf_inner(k_minus, -1.0),
-                           period.cdf_inner(k_minus, -1.0, upper=True), 0.0)
+                           period.cdf_inner(k_minus, -1.0, upper=True))

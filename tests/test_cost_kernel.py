@@ -1,5 +1,5 @@
-"""The screened SAA cost kernel against a plain full pass, the row-norm
-layout of frozen samples, and the evaluation counters of a solve."""
+"""The SAA cost kernel's direct pass against plain references, the
+frozen sample a backend holds, and the evaluation counters of a solve."""
 
 import gc
 import json
@@ -13,14 +13,13 @@ from hypothesis import strategies as st
 
 from conemv import solver
 from conemv.errors import InsufficientMemory, NoConvergence
-from conemv.presets import mean_half_space_cone, three_index_market
+from conemv.market import MarketSpec, PeriodDistribution
+from conemv.presets import (mean_half_space_cone, three_index_market,
+                            three_index_moments)
 from conemv.rng import STREAM_SAA
-from conemv.solver import (ExactDiscreteBackend, SaaBackend,
-                           SampleScreen, SolverOptions, _SCREEN_BLOCK,
+from conemv.solver import (ExactDiscreteBackend, SaaBackend, SolverOptions,
                            _h_and_grad, backward_recursion, minimize_over_cone)
 from conemv.cones import ConvexCone
-
-B = _SCREEN_BLOCK
 
 
 def full_pass(pts, sign, k, c_plus, c_minus):
@@ -34,69 +33,83 @@ def full_pass(pts, sign, k, c_plus, c_minus):
     return value, grad, np.mean(c * resid)
 
 
-@settings(max_examples=60, deadline=None)
+@settings(max_examples=80, deadline=None)
 @given(seed=st.integers(0, 2**32 - 1), sign=st.sampled_from([1, -1]),
-       n_rows=st.sampled_from([2, B - 1, B, B + 1, 3 * B]),
-       kind=st.sampled_from(["random", "zero", "huge", "boundary", "kink"]))
-def test_screened_kernel_matches_full_pass(seed, sign, n_rows, kind):
+       n_rows=st.sampled_from([2, 3, 257, 5000]),
+       kind=st.sampled_from(["random", "zero", "huge", "kinks",
+                             "all_minority", "equal_constants"]))
+def test_direct_pass_matches_a_where_reference(seed, sign, n_rows, kind):
+    """Value, gradient, linear form and Hessian of the uniform pass
+    against c(k) = np.where(...) row by row, each to 1e-13 of the sum of
+    its terms' magnitudes."""
     rng = np.random.default_rng(seed)
     n = int(rng.integers(1, 5))
-    drawn = (rng.normal(scale=rng.uniform(0.05, 0.5), size=(n_rows, n))
-             + rng.normal(scale=0.05, size=n))
+    pts = (rng.normal(scale=rng.uniform(0.05, 0.5), size=(n_rows + 2, n))
+           + rng.normal(scale=0.05, size=n))
     k = rng.normal(scale=rng.uniform(0.1, 8.0), size=n)
+    c_plus, c_minus = rng.uniform(0.05, 1.5, size=2)
     if kind == "zero":
         k = np.zeros(n)
     elif kind == "huge":
         k = k * 1e6
-    elif kind == "kink":
-        # one row exactly at P'k = +-1, the branch threshold
-        drawn[int(rng.integers(n_rows))] = sign * k / (k @ k)
-    screen = SampleScreen(drawn)
-    pts = screen.points
-    if kind == "boundary":
-        # |k| = 1 / (largest norm of block b): the split falls exactly on
-        # the end of block b - 1
-        b = int(rng.integers(len(screen.top)))
-        k = k / np.linalg.norm(k) / screen.top[b]
-    c_plus, c_minus = rng.uniform(0.05, 1.5, size=2)
+    elif kind == "kinks":
+        # two rows exactly at P'k = +1 and P'k = -1, the two thresholds
+        k[0] = rng.choice([-1.0, 1.0]) * 2.0 ** int(rng.integers(-3, 4))
+        pts[:2] = 0.0
+        pts[:2, 0] = (1.0 / k[0], -1.0 / k[0])
+    elif kind == "all_minority":
+        y = pts @ k
+        shift = 1.5 - y.min() if sign > 0 else -1.5 - y.max()
+        pts += (shift / (k @ k)) * k
+    elif kind == "equal_constants":
+        c_minus = c_plus
 
-    got = _h_and_grad(pts, None, sign, k, c_plus, c_minus, screen)
-    value, grad, lin = full_pass(pts, sign, k, c_plus, c_minus)
+    y = pts @ k
+    if kind == "kinks":
+        assert (y[0], y[1]) == (1.0, -1.0)
+    c = np.where(y <= sign, c_plus, c_minus)
+    c_maj = c_plus if sign > 0 else c_minus
+    if kind == "all_minority":
+        assert c_plus != c_minus and np.all(c != c_maj)
+    resid = 1.0 - y if sign > 0 else 1.0 + y
+    m = pts.shape[0]
+    want_value = np.mean(c * resid * resid)
+    want_lin = np.mean(c * resid)
+    want_grad = -2.0 * sign * (pts.T @ (c * resid)) / m
+    want_hess = 2.0 * (pts.T * c) @ pts / m
 
-    bound = 1.0 + np.linalg.norm(pts, axis=1) * np.linalg.norm(k)
-    c_max = max(c_plus, c_minus)
-    assert abs(got.value - value) <= 1e-12 * c_max * np.mean(bound ** 2)
-    assert abs(got.lin - lin) <= 1e-12 * c_max * np.mean(bound)
-    g_scale = 2.0 * c_max * np.mean(np.linalg.norm(pts, axis=1) * bound)
-    assert np.linalg.norm(got.grad - grad) <= 1e-12 * max(g_scale, 1e-300)
-
-    if kind == "zero":
-        assert got.rows_read == 0
-    if kind == "huge":
-        assert got.rows_read == n_rows
-    if kind == "boundary":
-        assert got.rows_read == n_rows - screen.rows[b]
-    if kind == "kink":
-        assert got.rows_read >= 1
+    for gram in (None, pts.T @ pts):
+        got = _h_and_grad(pts, None, sign, k, c_plus, c_minus, gram)
+        c_max = max(c_plus, c_minus)
+        assert abs(got.value - want_value) <= 1e-13 * c_max * np.mean(
+            resid * resid)
+        assert abs(got.lin - want_lin) <= 1e-13 * c_max * np.mean(
+            np.abs(resid))
+        g_scale = 2.0 * c_max * np.mean(np.abs(resid)[:, None]
+                                        * np.abs(pts), axis=0)
+        assert np.all(np.abs(got.grad - want_grad) <= 1e-13 * g_scale)
+        h_scale = 2.0 * c_max * (np.abs(pts).T @ np.abs(pts)) / m
+        assert np.all(np.abs(got.hess - want_hess) <= 1e-13 * h_scale)
 
 
 @settings(max_examples=40, deadline=None)
 @given(seed=st.integers(0, 2**32 - 1), sign=st.sampled_from([1, -1]),
-       n_rows=st.sampled_from([2, B - 1, 3 * B]),
+       n_rows=st.sampled_from([2, 4095, 12288]),
        scale=st.sampled_from([0.0, 1.0, 4.0, 1e6]))
 def test_hessian_matches_its_definition(seed, sign, n_rows, scale):
-    """2 E[c(k) P P'] on the screened, unscreened and weighted paths."""
+    """2 E[c(k) P P'] with a held Gram matrix, without one, and on the
+    weighted path."""
     rng = np.random.default_rng(seed)
     n = int(rng.integers(1, 5))
-    screen = SampleScreen(rng.normal(scale=0.3, size=(n_rows, n)))
-    pts = screen.points
+    pts = rng.normal(scale=0.3, size=(n_rows, n))
     k = scale * rng.normal(size=n)
     c_plus, c_minus = rng.uniform(0.05, 1.5, size=2)
     y = pts @ k
     c = np.where(y <= 1.0 if sign > 0 else y <= -1.0, c_plus, c_minus)
     want = 2.0 * (pts.T * c) @ pts / n_rows
     bound = 1e-12 * max(c_plus, c_minus) * np.mean(np.sum(pts ** 2, axis=1))
-    for got in (_h_and_grad(pts, None, sign, k, c_plus, c_minus, screen),
+    for got in (_h_and_grad(pts, None, sign, k, c_plus, c_minus,
+                            pts.T @ pts),
                 _h_and_grad(pts, None, sign, k, c_plus, c_minus),
                 _h_and_grad(pts, np.full(n_rows, 1.0 / n_rows), sign, k,
                             c_plus, c_minus)):
@@ -104,50 +117,31 @@ def test_hessian_matches_its_definition(seed, sign, n_rows, scale):
 
 
 def test_without_screen_every_row_is_read():
+    """Without a held Gram matrix the pass forms P'P itself; value,
+    gradient and linear form match the definitions over every row."""
     rng = np.random.default_rng(3)
     pts = rng.normal(scale=0.3, size=(500, 3))
     k = rng.normal(size=3)
     for sign in (1, -1):
         got = _h_and_grad(pts, None, sign, k, 0.7, 1.1)
         value, grad, lin = full_pass(pts, sign, k, 0.7, 1.1)
-        assert got.rows_read == 500
         assert got.value == pytest.approx(value, rel=1e-13)
         assert got.lin == pytest.approx(lin, rel=1e-13)
         np.testing.assert_allclose(got.grad, grad, rtol=1e-12)
 
 
-def test_block_moments_sum_the_whole_sample():
-    rng = np.random.default_rng(4)
-    drawn = rng.normal(size=(2 * B + 17, 3))
-    screen = SampleScreen(drawn.copy())
-    a = np.hstack([np.ones((drawn.shape[0], 1)), drawn])
-    np.testing.assert_allclose(screen.moments[-1], a.T @ a, rtol=1e-12)
-    norms = np.sqrt(np.einsum("ij,ij->i", screen.points, screen.points))
-    assert np.all(np.diff(norms) >= 0.0)
-    np.testing.assert_array_equal(screen.top, norms[screen.rows[1:] - 1])
-
-
-def test_saa_points_are_a_row_permutation_of_the_draw(three_gauss):
-    n = B + 1000
+def test_saa_holds_the_draw_and_its_gram(three_gauss):
+    """The held sample is the period's draw, unsorted, and the held Gram
+    matrix is its P'P."""
+    n = 5000
     a = SaaBackend(three_gauss, n, seed=11)
     b = SaaBackend(three_gauss, n, seed=11)
     for t in range(three_gauss.horizon):
         drawn = three_gauss.sample_block(t, 11, 0, n, stream=STREAM_SAA)
-        norms = np.sqrt(np.einsum("ij,ij->i", drawn, drawn))
-        order = np.argsort(norms, kind="stable")
-        np.testing.assert_array_equal(a.screen(t).points, drawn[order])
-        np.testing.assert_array_equal(a.screen(t).points, b.screen(t).points)
-
-
-def test_tied_norms_keep_the_stable_order():
-    rng = np.random.default_rng(6)
-    base = rng.normal(size=(5, 2))
-    # (a, b), (b, a) and (-a, -b) tie in norm without being equal
-    rows = np.vstack([base, base[:, ::-1], -base])
-    drawn = rows[rng.integers(0, len(rows), size=3 * B)]
-    norms = np.sqrt(np.einsum("ij,ij->i", drawn, drawn))
-    expected = drawn[np.argsort(norms, kind="stable")]
-    np.testing.assert_array_equal(SampleScreen(drawn).points, expected)
+        sample, gram = a.period(t)
+        np.testing.assert_array_equal(sample, drawn)
+        np.testing.assert_array_equal(gram, drawn.T @ drawn)
+        np.testing.assert_array_equal(sample, b.period(t)[0])
 
 
 def test_memory_preflight_refuses_before_drawing(three_gauss):
@@ -158,50 +152,36 @@ def test_memory_preflight_refuses_before_drawing(three_gauss):
 def test_a_dropped_period_draws_again_bit_for_bit(three_t):
     """The backend holds the period it drew last; a period drawn again
     after it was dropped is the first draw, bit for bit."""
-    backend = SaaBackend(three_t, B + 1000, seed=11)
-    first = backend.screen(0)
-    assert backend.screen(0) is first  # held, not drawn again
-    kept = {name: getattr(first, name).copy()
-            for name in ("points", "top", "rows", "moments")}
-    held = weakref.ref(first)
-    backend.screen(1)
-    del first
+    backend = SaaBackend(three_t, 5000, seed=11)
+    sample, gram = backend.period(0)
+    again_sample, again_gram = backend.period(0)
+    assert again_sample is sample and again_gram is gram  # held
+    kept = sample.copy(), gram.copy()
+    held = weakref.ref(sample)
+    backend.period(1)
+    del sample, gram, again_sample, again_gram
     gc.collect()
     assert held() is None  # period 0 was dropped
-    again = backend.screen(0)
-    for name, value in kept.items():
-        np.testing.assert_array_equal(getattr(again, name), value)
+    for got, want in zip(backend.period(0), kept):
+        np.testing.assert_array_equal(got, want)
 
 
-def test_the_sort_holds_2n_plus_1_doubles_a_row():
-    """Sorting a period holds at its peak the draw, its permutation and
-    the order: 2n + 1 doubles a row, plus the block table."""
-    n_rows, n = 200_000, 3
-    drawn = np.random.default_rng(8).normal(size=(n_rows, n))
-    tracemalloc.start()  # after the draw: its bytes are added below
-    try:
-        SampleScreen(drawn)
-        peak = tracemalloc.get_traced_memory()[1]
-    finally:
-        tracemalloc.stop()
-    assert drawn.nbytes + peak <= (2 * n + 1) * 8 * n_rows + 64 * 1024
-
-
-def recorded_screens(monkeypatch) -> list:
-    """Weak references to every SampleScreen the solver builds from now."""
+def recorded_samples(monkeypatch) -> list:
+    """Weak references to every SAA sample the solver draws from now."""
     made = []
+    draw = MarketSpec.sample_block
 
-    class Recorded(SampleScreen):
-        def __init__(self, drawn):
-            super().__init__(drawn)
-            made.append(weakref.ref(self))
+    def recorded(self, *args, **kwargs):
+        sample = draw(self, *args, **kwargs)
+        made.append(weakref.ref(sample))
+        return sample
 
-    monkeypatch.setattr(solver, "SampleScreen", Recorded)
+    monkeypatch.setattr(MarketSpec, "sample_block", recorded)
     return made
 
 
 def test_no_sample_outlives_a_solve_that_returns(monkeypatch, three_gauss):
-    made = recorded_screens(monkeypatch)
+    made = recorded_samples(monkeypatch)
     backend = SaaBackend(three_gauss, 20_000, seed=3)
     backward_recursion(three_gauss, mean_half_space_cone(), backend)
     gc.collect()
@@ -210,7 +190,7 @@ def test_no_sample_outlives_a_solve_that_returns(monkeypatch, three_gauss):
 
 
 def test_no_sample_outlives_a_solve_that_raises(monkeypatch, three_gauss):
-    made = recorded_screens(monkeypatch)
+    made = recorded_samples(monkeypatch)
     backend = SaaBackend(three_gauss, 20_000, seed=3)
     with pytest.raises(NoConvergence):
         backward_recursion(three_gauss, mean_half_space_cone(), backend,
@@ -237,9 +217,17 @@ def test_a_cost_after_the_solve_draws_the_period_again(three_gauss):
 @pytest.mark.parametrize("family", ["gaussian", "student_t"])
 def test_solve_peak_stays_within_the_preflight(monkeypatch, family):
     """A 200K-sample, three-period solve allocates at its peak no more
-    than the backend's preflight counts, which is one period's."""
+    than the backend's preflight counts, which is one period's; so does
+    the pass's worst case, a draw and a cost at a k that puts every row
+    on the minority branch."""
     market = three_index_market(family)
     market.sample_block(0, 0, 0, 2)  # scipy.special and the t table
+    mean, cov = three_index_moments()
+    law = (PeriodDistribution.gaussian(10.0 * mean, 1e-4 * cov)
+           if family == "gaussian" else
+           PeriodDistribution.student_t(10.0 * mean, 1e-4 * cov, 5.0))
+    shifted = MarketSpec.iid(1, 1.05, law)
+    k = np.ones(3)  # P'k near 3.2 on every row of the shifted law
     needs = []
     monkeypatch.setattr(solver, "require_memory",
                         lambda need, what: needs.append(need))
@@ -248,12 +236,29 @@ def test_solve_peak_stays_within_the_preflight(monkeypatch, family):
         backward_recursion(market, mean_half_space_cone(),
                            SaaBackend(market, 200_000, seed=2))
         peak = tracemalloc.get_traced_memory()[1]
+        tracemalloc.reset_peak()
+        worst = SaaBackend(shifted, 200_000, seed=2)
+        worst.cost(0, 1, k, 0.5, 0.9)
+        worst_peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
-    assert len(needs) == 1 and peak <= needs[0]
+    assert np.all(worst.period(0)[0] @ k > 1.0)  # all on the minority
+    assert len(needs) == 2 and needs[0] == needs[1]
+    assert peak <= needs[0] and worst_peak <= needs[1]
 
 
-def test_solve_reports_evaluations_and_rows_read(three_gauss):
+def test_solve_reports_evaluations_and_rows_read(monkeypatch, three_gauss):
+    """Each branch reports its evaluations, and every evaluation reads
+    all N rows: the counted evaluations, plus one linear form per solved
+    branch, are every pass the solve makes."""
+    passes = []
+    evaluate = solver._h_and_grad
+
+    def counted(pts, *args):
+        passes.append(pts.shape[0])
+        return evaluate(pts, *args)
+
+    monkeypatch.setattr(solver, "_h_and_grad", counted)
     table = backward_recursion(three_gauss, mean_half_space_cone(),
                                SaaBackend(three_gauss, 50_000, seed=2))
     solved = [d for d in table.diagnostics if d.get("method") ==
@@ -261,10 +266,13 @@ def test_solve_reports_evaluations_and_rows_read(three_gauss):
     assert solved
     for d in solved:
         assert d["evaluations"] >= d["iterations"] + 2
-        assert 0.0 < d["rows_touched_share"] < 1.0
     for d in table.diagnostics:
         if d.get("method") == "zero_test":
             assert d["evaluations"] == 0
+    linear_forms = sum(not d["snapped_zero"] for d in table.diagnostics)
+    assert len(passes) == sum(d["evaluations"] for d in table.diagnostics
+                              ) + linear_forms
+    assert set(passes) == {50_000}
 
 
 def test_diagnostics_round_trip(tree_market, tree_backend):
@@ -274,7 +282,6 @@ def test_diagnostics_round_trip(tree_market, tree_backend):
     assert again["diagnostics"] == table.diagnostics
     for d in again["diagnostics"]:
         if d.get("method") == "projected_gradient":
-            assert d["rows_touched_share"] == 1.0  # exact: no screen
             assert d["evaluations"] >= 2
 
 
@@ -292,14 +299,13 @@ def test_kept_gradient_equals_a_fresh_evaluation(three_gauss, sign):
 
 
 def test_exact_backend_reads_every_atom(tree_market):
-    """The exact backend has no screen: every atom is read directly,
-    even at a k small enough for a screen to skip them all."""
+    """The exact backend reads every atom directly, with its probability,
+    even at a k that keeps every atom on the majority branch."""
     backend = ExactDiscreteBackend(tree_market)
     period = tree_market.periods[0]
     k = np.array([0.3, -0.2])
     assert np.max(np.linalg.norm(period.atoms, axis=1)) * np.linalg.norm(k) < 1
     got = backend.cost(0, 1, k, 0.6, 0.9)
-    assert got.rows_read == period.atoms.shape[0] == backend.n_rows(0)
     want = _h_and_grad(period.atoms, period.probs, 1, k, 0.6, 0.9)
     assert (got.value, got.lin) == (want.value, want.lin)
     np.testing.assert_array_equal(got.grad, want.grad)

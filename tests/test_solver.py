@@ -260,10 +260,10 @@ class TestMinimizeOverCone:
         # A cost lowest at the origin whose gradient points away from it:
         # no step passes the Armijo test, so the first iteration halves
         # the step down to the floor.
-        def rising(pts, w, sign, k, c_plus, c_minus, screen=None):
+        def rising(pts, w, sign, k, c_plus, c_minus, gram=None):
             n = k.shape[0]
             return Cost(1.0 + float(np.any(k != 0.0)), np.full(n, -1.0), 1.0,
-                        pts.shape[0], np.eye(n))
+                        np.eye(n))
 
         monkeypatch.setattr(solver, "_h_and_grad", rising)
         with pytest.raises(NoConvergence, match=(
@@ -318,7 +318,7 @@ class TestBackends:
         else:
             assert type(made) is SaaBackend
             assert (made.sample_count, made.seed) == (1000, 5)
-            assert made.screen(0).points.shape == (1000, 1)
+            assert made.period(0)[0].shape == (1000, 1)
             assert made.describe() == {"kind": "saa", "samples": 1000,
                                        "seed": 5}
 
@@ -327,8 +327,8 @@ class TestBackends:
             SaaBackend(three_gauss, 1, seed=0)
 
     def test_saa_points_are_seed_deterministic(self, three_gauss):
-        a = SaaBackend(three_gauss, 1000, seed=5).screen(0).points
-        b = SaaBackend(three_gauss, 1000, seed=5).screen(0).points
+        a = SaaBackend(three_gauss, 1000, seed=5).period(0)[0]
+        b = SaaBackend(three_gauss, 1000, seed=5).period(0)[0]
         np.testing.assert_array_equal(a, b)
 
 
