@@ -14,17 +14,15 @@ from .errors import (BackendMismatch, ConemvError, ConfigError,
                      InvalidCone, InvalidMarket, InvalidTarget, NoConvergence,
                      TargetUnattainable, ZeroMeanExcess)
 from .market import MarketSpec, PeriodDistribution, from_annual_table
-from .policy import (Policy, frontier_point, induced_target, minimum_variance,
-                     mu_star, precommitted, tc_frontier_point,
-                     time_consistent, truncated)
+from .policy import (Policy, frontier_point, minimum_variance, mu_star,
+                     precommitted, tc_frontier_point, time_consistent,
+                     truncated)
 from .solver import (ExactDiscreteBackend, RecursionTable, SaaBackend,
-                     SolverOptions, backward_recursion, dual_value,
-                     linear_form, minimize_over_cone, unconstrained_table,
-                     value_function)
+                     SolverOptions, backward_recursion, linear_form,
+                     minimize_over_cone, unconstrained_table)
 from .tcie import TcieVerdict, check_tcie, transition_probs
-from .vssm import (conditional_expectation, density_for_paths,
-                   density_factors, duality_terminal_wealth,
-                   exact_density_moments, implied_wealth_path,
-                   supermartingale_check, theoretical_moments)
+from .vssm import (density_for_paths, duality_terminal_wealth,
+                   exact_density_moments, supermartingale_check,
+                   theoretical_moments)
 
 __version__ = "0.1.0"

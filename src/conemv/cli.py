@@ -29,7 +29,7 @@ import numpy as np
 from . import policy as policy_mod
 from . import sim, tcie, vssm
 from .cones import construct_tcie_cone
-from .config import checked_seed, parse_config
+from .config import checked_seed, checked_wealth, parse_config
 from .errors import (ConemvError, ConfigError, InsufficientMemory,
                      InvalidCone, InvalidMarket, InvalidTarget,
                      TargetUnattainable)
@@ -164,6 +164,7 @@ def cmd_frontier(args) -> int:
                         ("--mean-max", args.mean_max)):
         if not math.isfinite(value):
             raise ConfigError(f"{flag} must be finite, got {value}")
+        checked_wealth(flag, value)
     cfg = _load_config(args)
     require_memory(_FRONTIER_POINT_BYTES * args.points,
                    f"{args.points} frontier points")

@@ -12,6 +12,7 @@ A configuration has four sections:
 Unknown keys in any section are rejected first, so a typo is reported
 as one; then a boolean anywhere, or a string outside the name keys
 ``family``, ``type``, ``kind`` and ``backend``: "1000" is not a number.
+The policy's wealths and mean targets lie within +-``WEALTH_BOUND``.
 """
 
 from __future__ import annotations
@@ -36,6 +37,10 @@ _SECTION_KEYS = {"market": _MARKET_KEYS, "cones": _CONE_KEYS,
 _NAME_KEYS = {"family", "type", "kind", "backend"}
 _POLICY_KINDS = {"precommitted", "minimum_variance", "time_consistent",
                  "truncated"}
+# largest magnitude of a wealth or mean target: a frontier variance
+# squares it and simulate's variance SE sums its fourth powers, which
+# past about 1e77 overflow double precision
+WEALTH_BOUND = 1e50
 
 
 @dataclass
@@ -105,6 +110,14 @@ def _number(section: dict, key: str, default, kind=float):
         return value if isinstance(value, int) else int(number)
     what = "a finite number" if kind is float else "an integer"
     raise ConfigError(f"{key!r} must be {what}, got {value!r}")
+
+
+def checked_wealth(name: str, value: float) -> float:
+    """``value`` if it lies within +-WEALTH_BOUND, else a ConfigError."""
+    if not abs(value) <= WEALTH_BOUND:
+        raise ConfigError(f"{name} must lie in [-{WEALTH_BOUND:g}, "
+                          f"{WEALTH_BOUND:g}], got {value!r}")
+    return value
 
 
 def checked_seed(seed: int) -> int:
@@ -202,8 +215,9 @@ def parse_config(data: dict) -> RunConfig:
     if not isinstance(cfg.policy_kind, str) or \
             cfg.policy_kind not in _POLICY_KINDS:
         raise ConfigError(f"unknown policy kind {cfg.policy_kind!r}")
-    cfg.x0 = _number(policy, "x0", 1.0)
-    cfg.d = _number(policy, "d", cfg.market.rho(0) * cfg.x0)
+    cfg.x0 = checked_wealth("'x0'", _number(policy, "x0", 1.0))
+    cfg.d = checked_wealth(
+        "'d'", _number(policy, "d", cfg.market.rho(0) * cfg.x0))
     if cfg.policy_kind == "truncated":
         for key in ("k", "d_k", "x_k"):
             if key not in policy:
@@ -212,8 +226,10 @@ def parse_config(data: dict) -> RunConfig:
         if not 0 <= cfg.truncate_k < market.horizon:
             raise ConfigError("truncated policy's k must lie in "
                               f"[0, {market.horizon}), got {cfg.truncate_k}")
-        cfg.truncate_d_k = _number(policy, "d_k", None)
-        cfg.truncate_x_k = _number(policy, "x_k", None)
+        cfg.truncate_d_k = checked_wealth("'d_k'",
+                                          _number(policy, "d_k", None))
+        cfg.truncate_x_k = checked_wealth("'x_k'",
+                                          _number(policy, "x_k", None))
 
     numerics = data.get("numerics", {})
     if not isinstance(numerics, dict):

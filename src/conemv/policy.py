@@ -115,33 +115,6 @@ def tc_frontier_point(table: RecursionTable, x0: float,
     return FrontierPoint(mean_target, gap * gap * factor, True)
 
 
-class InducedTarget(NamedTuple):
-    d_k: float
-    mu_k: float
-    efficient: bool
-
-
-def induced_target(table: RecursionTable, k: int, x_k: float, d: float,
-                   mu: float) -> InducedTarget:
-    """Mean target of the truncated problem that reproduces the tail of
-    the original precommitted policy from state (k, x_k).
-
-    The tail policy solves the truncated problem with target
-    d_k = (1 - C) (d - mu) + C rho_k x_k, where C is the cost constant
-    on the branch selected by d - mu against rho_k x_k; the truncation
-    is efficient iff the state is at or below the threshold, or the
-    lower cost constant equals one.
-    """
-    if not 0 <= k < table.horizon:
-        raise ValueError(f"k must lie in [0, {table.horizon}), got {k}")
-    g = d - mu
-    rx = table.rho(k) * x_k
-    c = table.c_plus[k] if g >= rx else table.c_minus[k]
-    d_k = (1.0 - c) * g + c * rx
-    efficient = (g >= rx) or table.c_minus[k] >= 1.0 - _C_ONE_TOL
-    return InducedTarget(float(d_k), float(d_k - g), efficient)
-
-
 # ---------------------------------------------------------------------------
 # policies
 # ---------------------------------------------------------------------------

@@ -549,27 +549,3 @@ def unconstrained_table(market: MarketSpec) -> RecursionTable:
         diagnostics=[{"t": t, "note": "closed_form", "b": float(b[t])}
                      for t in range(T)])
 
-
-# ---------------------------------------------------------------------------
-# value function and dual
-# ---------------------------------------------------------------------------
-
-def value_function(table: RecursionTable, t: int, y) -> np.ndarray | float:
-    """Optimal cost-to-go 0.5 rho_t^2 [C_t^+ y^2 (y <= 0) + C_t^- y^2 (y > 0)]
-    as a function of the shifted wealth y at time t."""
-    if not 0 <= t <= table.horizon:
-        raise ValueError(f"t must lie in [0, {table.horizon}], got {t}")
-    y_arr = np.asarray(y, dtype=float)
-    c = np.where(y_arr <= 0.0, table.c_plus[t], table.c_minus[t])
-    out = 0.5 * table.rho(t) ** 2 * c * y_arr * y_arr
-    return float(out) if np.isscalar(y) or y_arr.ndim == 0 else out
-
-
-def dual_value(table: RecursionTable, x0: float, d: float, mu) -> np.ndarray | float:
-    """Concave dual objective g(mu) whose maximiser is the optimal
-    multiplier and whose maximum is the optimal variance."""
-    mu_arr = np.asarray(mu, dtype=float)
-    gap = d - table.rho(0) * x0
-    c = np.where(mu_arr <= gap, table.c_plus[0], table.c_minus[0])
-    out = c * (gap - mu_arr) ** 2 - mu_arr ** 2
-    return float(out) if np.isscalar(mu) or mu_arr.ndim == 0 else out

@@ -9,14 +9,9 @@ Along a return path P_0, ..., P_{T-1} define
 and the terminal density dQ/dP = prod_i B_i / C_0^+.  The induced
 signed measure prices every admissible position nonpositively (a
 signed supermartingale measure) and attains the minimal second moment
-E[(dQ/dP)^2] = 1 / C_0^+ among such measures.  Conditional expectations
-have the closed form
-
-    E[dQ/dP | F_t] = (prod_{i<t} B_i) C_t^{sign} / C_0^+,
-
-with sign chosen by the running product (ties to the + branch).  The
-optimal terminal wealth is an affine function of the density, which
-gives a pathwise duality check against simulation.
+E[(dQ/dP)^2] = 1 / C_0^+ among such measures.  The optimal terminal
+wealth is an affine function of the density, which gives a pathwise
+duality check against simulation.
 """
 
 from __future__ import annotations
@@ -44,37 +39,13 @@ def _check_returns(table: RecursionTable, returns: np.ndarray) -> np.ndarray:
     return returns
 
 
-def density_factors(table: RecursionTable, returns: np.ndarray):
-    """B factors and running products for a batch of paths.
-
-    Parameters
-    ----------
-    returns : ndarray, shape (n_paths, T, n)
-
-    Returns
-    -------
-    (b, partial) with shapes (n_paths, T) and (n_paths, T+1);
-    ``partial[:, t]`` is the product of the first t factors.
-    """
-    returns = _check_returns(table, returns)
-    n_paths, T = returns.shape[0], table.horizon
-    b = np.empty((n_paths, T))
-    partial = np.empty((n_paths, T + 1))
-    partial[:, 0] = 1.0
-    for t in range(T):
-        y_plus = returns[:, t, :] @ table.k_plus[t]
-        y_minus = returns[:, t, :] @ table.k_minus[t]
-        nonneg = partial[:, t] >= 0.0  # ties resolve to the + branch
-        b[:, t] = np.where(nonneg, 1.0 - y_plus, 1.0 + y_minus)
-        partial[:, t + 1] = partial[:, t] * b[:, t]
-    return b, partial
-
-
 def density_for_paths(table: RecursionTable, returns: np.ndarray) -> np.ndarray:
-    """Terminal densities for a batch of paths, shape (n_paths,).
+    """Terminal densities prod_i B_i / C_0^+ for a batch of paths,
+    shape (n_paths,); one path is a batch of one.
 
-    The recursion of :func:`density_factors`, keeping only the running
-    product, with the branch factors formed in place.
+    Each factor B_t is 1 - P_t'K_t^+ where the running product of the
+    earlier factors is nonnegative, else 1 + P_t'K_t^-, and is formed
+    in place before it multiplies that product.
     """
     returns = _check_returns(table, returns)
     partial = np.ones(returns.shape[0])
@@ -87,18 +58,6 @@ def density_for_paths(table: RecursionTable, returns: np.ndarray) -> np.ndarray:
         partial *= b
     partial /= table.c_plus[0]
     return partial
-
-
-def conditional_expectation(table: RecursionTable, b_prefix) -> float:
-    """E[dQ/dP | F_t] given the first t realised B factors."""
-    b_prefix = np.asarray(b_prefix, dtype=float)
-    t = b_prefix.shape[0]
-    if not 0 <= t <= table.horizon:
-        raise DimensionMismatch(
-            f"prefix length {t} exceeds horizon {table.horizon}")
-    pi = float(np.prod(b_prefix))
-    c_t = table.c_plus[t] if pi >= 0.0 else table.c_minus[t]
-    return pi * c_t / table.c_plus[0]
 
 
 def theoretical_moments(table: RecursionTable) -> tuple[float, float]:
@@ -116,21 +75,6 @@ def duality_terminal_wealth(table: RecursionTable, x0: float, d: float,
     dens = np.asarray(density, dtype=float)
     out = g - (g - x0 * table.rho(0)) * table.c_plus[0] * dens
     return float(out) if dens.ndim == 0 else out
-
-
-def implied_wealth_path(table: RecursionTable, x0: float, d: float,
-                        mu: float, partial_products: np.ndarray) -> np.ndarray:
-    """Wealth at every time implied by the running density products:
-
-        x_t = (d - mu)/rho_t - ((d - mu) - x0 rho_0) / rho_t * prod_{i<t} B_i.
-
-    ``partial_products`` has shape (n_paths, T+1); returns the matching
-    wealth array.
-    """
-    g = d - mu
-    T = table.horizon
-    rho = np.array([table.rho(t) for t in range(T + 1)])
-    return (g - (g - x0 * table.rho(0)) * partial_products) / rho[None, :]
 
 
 def enumerate_tree(market: MarketSpec):

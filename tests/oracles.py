@@ -4,7 +4,7 @@ Everything here is written against numpy/scipy only, deliberately not
 reusing the package's own cost, projection, or recursion code, so that
 agreement between the two is evidence rather than tautology.
 
-Three families of oracle:
+Four families of oracle:
 
 * one-dimensional reduction: for elliptical return familes the scalar
   y = P'K is univariate gaussian/t, so the branch cost and its exact
@@ -16,6 +16,16 @@ Three families of oracle:
   The mean constraint is handled by bisection on the embedding scalar
   b, the inner minimisation of E[(x_T - b)^2] by projected gradient on
   the stacked node controls.
+* closed forms read off a recursion table, with rho_t = prod_{s>=t} r_s:
+  the value function J_t(y) = rho_t^2 C_t^{+/-} y^2 / 2 (C_t^+ for
+  y <= 0); the dual g(mu) = C_0^{+/-} (d - rho_0 x0 - mu)^2 - mu^2,
+  maximised by mu* at the frontier variance; the density factors B_t
+  and their running products prod_{i<t} B_i along each path; the
+  conditional expectation E[dQ/dP | F_t] = (prod_{i<t} B_i) C_t^{+/-}
+  / C_0^+ (sign of the running product, ties to +); the wealth path
+  x_t = ((d - mu) - ((d - mu) - x0 rho_0) prod_{i<t} B_i) / rho_t it
+  implies; and the induced target d_k = (1 - C) (d - mu) + C rho_k x_k
+  of the truncated problem at (k, x_k).
 * small utilities: rejection-grid projection, central finite
   differences.
 """
@@ -456,6 +466,82 @@ def node_condition_tcie(market, table, policy, x0, d, tol=1e-9):
             continue
         return False, (t, prefix, w)
     return True, None
+
+
+# ---------------------------------------------------------------------------
+# closed forms read off a recursion table
+# ---------------------------------------------------------------------------
+
+def _rho(table, t):
+    return float(np.prod(np.asarray(table.riskless_rates, float)[t:]))
+
+
+def value_function(table, t, y):
+    """Optimal cost-to-go 0.5 rho_t^2 C_t y^2 at time t of the shifted
+    wealth y, with C_t^+ for y <= 0 and C_t^- for y > 0."""
+    y = np.asarray(y, float)
+    c = np.where(y <= 0.0, table.c_plus[t], table.c_minus[t])
+    return (0.5 * _rho(table, t) ** 2 * c * y * y)[()]
+
+
+def dual_value(table, x0, d, mu):
+    """Concave dual g(mu) = C_0 (gap - mu)^2 - mu^2, gap = d - rho_0 x0,
+    with C_0^+ for mu <= gap and C_0^- above."""
+    mu = np.asarray(mu, float)
+    gap = d - _rho(table, 0) * x0
+    c = np.where(mu <= gap, table.c_plus[0], table.c_minus[0])
+    return (c * (gap - mu) ** 2 - mu ** 2)[()]
+
+
+def density_factors(table, returns):
+    """B factors (n_paths, T) and running products (n_paths, T + 1) of
+    a batch of (n_paths, T, n) return paths; partial[:, t] is the
+    product of the first t factors."""
+    returns = np.asarray(returns, float)
+    n_paths, T = returns.shape[0], table.horizon
+    b = np.empty((n_paths, T))
+    partial = np.ones((n_paths, T + 1))
+    for t in range(T):
+        y_plus = returns[:, t, :] @ table.k_plus[t]
+        y_minus = returns[:, t, :] @ table.k_minus[t]
+        nonneg = partial[:, t] >= 0.0  # ties resolve to the + branch
+        b[:, t] = np.where(nonneg, 1.0 - y_plus, 1.0 + y_minus)
+        partial[:, t + 1] = partial[:, t] * b[:, t]
+    return b, partial
+
+
+def conditional_expectation(table, b_prefix):
+    """E[dQ/dP | F_t] given the first t realised B factors."""
+    pi = float(np.prod(np.asarray(b_prefix, float)))
+    t = len(b_prefix)
+    c_t = table.c_plus[t] if pi >= 0.0 else table.c_minus[t]
+    return pi * c_t / table.c_plus[0]
+
+
+def implied_wealth_path(table, x0, d, mu, partial):
+    """Wealth (n_paths, T + 1) at every time implied by the running
+    products of :func:`density_factors`."""
+    g = d - mu
+    rho = np.array([_rho(table, t) for t in range(table.horizon + 1)])
+    return (g - (g - x0 * rho[0]) * partial) / rho
+
+
+InducedTarget = collections.namedtuple("InducedTarget",
+                                       "d_k mu_k efficient")
+
+
+def induced_target(table, k, x_k, d, mu):
+    """Target d_k of the truncated problem at (k, x_k) whose optimal
+    policy is the tail of the precommitted one, with mu_k = d_k - (d -
+    mu); C is C_k^+ at or below the threshold, else C_k^-.  The
+    truncation is efficient at or below the threshold, or where
+    C_k^- = 1."""
+    g = d - mu
+    rx = _rho(table, k) * x_k
+    c = table.c_plus[k] if g >= rx else table.c_minus[k]
+    d_k = (1.0 - c) * g + c * rx
+    efficient = g >= rx or table.c_minus[k] >= 1.0 - 1e-12
+    return InducedTarget(float(d_k), float(d_k - g), bool(efficient))
 
 
 # ---------------------------------------------------------------------------

@@ -18,7 +18,8 @@ import numpy as np
 import pytest
 
 from conftest import random_cone, random_tree_market
-from oracles import brute_force_min_variance, node_condition_tcie
+from oracles import (brute_force_min_variance, density_factors,
+                     implied_wealth_path, node_condition_tcie)
 from conemv.errors import InvalidTarget, TargetUnattainable
 from conemv.policy import (Policy, frontier_point, mu_star, precommitted,
                            tc_frontier_point)
@@ -28,9 +29,8 @@ from conemv.sim import sample_returns, simulate, summarize
 from conemv.solver import (ExactDiscreteBackend, RecursionTable, SaaBackend,
                            backward_recursion, unconstrained_table)
 from conemv.tcie import check_tcie
-from conemv.vssm import (density_factors, density_for_paths,
-                         duality_terminal_wealth, exact_density_moments,
-                         implied_wealth_path)
+from conemv.vssm import (density_for_paths, duality_terminal_wealth,
+                         exact_density_moments)
 
 SAA_SAMPLES = 16_000_000
 SIM_PATHS = 1_000_000
@@ -278,8 +278,8 @@ def test_criterion_7_wealth_duality(accept):
         table = accept["tables"][(family, name)]
         pol = precommitted(table, X0, TARGET)
         ensemble = simulate(pol, market, n_paths=10_000, seed=0)
+        dens = density_for_paths(table, ensemble.returns)
         _, partial = density_factors(table, ensemble.returns)
-        dens = partial[:, -1] / table.c_plus[0]
         formula = duality_terminal_wealth(table, X0, TARGET, pol.mu, dens)
         worst_terminal = max(worst_terminal, float(
             np.max(np.abs(formula - ensemble.wealth[:, -1]))))

@@ -989,6 +989,77 @@ class TestNonFiniteInput:
         assert lines == ["error: unknown keys in 'numerics': ['optimizer']"]
 
 
+class TestHugeMagnitudes:
+    """A wealth or mean target beyond +-1e50 would square or raise to the
+    fourth power past double precision: it exits 2 with one error line,
+    not 0 with inf or NaN, and no numpy warning runs first.  Each run
+    turns every warning into an error."""
+
+    LIMITED_SHORT = CONFIGS / "three_index_limited_short_gaussian.json"
+    EXTRA = {"frontier": ["--mean-min", "1.16", "--mean-max", "2.16"],
+             "simulate": ["--paths", "3000"], "vssm": ["--paths", "3000"],
+             "solve": [], "tcie": []}
+
+    def run_strict(self, tmp_path, command, policy=None, *flags):
+        cfg = json.loads(self.LIMITED_SHORT.read_text())
+        cfg["policy"].update(policy or {})
+        return subprocess.run(
+            [sys.executable, "-W", "error", "-m", "conemv", command,
+             "--config", write_config(tmp_path, cfg), "--samples", "3000",
+             *(flags or self.EXTRA[command])],
+            capture_output=True, text=True, timeout=300)
+
+    @pytest.mark.parametrize("command,key,value", [
+        ("frontier", "x0", -1e154),
+        ("frontier", "x0", -1e160),
+        ("frontier", "x0", -1e308),
+        ("simulate", "x0", -1e80),
+        ("simulate", "x0", -1e160),
+        ("simulate", "x0", -1e308),
+        ("simulate", "d", 1e160),
+        ("solve", "x0", -1e160),
+        ("tcie", "d", 1e160),
+        ("vssm", "x0", -1e308),
+    ])
+    def test_policy_value(self, tmp_path, command, key, value):
+        res = self.run_strict(tmp_path, command, {key: value})
+        assert res.returncode == 2, res.stdout
+        assert res.stderr == (f"error: {key!r} must lie in [-1e+50, 1e+50], "
+                              f"got {value!r}\n")
+
+    @pytest.mark.parametrize("key,value", [("x_k", -1e160), ("d_k", 1e160)])
+    def test_truncated_state(self, tmp_path, key, value):
+        policy = {"kind": "truncated", "k": 1, "x_k": 1.1, "d_k": 1.4,
+                  key: value}
+        res = self.run_strict(tmp_path, "simulate", policy)
+        assert res.returncode == 2, res.stdout
+        assert res.stderr == (f"error: {key!r} must lie in [-1e+50, 1e+50], "
+                              f"got {value!r}\n")
+
+    @pytest.mark.parametrize("low,high", [("1e200", "1e200"),
+                                          ("1.16", "1e200"),
+                                          ("-1e200", "2.16")])
+    def test_mean_flags(self, tmp_path, low, high):
+        res = self.run_strict(tmp_path, "frontier", None,
+                              f"--mean-min={low}", f"--mean-max={high}")
+        flag, value = (("--mean-min", low) if abs(float(low)) > 1e50
+                       else ("--mean-max", high))
+        assert res.returncode == 2, res.stdout
+        assert res.stderr == (f"error: {flag} must lie in [-1e+50, 1e+50], "
+                              f"got {float(value)}\n")
+
+    @pytest.mark.parametrize("command", ["frontier", "simulate"])
+    def test_bound_itself_is_finite(self, tmp_path, command):
+        flags = (["--mean-min", "1.16", "--mean-max", "1e50"]
+                 if command == "frontier" else [])
+        res = self.run_strict(tmp_path, command, {"x0": -1e50, "d": 1e50},
+                              *flags)
+        assert res.returncode == 0, res.stderr
+        assert res.stderr == ""
+        assert not any(word in res.stdout.lower()
+                       for word in ("inf", "nan"))
+
+
 class TestMalformedNumbers:
     """Numeric config values that do not convert, convert to a
     non-finite number, are booleans, are fractional counts or lie outside

@@ -7,7 +7,6 @@ from conemv.errors import InvalidTarget, TargetUnattainable
 from conemv.market import MarketSpec, PeriodDistribution
 from conemv.policy import (
     frontier_point,
-    induced_target,
     minimum_variance,
     mu_star,
     precommitted,
@@ -19,12 +18,12 @@ from conemv.policy import (
 from conemv.solver import (
     ExactDiscreteBackend,
     backward_recursion,
-    dual_value,
     unconstrained_table,
 )
 
 from conftest import random_tree_market
-from oracles import brute_force_min_variance, tree_paths
+from oracles import (brute_force_min_variance, dual_value, induced_target,
+                     tree_paths)
 
 
 def origin_only_table(market):
@@ -177,7 +176,7 @@ class TestInducedTarget:
         x0, d = 1.0, 1.35
         mu = mu_star(gauss_unc_table, x0, d)
         k = 1
-        x_k = (d - mu) / gauss_unc_table.rho(k)
+        x_k = wealth_threshold(gauss_unc_table, d, mu, k)
         res = induced_target(gauss_unc_table, k, x_k, d, mu)
         assert res.d_k == pytest.approx(gauss_unc_table.rho(k) * x_k,
                                         rel=1e-12)
@@ -195,6 +194,9 @@ class TestInducedTarget:
             res = induced_target(gauss_unc_table, k, x_k, d, mu)
             assert res.efficient == ((g >= rho_k * x_k) or c_minus_one)
             assert res.mu_k == pytest.approx(res.d_k - g, abs=1e-12)
+            # the truncated problem at the induced target keeps mu_k
+            tail = truncated(gauss_unc_table, k, x_k, res.d_k)
+            assert tail.mu == pytest.approx(res.mu_k, abs=1e-12)
 
     def test_tail_policy_is_optimal_for_induced_target(self):
         # from any reachable time-1 state, the precommitted tail must
@@ -233,7 +235,7 @@ class TestInducedTarget:
 
     def test_bad_time_index_rejected(self, gauss_unc_table):
         with pytest.raises(ValueError):
-            induced_target(gauss_unc_table, 3, 1.0, 1.35, -0.18)
+            truncated(gauss_unc_table, 3, 1.0, 1.35)
 
 
 class TestPolicies:

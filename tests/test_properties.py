@@ -7,11 +7,11 @@ from hypothesis import HealthCheck, assume, given, settings
 from hypothesis import strategies as st
 
 from conftest import random_cone, random_tree_market
+from oracles import dual_value
 from conemv.cones import ConvexCone
 from conemv.errors import NoConvergence, TargetUnattainable
 from conemv.policy import mu_star
-from conemv.solver import (ExactDiscreteBackend, backward_recursion,
-                           dual_value, linear_form)
+from conemv.solver import ExactDiscreteBackend, backward_recursion, linear_form
 
 COMMON = dict(max_examples=120, deadline=None, derandomize=True,
               suppress_health_check=[HealthCheck.too_slow,

@@ -23,11 +23,9 @@ from conemv.solver import (
     SaaBackend,
     SolverOptions,
     backward_recursion,
-    dual_value,
     linear_form,
     minimize_over_cone,
     unconstrained_table,
-    value_function,
 )
 
 from conftest import random_tree_market
@@ -35,7 +33,9 @@ from oracles import (
     brute_force_min_variance,
     brute_one_step,
     central_fd_grad,
+    dual_value,
     recursion_truth_1d,
+    value_function,
 )
 
 COIN = PeriodDistribution.discrete([[-0.1], [0.2]], [0.5, 0.5])
@@ -611,6 +611,6 @@ class TestValueFunctionAndDual:
 
     def test_out_of_range_times_rejected(self, gauss_unc_table):
         with pytest.raises(ValueError):
-            value_function(gauss_unc_table, 4, 0.0)
+            gauss_unc_table.rho(4)
         with pytest.raises(ValueError):
             gauss_unc_table.rho(5)

@@ -20,18 +20,17 @@ from conemv.solver import (
     unconstrained_table,
 )
 from conemv.vssm import (
-    conditional_expectation,
-    density_factors,
     density_for_paths,
     duality_terminal_wealth,
     enumerate_tree,
     exact_density_moments,
-    implied_wealth_path,
     supermartingale_check,
     theoretical_moments,
 )
 
 from conftest import random_cone, random_discrete_period, random_tree_market
+from oracles import (conditional_expectation, density_factors,
+                     implied_wealth_path)
 
 
 def uneven_tree_market():
@@ -132,7 +131,7 @@ class TestBranchBookkeeping:
         with pytest.raises(DimensionMismatch):
             density_for_paths(table, np.zeros((10, 2, 2)))
         with pytest.raises(DimensionMismatch):  # one path is a batch of one
-            density_factors(table, np.zeros((2, 1)))
+            density_for_paths(table, np.zeros((2, 1)))
 
 
 class TestConditionalStructure:
