@@ -55,8 +55,21 @@ def _emit(text: str, out_path) -> None:
             sys.stdout.write("\n")
 
 
+def _finite(value):
+    """``value`` with every non-finite float, such as the unbounded
+    ``ess_sup_plus`` of a continuous period, as None (JSON null)."""
+    if isinstance(value, float):
+        return value if math.isfinite(value) else None
+    if isinstance(value, dict):
+        return {key: _finite(item) for key, item in value.items()}
+    if isinstance(value, (list, tuple)):
+        return [_finite(item) for item in value]
+    return value
+
+
 def _emit_json(payload, out_path) -> None:
-    _emit(json.dumps(payload, indent=2), out_path)
+    """Print strict JSON (RFC 8259): no NaN or Infinity tokens."""
+    _emit(json.dumps(_finite(payload), indent=2, allow_nan=False), out_path)
 
 
 def _check_out(out_path) -> None:
@@ -101,10 +114,11 @@ def _require_path_memory(cfg, n_paths: int, kept: int) -> None:
     path plus one block of paths do not fit.  A block holds its
     (block, T, n) returns, its (block, T + 1) wealth and at most n + 4
     doubles a path of temporaries: a control step's wealth,
-    coefficients, branch index and gains, or the density's three
-    factors.  Before the wealth exists, a draw slab holds its uniforms
-    (n + 1, rounded up to a multiple of four) and Student-t scale,
-    which fit in the wealth's place and these n + 4."""
+    coefficients, branch index and gains, or the density's output and
+    its two factors and sign mask for one draw-pool chunk per worker.
+    Before the wealth exists, a draw slab holds its uniforms (n + 1,
+    rounded up to a multiple of four) and Student-t scale, which fit in
+    the wealth's place and these n + 4."""
     T, n = cfg.market.horizon, cfg.market.n_assets
     per_path = T * n + T + 1 + n + 4
     require_memory(kept * n_paths + 8 * min(n_paths, sim._BLOCK) * per_path,

@@ -341,12 +341,7 @@ class PeriodDistribution:
         z = ndtri(u[:, :n])
 
         def affine(a, b):
-            if b - a == 1:
-                # OpenBLAS hands a one-row product to gemv, which rounds
-                # differently from the gemm that larger chunks take.
-                x[a:b] = (np.repeat(z[a:b], 2, axis=0) @ chol_t)[:1]
-            else:
-                np.matmul(z[a:b], chol_t, out=x[a:b])
+            rng.matmul_rows(z[a:b], chol_t, x[a:b])
             if scale is not None:
                 x[a:b] /= scale[a:b, None]
             x[a:b] += self.mean

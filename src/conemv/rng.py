@@ -13,16 +13,20 @@ rounded up to a multiple of 4 doubles.
 A draw of many rows runs one slab of ``_SLAB_ROWS`` rows at a time, so
 its scratch arrays are those of one slab (:mod:`conemv.market`).
 Row-independent kernels of a slab (the Philox fill here, the quantile
-transforms and the product in :mod:`conemv.market`) split it into
-chunks of ``_CHUNK_ROWS`` rows over a thread pool, one thread per CPU
-the process may run on.  Each chunk writes its own rows of one output, so the
+transforms and the product in :mod:`conemv.market`) and of the path
+densities in :mod:`conemv.vssm` split it into chunks of ``_CHUNK_ROWS``
+rows over a thread pool, one thread per CPU the process may run on.
+Each chunk writes its own rows of one output, and a one-row chunk's
+product rounds as in a larger block (:func:`matmul_rows`), so the
 result is the same for every worker count.  The workers run only
-numpy and scipy kernels, which release the interpreter lock.
+numpy and scipy kernels, which release the interpreter lock, on arrays
+that the calling thread allocated.
 """
 
 from __future__ import annotations
 
 import os
+import queue
 import threading
 
 import numpy as np
@@ -59,17 +63,43 @@ if hasattr(os, "register_at_fork"):
     os.register_at_fork(after_in_child=_drop_pool)
 
 
-def over_row_chunks(n_rows: int, fill) -> None:
+def over_row_chunks(n_rows: int, fill, scratch=None) -> None:
     """Call ``fill(lo, hi)`` so that the calls cover rows [0, n_rows).
 
     A block of at most one chunk, or a process on one CPU, makes one
     call in the calling thread.  Otherwise the chunks run on the pool,
     created on first use, and every chunk has finished on return.
+
+    With ``scratch``, a function of a row count, every call is one
+    chunk's ``fill(lo, hi, s)``.  The calling thread makes the sets s,
+    ``scratch(rows)`` for the rows of one chunk, one for each chunk that
+    can run at once: min(workers, chunks), or one that the chunks take
+    in turn in the calling thread.  No set serves two chunks at once,
+    and the pool threads allocate none.
     """
     global _pool
     workers = _cpus()
-    if n_rows <= _CHUNK_ROWS or workers <= 1:
-        fill(0, n_rows)
+    bounds = [(lo, min(lo + _CHUNK_ROWS, n_rows))
+              for lo in range(0, n_rows, _CHUNK_ROWS)]
+    inline = len(bounds) <= 1 or workers <= 1
+    if scratch is None:
+        task = fill
+        if inline:
+            bounds = [(0, n_rows)]
+    else:
+        sets = queue.SimpleQueue()
+        for _ in range(1 if inline else min(workers, len(bounds))):
+            sets.put(scratch(min(n_rows, _CHUNK_ROWS)))
+
+        def task(lo, hi):
+            s = sets.get()
+            try:
+                fill(lo, hi, s)
+            finally:
+                sets.put(s)
+    if inline:
+        for lo, hi in bounds:
+            task(lo, hi)
         return
     with _pool_lock:
         if _pool is None:
@@ -77,10 +107,20 @@ def over_row_chunks(n_rows: int, fill) -> None:
             _pool = ThreadPoolExecutor(workers,
                                        thread_name_prefix="conemv-draw")
         pool = _pool
-    futures = [pool.submit(fill, lo, min(lo + _CHUNK_ROWS, n_rows))
-               for lo in range(0, n_rows, _CHUNK_ROWS)]
+    futures = [pool.submit(task, lo, hi) for lo, hi in bounds]
     for future in futures:
         future.result()
+
+
+def matmul_rows(x: np.ndarray, m: np.ndarray, out: np.ndarray) -> None:
+    """``np.matmul(x, m, out=out)`` for a chunk x of a block's rows,
+    rounded as in the whole block.  OpenBLAS hands a one-row product to
+    gemv, or to a dot for a vector m, which rounds differently from the
+    gemm or gemv that more rows take; so one row is multiplied as two."""
+    if x.shape[0] == 1:
+        out[...] = (np.repeat(x, 2, axis=0) @ m)[:1]
+    else:
+        np.matmul(x, m, out=out)
 
 
 def map_rows(kernel, x: np.ndarray) -> np.ndarray:

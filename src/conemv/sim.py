@@ -7,6 +7,12 @@ own (``first_path`` names the block's first path).  Stored returns
 allow exact replay of the wealth recursion and pathwise comparison
 against the density-based wealth formula.
 
+Paths are stored period-major: the (n_paths, T, n) returns are a view
+of a (T, n_paths, n) array and the (n_paths, T + 1) wealth of a
+(T + 1, n_paths) one, so each period's draw and each wealth column is
+one contiguous block.  Indexing is as for row-major arrays, and the
+values do not depend on the layout.
+
 :func:`summarize` is the one reduction of simulated paths to
 statistics: the terminal moments and the exceedance report of
 :func:`simulate`, computed one block of ``_BLOCK`` paths at a time.  It
@@ -39,7 +45,8 @@ def blocks(n_paths: int):
 
 @dataclass
 class PathEnsemble:
-    """Simulated wealth paths plus the driving returns."""
+    """Simulated wealth paths plus the driving returns, both stored
+    period-major: ``wealth[:, t]`` and ``returns[:, t]`` are contiguous."""
 
     wealth: np.ndarray    # (n_paths, T+1); x_start until the policy starts
     returns: np.ndarray   # (n_paths, T, n); zero before the policy starts
@@ -61,11 +68,11 @@ def simulate(policy: Policy, market: MarketSpec, n_paths: int = DEFAULT_PATHS,
 def sample_returns(market: MarketSpec, n_paths: int, seed: int,
                    first_path: int = 0) -> np.ndarray:
     """Return draws of paths [first_path, first_path + n_paths) for all
-    periods without running a policy, shape (n_paths, T, n).  Same
-    streams as :func:`simulate`."""
+    periods without running a policy, shape (n_paths, T, n),
+    period-major.  Same streams as :func:`simulate`."""
     market.validate()
     T, n = market.horizon, market.n_assets
-    returns = np.empty((n_paths, T, n))
+    returns = np.empty((T, n_paths, n)).transpose(1, 0, 2)
     for t in range(T):
         market.sample_block(t, seed, first_path, first_path + n_paths,
                             out=returns[:, t])
@@ -77,10 +84,11 @@ def replay_wealth(policy: Policy, market: MarketSpec,
     """Replay wealth from ``policy.x_start`` on stored returns, no draws.
 
     The paths are replayed one block at a time into the returned
-    (n_paths, T + 1) array, so the control's temporaries are those of
-    one block."""
+    (n_paths, T + 1) array, period-major, so the control's temporaries
+    are those of one block and each step writes a contiguous run of a
+    wealth column."""
     n_paths, T = returns.shape[0], returns.shape[1]
-    wealth = np.empty((n_paths, T + 1))
+    wealth = np.empty((T + 1, n_paths)).T
     t0 = policy.start_time
     wealth[:, :t0 + 1] = policy.x_start
     for lo, hi in blocks(n_paths):

@@ -23,6 +23,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
+from . import rng
 from .cones import cones_per_period
 from .errors import BackendMismatch, DimensionMismatch
 from .market import MarketSpec
@@ -45,19 +46,34 @@ def density_for_paths(table: RecursionTable, returns: np.ndarray) -> np.ndarray:
 
     Each factor B_t is 1 - P_t'K_t^+ where the running product of the
     earlier factors is nonnegative, else 1 + P_t'K_t^-, and is formed
-    in place before it multiplies that product.
+    in place before it multiplies that product.  The paths run in row
+    chunks on the draw pool, each with one of the caller's scratch sets
+    (two factors and a sign mask per row), so the density holds one
+    chunk of scratch per worker beside its output.  A path's density is
+    the same in every batch, chunk size and worker count.  Each
+    period's rows are read as one block: contiguous when ``returns`` is
+    period-major, as :func:`conemv.sim.sample_returns` stores them.
     """
     returns = _check_returns(table, returns)
-    partial = np.ones(returns.shape[0])
-    for t in range(table.horizon):
-        b_plus = returns[:, t, :] @ table.k_plus[t]
-        np.subtract(1.0, b_plus, out=b_plus)
-        b = returns[:, t, :] @ table.k_minus[t]
-        b += 1.0
-        np.copyto(b, b_plus, where=partial >= 0.0)  # ties to the + branch
-        partial *= b
-    partial /= table.c_plus[0]
-    return partial
+    dens = np.empty(returns.shape[0])
+
+    def fill(lo, hi, scratch):
+        b_plus, b, plus = (a[:hi - lo] for a in scratch)
+        partial = dens[lo:hi]
+        partial.fill(1.0)
+        for t in range(table.horizon):
+            rng.matmul_rows(returns[lo:hi, t], table.k_plus[t], b_plus)
+            np.subtract(1.0, b_plus, out=b_plus)
+            rng.matmul_rows(returns[lo:hi, t], table.k_minus[t], b)
+            b += 1.0
+            np.greater_equal(partial, 0.0, out=plus)
+            np.copyto(b, b_plus, where=plus)  # ties to the + branch
+            partial *= b
+        partial /= table.c_plus[0]
+
+    rng.over_row_chunks(returns.shape[0], fill, scratch=lambda rows: (
+        np.empty(rows), np.empty(rows), np.empty(rows, dtype=bool)))
+    return dens
 
 
 def theoretical_moments(table: RecursionTable) -> tuple[float, float]:

@@ -2,6 +2,7 @@ import numpy as np
 import pytest
 
 from conemv import presets, sim, solver
+from conemv import rng as draw_rng
 from conemv.cones import ConvexCone
 from conemv.market import MarketSpec, PeriodDistribution
 
@@ -84,6 +85,20 @@ def random_cone(seed, dim):
     normal = rng.normal(size=dim)
     normal = normal / np.linalg.norm(normal)
     return ConvexCone.half_space(normal), normal[None, :]
+
+
+@pytest.fixture
+def draw_pool(monkeypatch):
+    """Configure the draw pool: ``draw_pool(workers, chunk_rows)``.  A pool
+    started under the new setting is shut down after the test."""
+    def configure(workers, chunk_rows):
+        monkeypatch.setattr(draw_rng, "_cpus", lambda: workers)
+        monkeypatch.setattr(draw_rng, "_CHUNK_ROWS", chunk_rows)
+        monkeypatch.setattr(draw_rng, "_pool", None)
+
+    yield configure
+    if draw_rng._pool is not None:
+        draw_rng._pool.shutdown()
 
 
 @pytest.fixture(scope="session")

@@ -740,6 +740,43 @@ class TestTcie:
         assert payload["periods"][0]["can_cross"] is True
 
 
+def strict_json(text):
+    """Parse RFC 8259 JSON: the NaN and Infinity tokens raise."""
+    def refuse(token):
+        raise ValueError(f"non-JSON token {token}")
+    return json.loads(text, parse_constant=refuse)
+
+
+class TestStrictJson:
+    """Every command prints strict JSON; an unbounded value is null."""
+
+    COMMANDS = {
+        "solve": [], "tcie": [], "make-cone": [],
+        "frontier": ["--mean-min", "1.16", "--mean-max", "2.16",
+                     "--points", "5", "--format", "json"],
+        "simulate": ["--paths", "3000"], "vssm": ["--paths", "3000"]}
+
+    @pytest.mark.parametrize("config", sorted(CONFIGS.glob("*.json")),
+                             ids=lambda p: p.stem)
+    def test_shipped_configs(self, capsys, config):
+        for command, flags in self.COMMANDS.items():
+            argv = [command, "--config", str(config), *flags]
+            if command != "make-cone":
+                argv += ["--samples", "3000"]
+            assert cli.main(argv) == 0, command
+            payload = strict_json(capsys.readouterr().out)
+            if command == "tcie":
+                # a continuous period's P'K+ has no finite supremum
+                assert [p["ess_sup_plus"] for p in payload["periods"]] \
+                    == [None] * 3
+
+    def test_non_finite_numbers_print_as_null(self, capsys):
+        cli._emit_json({"a": [1.5, float("inf"), (-np.inf, np.nan)],
+                        "b": {"c": np.float64(np.nan), "d": 2}}, None)
+        assert strict_json(capsys.readouterr().out) == {
+            "a": [1.5, None, [None, None]], "b": {"c": None, "d": 2}}
+
+
 class TestVssm:
 
     def test_exact_and_monte_carlo_blocks(self, tmp_path):

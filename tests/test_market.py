@@ -4,6 +4,7 @@ import dataclasses
 import os
 import signal
 import sys
+import threading
 import time
 import tracemalloc
 
@@ -541,20 +542,6 @@ POOL_MARKETS = {
 POOL_BLOCKS = [(0, 1), (5, 6), (7, 20), (1, 1_000), (12_345, 12_399)]
 
 
-@pytest.fixture
-def draw_pool(monkeypatch):
-    """Configure the draw pool: ``draw_pool(workers, chunk_rows)``.  A pool
-    started under the new setting is shut down after the test."""
-    def configure(workers, chunk_rows):
-        monkeypatch.setattr(rng, "_cpus", lambda: workers)
-        monkeypatch.setattr(rng, "_CHUNK_ROWS", chunk_rows)
-        monkeypatch.setattr(rng, "_pool", None)
-
-    yield configure
-    if rng._pool is not None:
-        rng._pool.shutdown()
-
-
 def draw_all(seed=11):
     return {(name, t, lo, hi): market.sample_block(t, seed, lo, hi)
             for name, market in POOL_MARKETS.items()
@@ -668,6 +655,38 @@ class TestDrawPool:
         for market in POOL_MARKETS.values():
             market.sample_block(0, 1, 0, rows)
         assert rng._pool is None
+
+    @pytest.mark.parametrize("workers, n_rows, n_sets", [
+        (1, 20, 1), (2, 20, 2), (3, 20, 3), (3, 5, 2), (2, 3, 1)])
+    def test_scratch_sets_come_from_the_calling_thread(self, draw_pool,
+                                                       workers, n_rows,
+                                                       n_sets):
+        draw_pool(workers, 3)
+        caller, made, rows = threading.get_ident(), [], []
+        busy, lock = set(), threading.Lock()
+
+        def scratch(size):
+            assert threading.get_ident() == caller and size == min(n_rows, 3)
+            made.append(np.empty(size))
+            return made[-1]
+
+        def fill(lo, hi, s):
+            with lock:
+                assert id(s) not in busy  # a set serves one chunk at a time
+                busy.add(id(s))
+            time.sleep(0.001)
+            rows.extend(range(lo, hi))
+            assert hi - lo <= s.shape[0]
+            with lock:
+                busy.remove(id(s))
+
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            rng.over_row_chunks(n_rows, fill, scratch)
+        finally:
+            sys.setswitchinterval(interval)
+        assert sorted(rows) == list(range(n_rows)) and len(made) == n_sets
 
 
 class TestSupportBounds:

@@ -50,6 +50,14 @@ class TestMuStar:
         grid = mu + np.linspace(-0.2, 0.2, 401)
         assert np.all(dual_value(gauss_unc_table, x0, d, grid)
                       <= peak + 1e-12)
+        # the grid cannot see an error below half its step: the Newton
+        # step from mu to the peak, by central differences (exact on the
+        # dual's quadratic piece), must vanish to rounding
+        h = 1e-3
+        lo, hi = dual_value(gauss_unc_table, x0, d, [mu - h, mu + h])
+        slope, curvature = (hi - lo) / (2 * h), (hi - 2 * peak + lo) / h ** 2
+        assert curvature < 0.0
+        assert abs(slope / curvature) <= 1e-11 * abs(mu)
 
     def test_unattainable_when_constant_is_one(self):
         market = random_tree_market(seed=2, horizon=2, n_assets=2)

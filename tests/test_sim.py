@@ -136,6 +136,26 @@ class TestReplay:
         raw = sample_returns(market, 1500, seed=4)
         assert np.array_equal(raw, ens.returns)
 
+    @pytest.mark.parametrize("family", ["gaussian", "student_t"])
+    def test_paths_are_period_major(self, monkeypatch, family):
+        """Each period's returns and each wealth column are one
+        contiguous block, with the values of row-major (paths, T, n)
+        returns drawn period by period and replayed as they are."""
+        market = three_index_market(family)
+        pol = truncated(unconstrained_table(market), k=1, x_k=1.05, d_k=1.4)
+        monkeypatch.setattr(sim, "_BLOCK", 700)  # blocks end mid-array
+        n_paths, T, n = 2_001, market.horizon, market.n_assets
+        ens = simulate(pol, market, n_paths=n_paths, seed=6, first_path=9)
+        rows = np.empty((n_paths, T, n))
+        for t in range(T):
+            market.sample_block(t, 6, 9, 9 + n_paths, out=rows[:, t])
+        rows[:, :pol.start_time] = 0.0
+        np.testing.assert_array_equal(ens.returns, rows)
+        np.testing.assert_array_equal(ens.wealth,
+                                      replay_wealth(pol, market, rows))
+        assert all(ens.returns[:, t].flags.c_contiguous for t in range(T))
+        assert all(ens.wealth[:, t].flags.c_contiguous for t in range(T + 1))
+
     def test_replay_other_policy_on_same_draws(self, gauss2_table):
         # Two policies replayed on one set of draws share randomness; the
         # minimum-variance replay must stay at the riskless trajectory.

@@ -6,7 +6,7 @@ import tracemalloc
 import numpy as np
 import pytest
 
-from conemv import solver, vssm
+from conemv import rng, solver, vssm
 from conemv.cones import ConvexCone
 from conemv.errors import (BackendMismatch, DimensionMismatch,
                            InsufficientMemory, InvalidCone)
@@ -132,6 +132,82 @@ class TestBranchBookkeeping:
             density_for_paths(table, np.zeros((10, 2, 2)))
         with pytest.raises(DimensionMismatch):  # one path is a batch of one
             density_for_paths(table, np.zeros((2, 1)))
+
+
+def signed_table(seed, horizon=3, n_assets=3):
+    """Hand-filled table whose gains make many factors negative, so
+    paths switch between the two branches."""
+    gen = np.random.default_rng(seed)
+    k_plus = gen.normal(scale=4.0, size=(horizon, n_assets))
+    k_plus[0, 0] = 4.0  # P_0 = (1/4, 0, ...) makes B_0 exactly 0
+    return RecursionTable(
+        horizon=horizon, n_assets=n_assets,
+        riskless_rates=np.full(horizon, 1.02), k_plus=k_plus,
+        k_minus=gen.normal(scale=4.0, size=(horizon, n_assets)),
+        c_plus=np.linspace(0.4, 1.0, horizon + 1),
+        c_minus=np.linspace(0.6, 1.0, horizon + 1),
+        zero_tols=np.full(horizon, 1e-9))
+
+
+class TestDensityOnThePool:
+    """The density runs in row chunks on the draw pool; a path's
+    density is the same in every batch, chunk size and worker count."""
+
+    N_PATHS = 3_001  # a last chunk of one row at chunk sizes 1, 2 and 3
+
+    @pytest.fixture(scope="class")
+    def paths(self, three_t):
+        table = signed_table(4)
+        returns = sample_returns(three_t, self.N_PATHS, seed=2)
+        returns[:5, 0] = 0.0  # B_0 = 1 on a few rows
+        returns[5, 0] = [0.25, 0.0, 0.0]
+        _, partial = density_factors(table, returns)
+        assert partial[5, 1] == 0.0  # a tie to the + branch at t = 1
+        assert (partial[:, -1] < 0).mean() > 0.2
+        return table, returns, partial[:, -1] / table.c_plus[0]
+
+    @pytest.mark.parametrize("layout", ["period_major", "row_major"])
+    @pytest.mark.parametrize("chunk_rows", [1, 2, 3])
+    @pytest.mark.parametrize("workers", [1, 2, 3])
+    def test_chunks_equal_the_whole_batch(self, draw_pool, paths, layout,
+                                          chunk_rows, workers):
+        table, returns, serial = paths
+        if layout == "row_major":
+            returns = np.ascontiguousarray(returns)
+        assert returns[:, 0].flags.c_contiguous == (layout == "period_major")
+        draw_pool(workers, chunk_rows)
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)  # interleave the chunks finely
+        try:
+            dens = density_for_paths(table, returns)
+        finally:
+            sys.setswitchinterval(interval)
+        # a scratch set shared by two running chunks would corrupt rows
+        np.testing.assert_array_equal(dens, serial)
+        assert (rng._pool is not None) == (workers > 1)
+
+    def test_one_path_equals_its_row(self, paths):
+        table, returns, serial = paths
+        for i in range(0, self.N_PATHS, 97):
+            assert density_for_paths(table, returns[i:i + 1])[0] == serial[i]
+
+    @pytest.mark.parametrize("workers", [1, 2, 3])
+    def test_holds_one_chunk_of_scratch_per_worker(self, draw_pool, three_t,
+                                                   workers):
+        """Besides its output, the density holds one chunk's two factors
+        and sign mask for each worker."""
+        table, chunk_rows = signed_table(5), 10_000
+        returns = sample_returns(three_t, 60_000, seed=1)
+        draw_pool(workers, chunk_rows)
+        density_for_paths(table, returns)  # the pool and its threads
+        tracemalloc.start()
+        try:
+            density_for_paths(table, returns)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        # and the pool's bookkeeping: a future and a queue entry a chunk
+        assert peak <= 8 * 60_000 + 17 * chunk_rows * workers + 32 * 1024
 
 
 class TestConditionalStructure:
