@@ -6,11 +6,11 @@ to stdout or --out.  Exit codes: 0 success, 1 runtime failure
 (non-convergence, unattainable target), 2 configuration problems.
 
 No command keeps the SAA backend after its solve, and a
-time-consistent simulate solves no table: its policy reads only the
-closed-form unconstrained table.  simulate and vssm draw, reduce and
-drop one block of ``sim._BLOCK`` paths at a time and keep at most 33
-bytes a path, not the paths' returns, so their memory grows slowly
-with the path count.
+time-consistent or minimum-variance simulate solves no table: its
+policy reads only the closed-form unconstrained table.  simulate and
+vssm draw, reduce and drop one block of ``sim._BLOCK`` paths at a time
+and keep at most 33 bytes a path, not the paths' returns, so their
+memory grows slowly with the path count.
 """
 
 from __future__ import annotations
@@ -132,15 +132,16 @@ def _solve_table(cfg):
 
 
 def _build_policy(cfg):
-    """The configured policy; only a cone-constrained one solves."""
+    """The configured policy; only one that reads a cone gain solves."""
     kind = cfg.policy_kind
     if kind == "time_consistent":
         return policy_mod.time_consistent(cfg.market, cfg.x0, cfg.d)
+    if kind == "minimum_variance":  # a zero control: it reads only rho
+        return policy_mod.minimum_variance(unconstrained_table(cfg.market),
+                                           cfg.x0)
     table = _solve_table(cfg)
     if kind == "precommitted":
         return policy_mod.precommitted(table, cfg.x0, cfg.d)
-    if kind == "minimum_variance":
-        return policy_mod.minimum_variance(table, cfg.x0)
     return policy_mod.truncated(table, cfg.truncate_k, cfg.truncate_x_k,
                                 cfg.truncate_d_k)
 

@@ -7,14 +7,15 @@ Four variants cover the constraint families in scope:
 * ``half_space``   -- {u : a'u >= 0} for a fixed normal a,
 * ``polyhedral``   -- {u : A u >= 0} for a row matrix A.
 
-Every variant supports membership, membership of the polar cone
-{y : y'u <= 0 for all u in the cone}, and projection, either Euclidean
-or in the norm |x|_H = sqrt(x'Hx) of a positive definite metric H.
-The first three variants project in closed form; in the metric H the
-half-space projection is v - (a'v / a'H^-1 a) H^-1 a when a'v < 0.  A
-polyhedral cone {u : A u >= 0} has the polar {-A' mu : mu >= 0}, and
-Moreau's decomposition v = proj_K(v) + proj_polar(v) gives its
-projection exactly,
+Each is stored as its row matrix A: none for the whole space, A = I
+for the orthant, the normal as one row for the half-space.  Every
+variant supports membership of the polar cone {y : y'u <= 0 for all u
+in the cone}, and projection, either Euclidean or in the norm |x|_H =
+sqrt(x'Hx) of a positive definite metric H.  The first three variants
+project in closed form; in the metric H the half-space projection is
+v - (a'v / a'H^-1 a) H^-1 a when a'v < 0.  A polyhedral cone has the
+polar {-A' mu : mu >= 0}, and Moreau's decomposition
+v = proj_K(v) + proj_polar(v) gives its projection exactly,
 
     proj_K(v) = v + A' mu*,   mu* = argmin_{mu >= 0} |A' mu + v|,
 
@@ -56,25 +57,28 @@ SCHUR_TOL = 1e-26       # least Schur complement of a joining unit row
 
 @dataclass(frozen=True, eq=False)
 class ConvexCone:
-    """One cone, identified by ``kind`` and its defining data."""
+    """One cone {u : A u >= 0}: its ``kind`` and its row matrix A,
+    ``rows``, of shape (m, dim)."""
 
     kind: str
-    dim: int
-    normal: Optional[np.ndarray] = None   # half_space
-    rows: Optional[np.ndarray] = None     # polyhedral
+    rows: np.ndarray
 
     def __post_init__(self):
-        freeze_arrays(self, "normal", "rows", error=InvalidCone)
+        freeze_arrays(self, "rows", error=InvalidCone)
+
+    @property
+    def dim(self) -> int:
+        return self.rows.shape[1]
 
     # -- constructors -------------------------------------------------
 
     @classmethod
     def whole_space(cls, dim: int) -> "ConvexCone":
-        return cls("whole_space", dim)
+        return cls("whole_space", np.zeros((0, dim)))
 
     @classmethod
     def orthant(cls, dim: int) -> "ConvexCone":
-        return cls("orthant", dim)
+        return cls("orthant", np.eye(dim))
 
     @classmethod
     def half_space(cls, normal) -> "ConvexCone":
@@ -84,7 +88,7 @@ class ConvexCone:
         _require_finite_gram(a)
         if a.ndim != 1 or np.linalg.norm(a) == 0.0:
             raise InvalidCone("half_space needs a nonzero normal vector")
-        return cls("half_space", a.shape[0], normal=a)
+        return cls("half_space", a[None, :])
 
     @classmethod
     def polyhedral(cls, rows) -> "ConvexCone":
@@ -100,13 +104,13 @@ class ConvexCone:
         norms = np.linalg.norm(a, axis=1)
         if np.any(norms == 0.0):
             raise InvalidCone("polyhedral rows must be nonzero")
-        return cls("polyhedral", a.shape[1], rows=a)
+        return cls("polyhedral", a)
 
     # -- serialization -------------------------------------------------
 
     def to_dict(self) -> dict:
         if self.kind == "half_space":
-            return {"type": "half_space", "normal": self.normal.tolist()}
+            return {"type": "half_space", "normal": self.rows[0].tolist()}
         if self.kind == "polyhedral":
             return {"type": "polyhedral", "A": self.rows.tolist()}
         return {"type": self.kind}
@@ -134,19 +138,6 @@ class ConvexCone:
 
     # -- membership ----------------------------------------------------
 
-    def contains(self, u, tol: float = DEFAULT_TOL) -> bool:
-        """True iff every defining inequality holds within -tol slack."""
-        u = np.asarray(u, dtype=float)
-        if u.shape != (self.dim,):
-            raise DimensionMismatch(f"point shape {u.shape} != ({self.dim},)")
-        if self.kind == "whole_space":
-            return True
-        if self.kind == "orthant":
-            return bool(np.all(u >= -tol))
-        if self.kind == "half_space":
-            return bool(self.normal @ u >= -tol)
-        return bool(np.all(self.rows @ u >= -tol))
-
     def polar_contains(self, y, tol: float = DEFAULT_TOL) -> bool:
         """Membership of the polar cone {y : y'u <= 0 on the cone}.
 
@@ -164,7 +155,7 @@ class ConvexCone:
             return bool(np.all(y <= tol))
         scale = max(1.0, math.sqrt(y @ y))
         if self.kind == "half_space":
-            a = self.normal
+            a = self.rows[0]
             lam = (a @ y) / (a @ a)
             return bool(lam <= tol and np.max(np.abs(y - lam * a)) <= tol * scale)
         return bool(self._moreau_split(y)[2] <= tol * scale)
@@ -190,7 +181,7 @@ class ConvexCone:
         if self.kind == "orthant" and metric is None:
             return np.maximum(v, 0.0)
         if self.kind == "half_space":
-            return _project_half_space(v, self.normal, metric)
+            return _project_half_space(v, self.rows[0], metric)
         if max_cycles is not None:
             return self._project_dykstra(v, max_cycles, metric)
         p = self._moreau_split(v, metric)[1]
@@ -199,15 +190,12 @@ class ConvexCone:
         # on a face whose row is a coordinate axis, as the orthant's clip
         # does.  The solver's lists stay lists until the end: at these
         # sizes a numpy call costs more than the arithmetic.
-        for a in self._rows().tolist():
+        for a in self.rows.tolist():
             slack = sum(map(mul, a, p))
             if slack < 0.0:
                 step = slack / sum(map(mul, a, a))
                 p = [pk - step * ak for pk, ak in zip(p, a)]
         return np.array([pk + 0.0 for pk in p])  # + 0.0 clears signed zeros
-
-    def _rows(self) -> np.ndarray:
-        return np.eye(self.dim) if self.kind == "orthant" else self.rows
 
     def _moreau_split(self, v: np.ndarray, metric: Optional[np.ndarray] = None
                       ) -> tuple[list, list, float]:
@@ -215,7 +203,7 @@ class ConvexCone:
         projection x = v + H^-1 A' mu* before the clean-up of rows it holds
         only to rounding, and the minimum, x's (H-)norm; mu* and x are lists.
         Raises ``NoConvergence`` at the solve's iteration cap."""
-        rows = self._rows()
+        rows = self.rows
         if metric is not None:  # the Euclidean problem of L'v and A L^-T
             chol = np.linalg.cholesky(metric)
             back = np.linalg.inv(chol).T
@@ -233,7 +221,7 @@ class ConvexCone:
 
     def _project_dykstra(self, v: np.ndarray, max_cycles: int,
                          metric: Optional[np.ndarray] = None) -> np.ndarray:
-        rows = self._rows()
+        rows = self.rows
         u = v.copy()
         increments = np.zeros_like(rows)
         for _ in range(max_cycles):
@@ -288,15 +276,15 @@ def _lawson_hanson(rows: list, v: list) -> tuple[list, list]:
 
     In the terms of the module docstring the gain of row i is
     -(G mu + c)_i = -A_i x, and the passive rows P, with mu_P > 0, solve
-    G_PP mu_P = -c_P through A_P' = QR as R mu_P = -Q'v.  The row of
-    largest gain above ``NNLS_TOL`` max |c| joins P unless its Schur
-    complement on P, |q|^2 for its part q orthogonal to P, is at most
-    ``SCHUR_TOL``: then it lies in their span (more rows than
-    dimensions, or an origin-only cone) and the next row is tried.  A
-    solution with an entry <= 0 moves mu toward it until an entry
-    reaches zero, drops the rows at zero and solves again.  Raises
-    ``NoConvergence`` after ``NNLS_ITER_PER_ROW`` solves per row rather
-    than return an uncertified mu.
+    G_PP mu_P = -c_P through A_P' = QR as R mu_P = -Q'v.  The rows
+    out of P are tried by decreasing gain, the first index first among
+    equals, while the gain exceeds ``NNLS_TOL`` max |c|.  The first whose
+    Schur complement on P, |q|^2 for its part q orthogonal to P, exceeds
+    ``SCHUR_TOL`` joins P; the others lie in P's span (more rows than
+    dimensions, or an origin-only cone).  A solution with an entry <= 0
+    moves mu toward it until an entry reaches zero, drops the rows at
+    zero and solves again.  Raises ``NoConvergence`` after
+    ``NNLS_ITER_PER_ROW`` solves per row, not an uncertified mu.
     """
     m = len(rows)
     mu = [0.0] * m
@@ -307,21 +295,15 @@ def _lawson_hanson(rows: list, v: list) -> tuple[list, list]:
     tol = NNLS_TOL * max(map(abs, gain))
     cap, solves = NNLS_ITER_PER_ROW * m, 0
     while True:
-        w = max(gain)
-        if w <= tol:
-            return mu, x
-        j = gain.index(w)
-        q, s, col = qr.orthogonalize(rows[j])
-        if j in passive or s <= SCHUR_TOL:  # try the others in turn
-            for j in sorted(range(m), key=gain.__getitem__, reverse=True):
-                if gain[j] <= tol:
-                    return mu, x
-                if j not in passive:
-                    q, s, col = qr.orthogonalize(rows[j])
-                    if s > SCHUR_TOL:
-                        break
-            else:
+        for j in sorted(range(m), key=gain.__getitem__, reverse=True):
+            if gain[j] <= tol:
                 return mu, x
+            if j not in passive:
+                q, s, col = qr.orthogonalize(rows[j])
+                if s > SCHUR_TOL:
+                    break
+        else:
+            return mu, x
         qr.append(q, s, col)
         passive.append(j)
         while True:

@@ -59,9 +59,10 @@ def density_for_paths(table: RecursionTable, returns: np.ndarray) -> np.ndarray:
 
     def fill(lo, hi, scratch):
         b_plus, b, plus = (a[:hi - lo] for a in scratch)
-        partial = dens[lo:hi]
-        partial.fill(1.0)
-        for t in range(table.horizon):
+        partial = dens[lo:hi]  # B_0 = 1 - P_0'K_0^+, the + branch
+        rng.matmul_rows(returns[lo:hi, 0], table.k_plus[0], partial)
+        np.subtract(1.0, partial, out=partial)
+        for t in range(1, table.horizon):
             rng.matmul_rows(returns[lo:hi, t], table.k_plus[t], b_plus)
             np.subtract(1.0, b_plus, out=b_plus)
             rng.matmul_rows(returns[lo:hi, t], table.k_minus[t], b)

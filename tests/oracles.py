@@ -26,8 +26,8 @@ Four families of oracle:
   x_t = ((d - mu) - ((d - mu) - x0 rho_0) prod_{i<t} B_i) / rho_t it
   implies; and the induced target d_k = (1 - C) (d - mu) + C rho_k x_k
   of the truncated problem at (k, x_k).
-* small utilities: rejection-grid projection, central finite
-  differences.
+* small utilities: rejection-grid projection, membership of a cone
+  {u : A u >= 0} read off its row matrix, central finite differences.
 """
 
 from __future__ import annotations
@@ -576,6 +576,11 @@ def grid_projection(cone_rows, v, n_points=1_000_000, seed=0, radius=None,
     if np.all(A @ u >= -1e-9) and (u - v) @ (u - v) <= (best - v) @ (best - v):
         return u
     return best
+
+
+def in_cone(cone, u, tol=1e-9):
+    """u satisfies ``cone.rows`` @ u >= -tol row by row."""
+    return bool(np.all(cone.rows @ u >= -tol))
 
 
 def central_fd_grad(f, k, step=1e-5):

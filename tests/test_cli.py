@@ -512,12 +512,12 @@ class TestSimulate:
         assert set(exc["thresholds"]) == {"1"}
         assert 0.0 <= exc["probability"] <= 1.0
 
-    def test_time_consistent_runs_no_cone_solve(self, tmp_path,
-                                                monkeypatch, capsys):
+    @pytest.mark.parametrize("kind", ["time_consistent", "minimum_variance"])
+    def test_runs_no_cone_solve(self, tmp_path, monkeypatch, capsys, kind):
         """Its policy reads only the closed-form unconstrained table."""
         cfg = json.loads((CONFIGS / "three_index_limited_short_gaussian"
                           ".json").read_text())
-        cfg["policy"] = STREAM_POLICIES["time_consistent"]
+        cfg["policy"] = STREAM_POLICIES[kind]
 
         def no_solve(*args):
             raise AssertionError("solved a cone table")
@@ -525,8 +525,7 @@ class TestSimulate:
         monkeypatch.setattr(cli, "backward_recursion", no_solve)
         assert cli.main(["simulate", "--config", write_config(tmp_path, cfg),
                          "--paths", "1000"]) == 0
-        assert json.loads(capsys.readouterr().out)["policy"] == \
-            "time_consistent"
+        assert json.loads(capsys.readouterr().out)["policy"] == kind
 
     def test_terminal_mean_near_target(self, tmp_path):
         path = write_config(tmp_path, coin_config(d=1.10))

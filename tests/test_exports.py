@@ -1,4 +1,4 @@
-"""Every public name of the package has a user path."""
+"""Every public name and function of the package has a user path."""
 import ast
 import inspect
 import re
@@ -38,3 +38,24 @@ def test_every_export_is_read_outside_the_tests():
     read = set().union(*map(names_read, user_sources()))
     unread = sorted(exports - read)
     assert not unread, f"exports that no user path reads: {unread}"
+
+
+def public_defs():
+    """(qualified name, name) of every public function and method that
+    a module of the package defines at module or class level."""
+    for path in sorted((ROOT / "src" / "conemv").glob("*.py")):
+        tree = ast.parse(path.read_text(encoding="utf-8"))
+        scopes = [(path.stem, tree.body)] + [
+            (f"{path.stem}.{node.name}", node.body) for node in tree.body
+            if isinstance(node, ast.ClassDef)]
+        for prefix, body in scopes:
+            for node in body:
+                if (isinstance(node, ast.FunctionDef)
+                        and not node.name.startswith("_")):
+                    yield f"{prefix}.{node.name}", node.name
+
+
+def test_every_public_def_is_read_outside_the_tests():
+    read = set().union(*map(names_read, user_sources()))
+    unread = sorted(qual for qual, name in public_defs() if name not in read)
+    assert not unread, f"functions that no user path calls: {unread}"
