@@ -18,20 +18,20 @@ import numpy as np
 from conemv.policy import (frontier_point, mu_star, precommitted,
                            tc_frontier_point, wealth_threshold)
 from conemv.presets import (limited_short_cone, mean_half_space_cone,
-                            three_index_market, unconstrained_cone)
+                            three_index_market)
 from conemv.sim import summarize
 from conemv.solver import SaaBackend, backward_recursion, unconstrained_table
 from conemv.tcie import check_tcie
 
 CASES = (
-    ("unconstrained", unconstrained_cone),
+    ("unconstrained", None),  # closed form, no solve
     ("half_space", mean_half_space_cone),
     ("limited_short", limited_short_cone),
 )
 
 
-def solve_case(market, case, cone_factory, samples, seed):
-    if case == "unconstrained":
+def solve_case(market, cone_factory, samples, seed):
+    if cone_factory is None:
         return unconstrained_table(market)
     backend = SaaBackend(market, samples, seed)
     return backward_recursion(market, cone_factory(), backend)
@@ -73,8 +73,7 @@ def main() -> int:
         for case, cone_factory in CASES:
             tag = f"{case}_{family}"
             start = time.perf_counter()
-            table = solve_case(market, case, cone_factory,
-                               args.samples, args.seed)
+            table = solve_case(market, cone_factory, args.samples, args.seed)
             solve_s = time.perf_counter() - start
 
             mu = mu_star(table, args.x0, args.target)

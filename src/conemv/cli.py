@@ -348,12 +348,11 @@ def _build_parser() -> argparse.ArgumentParser:
 def main(argv=None) -> int:
     parser = _build_parser()
     args = parser.parse_args(argv)
-    for flag, least in (("paths", 2), ("points", 1)):
-        if getattr(args, flag, least) < least:
-            print(f"error: --{flag} must be >= {least}, got "
-                  f"{getattr(args, flag)}", file=sys.stderr)
-            return 2
     try:
+        for flag, least in (("paths", 2), ("points", 1)):
+            if getattr(args, flag, least) < least:
+                raise ConfigError(f"--{flag} must be >= {least}, got "
+                                  f"{getattr(args, flag)}")
         if args.out:
             _check_out(args.out)
         return args.func(args)

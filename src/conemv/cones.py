@@ -64,7 +64,12 @@ class ConvexCone:
     rows: np.ndarray
 
     def __post_init__(self):
+        if self.kind not in KINDS:
+            raise InvalidCone(f"unknown cone type {self.kind!r}")
         freeze_arrays(self, "rows", error=InvalidCone)
+        if np.ndim(self.rows) != 2:  # None stays None
+            raise InvalidCone(f"cone rows must form a matrix, got "
+                              f"{np.ndim(self.rows)} dimensions")
 
     @property
     def dim(self) -> int:

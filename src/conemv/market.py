@@ -325,8 +325,9 @@ class PeriodDistribution:
 
     def _fill_slab(self, u: np.ndarray, chol_t, x: np.ndarray) -> None:
         """Write into the rows x the draws of their uniforms u, (rows,
-        n + 1), which the normals overwrite.  Nothing is allocated per
-        chunk on the pool."""
+        n + 1), which the normals overwrite.  Each pool task makes its
+        own chunk's temporaries, the Student-t table's index and Horner
+        rows, so the worker count bounds them."""
         n = self.n_assets
         if self.family == "discrete":
             idx = np.searchsorted(np.cumsum(self.probs), u[:, 0], side="right")

@@ -39,10 +39,6 @@ def three_index_market(family: str = "gaussian") -> MarketSpec:
     return MarketSpec.iid(3, 1.0 + THREE_INDEX_RISKLESS, period)
 
 
-def unconstrained_cone() -> ConvexCone:
-    return ConvexCone.whole_space(3)
-
-
 def mean_half_space_cone() -> ConvexCone:
     """Largest cone keeping the problem time-consistent in efficiency."""
     mean, _ = three_index_moments()

@@ -18,15 +18,15 @@ densities in :mod:`conemv.vssm` split it into chunks of ``_CHUNK_ROWS``
 rows over a thread pool, one thread per CPU the process may run on.
 Each chunk writes its own rows of one output, and a one-row chunk's
 product rounds as in a larger block (:func:`matmul_rows`), so the
-result is the same for every worker count.  The workers run only
-numpy and scipy kernels, which release the interpreter lock, on arrays
-that the calling thread allocated.
+result is the same for every worker count.  Each task makes its own
+chunk's temporaries, and the pool runs one task per worker at a time,
+so the worker count bounds them.  The workers run only numpy and scipy
+kernels, which release the interpreter lock.
 """
 
 from __future__ import annotations
 
 import os
-import queue
 import threading
 
 import numpy as np
@@ -63,43 +63,23 @@ if hasattr(os, "register_at_fork"):
     os.register_at_fork(after_in_child=_drop_pool)
 
 
-def over_row_chunks(n_rows: int, fill, scratch=None) -> None:
-    """Call ``fill(lo, hi)`` so that the calls cover rows [0, n_rows).
+def over_row_chunks(n_rows: int, fill) -> None:
+    """Call ``fill(lo, hi)`` once for each chunk [lo, hi) of at most
+    ``_CHUNK_ROWS`` rows of [0, n_rows).
 
-    A block of at most one chunk, or a process on one CPU, makes one
-    call in the calling thread.  Otherwise the chunks run on the pool,
-    created on first use, and every chunk has finished on return.
-
-    With ``scratch``, a function of a row count, every call is one
-    chunk's ``fill(lo, hi, s)``.  The calling thread makes the sets s,
-    ``scratch(rows)`` for the rows of one chunk, one for each chunk that
-    can run at once: min(workers, chunks), or one that the chunks take
-    in turn in the calling thread.  No set serves two chunks at once,
-    and the pool threads allocate none.
+    A block of at most one chunk, or a process on one CPU, runs the
+    chunks in turn in the calling thread.  Otherwise they run on the
+    pool, created on first use, and every chunk has finished on return.
+    Each call makes its own temporaries, and at most one call per
+    worker runs at a time, so they come to one chunk's per worker.
     """
     global _pool
     workers = _cpus()
     bounds = [(lo, min(lo + _CHUNK_ROWS, n_rows))
               for lo in range(0, n_rows, _CHUNK_ROWS)]
-    inline = len(bounds) <= 1 or workers <= 1
-    if scratch is None:
-        task = fill
-        if inline:
-            bounds = [(0, n_rows)]
-    else:
-        sets = queue.SimpleQueue()
-        for _ in range(1 if inline else min(workers, len(bounds))):
-            sets.put(scratch(min(n_rows, _CHUNK_ROWS)))
-
-        def task(lo, hi):
-            s = sets.get()
-            try:
-                fill(lo, hi, s)
-            finally:
-                sets.put(s)
-    if inline:
+    if len(bounds) <= 1 or workers <= 1:
         for lo, hi in bounds:
-            task(lo, hi)
+            fill(lo, hi)
         return
     with _pool_lock:
         if _pool is None:
@@ -107,7 +87,7 @@ def over_row_chunks(n_rows: int, fill, scratch=None) -> None:
             _pool = ThreadPoolExecutor(workers,
                                        thread_name_prefix="conemv-draw")
         pool = _pool
-    futures = [pool.submit(task, lo, hi) for lo, hi in bounds]
+    futures = [pool.submit(fill, lo, hi) for lo, hi in bounds]
     for future in futures:
         future.result()
 

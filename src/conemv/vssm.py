@@ -47,18 +47,19 @@ def density_for_paths(table: RecursionTable, returns: np.ndarray) -> np.ndarray:
     Each factor B_t is 1 - P_t'K_t^+ where the running product of the
     earlier factors is nonnegative, else 1 + P_t'K_t^-, and is formed
     in place before it multiplies that product.  The paths run in row
-    chunks on the draw pool, each with one of the caller's scratch sets
-    (two factors and a sign mask per row), so the density holds one
-    chunk of scratch per worker beside its output.  A path's density is
-    the same in every batch, chunk size and worker count.  Each
-    period's rows are read as one block: contiguous when ``returns`` is
-    period-major, as :func:`conemv.sim.sample_returns` stores them.
+    chunks on the draw pool, and each chunk makes its own two factors
+    and sign mask, so the density holds one chunk of them per worker
+    beside its output.  A path's density is the same in every batch,
+    chunk size and worker count.  Each period's rows are read as one
+    block: contiguous when ``returns`` is period-major, as
+    :func:`conemv.sim.sample_returns` stores them.
     """
     returns = _check_returns(table, returns)
     dens = np.empty(returns.shape[0])
 
-    def fill(lo, hi, scratch):
-        b_plus, b, plus = (a[:hi - lo] for a in scratch)
+    def fill(lo, hi):
+        b_plus, b = np.empty(hi - lo), np.empty(hi - lo)
+        plus = np.empty(hi - lo, dtype=bool)
         partial = dens[lo:hi]  # B_0 = 1 - P_0'K_0^+, the + branch
         rng.matmul_rows(returns[lo:hi, 0], table.k_plus[0], partial)
         np.subtract(1.0, partial, out=partial)
@@ -72,8 +73,7 @@ def density_for_paths(table: RecursionTable, returns: np.ndarray) -> np.ndarray:
             partial *= b
         partial /= table.c_plus[0]
 
-    rng.over_row_chunks(returns.shape[0], fill, scratch=lambda rows: (
-        np.empty(rows), np.empty(rows), np.empty(rows, dtype=bool)))
+    rng.over_row_chunks(returns.shape[0], fill)
     return dens
 
 

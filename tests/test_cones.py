@@ -577,6 +577,16 @@ class TestSerialization:
         with pytest.raises(InvalidCone, match="array of numbers"):
             make()
 
+    @pytest.mark.parametrize("kind, rows, message", [
+        ("orthant", [1.0, 2.0], "must form a matrix"),
+        ("whole_space", None, "must form a matrix"),
+        ("bogus", [[1.0, 0.0]], "unknown cone type"),
+        ("bogus", 2, "unknown cone type"),
+    ])
+    def test_constructor_checks_kind_and_shape(self, kind, rows, message):
+        with pytest.raises(InvalidCone, match=message):
+            ConvexCone(kind, rows)
+
     @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
     def test_non_finite_normal_rejected(self, bad):
         with pytest.raises(InvalidCone, match="finite"):

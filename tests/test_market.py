@@ -656,37 +656,34 @@ class TestDrawPool:
             market.sample_block(0, 1, 0, rows)
         assert rng._pool is None
 
-    @pytest.mark.parametrize("workers, n_rows, n_sets", [
+    @pytest.mark.parametrize("workers, n_rows, at_once", [
         (1, 20, 1), (2, 20, 2), (3, 20, 3), (3, 5, 2), (2, 3, 1)])
-    def test_scratch_sets_come_from_the_calling_thread(self, draw_pool,
-                                                       workers, n_rows,
-                                                       n_sets):
+    def test_each_call_covers_one_chunk(self, draw_pool, workers, n_rows,
+                                        at_once):
+        """The calls cover [0, n_rows) once, one chunk each, inline runs
+        included; at most min(workers, chunks) of them run at once."""
         draw_pool(workers, 3)
-        caller, made, rows = threading.get_ident(), [], []
-        busy, lock = set(), threading.Lock()
+        calls, running, peak = [], set(), []
+        lock = threading.Lock()
 
-        def scratch(size):
-            assert threading.get_ident() == caller and size == min(n_rows, 3)
-            made.append(np.empty(size))
-            return made[-1]
-
-        def fill(lo, hi, s):
+        def fill(lo, hi):
             with lock:
-                assert id(s) not in busy  # a set serves one chunk at a time
-                busy.add(id(s))
+                running.add(lo)
+                peak.append(len(running))
             time.sleep(0.001)
-            rows.extend(range(lo, hi))
-            assert hi - lo <= s.shape[0]
             with lock:
-                busy.remove(id(s))
+                running.remove(lo)
+                calls.append((lo, hi))
 
         interval = sys.getswitchinterval()
         sys.setswitchinterval(1e-6)
         try:
-            rng.over_row_chunks(n_rows, fill, scratch)
+            rng.over_row_chunks(n_rows, fill)
         finally:
             sys.setswitchinterval(interval)
-        assert sorted(rows) == list(range(n_rows)) and len(made) == n_sets
+        assert sorted(calls) == [(lo, min(lo + 3, n_rows))
+                                 for lo in range(0, n_rows, 3)]
+        assert max(peak) <= at_once
 
 
 class TestSupportBounds:

@@ -14,7 +14,7 @@ from conemv.solver import (ExactDiscreteBackend, RecursionTable, SaaBackend,
 from conemv.cones import ConvexCone
 from conemv.policy import (Policy, minimum_variance, precommitted, truncated,
                            mu_star)
-from conemv.presets import three_index_market, unconstrained_cone
+from conemv.presets import three_index_market
 from conemv.sim import (PathEnsemble, policy_thresholds, replay_wealth,
                         sample_returns, simulate, summarize)
 
@@ -294,7 +294,7 @@ class TestPolicyThresholds:
     def test_default_times_three_periods(self):
         market = three_index_market("gaussian")
         backend = SaaBackend(market, 20_000, seed=0)
-        table = backward_recursion(market, unconstrained_cone(), backend)
+        table = backward_recursion(market, ConvexCone.whole_space(3), backend)
         pol = precommitted(table, x0=1.0, d=1.35)
         levels = policy_thresholds(pol)
         assert sorted(levels) == [1, 2]

@@ -182,7 +182,7 @@ class TestDensityOnThePool:
             dens = density_for_paths(table, returns)
         finally:
             sys.setswitchinterval(interval)
-        # a scratch set shared by two running chunks would corrupt rows
+        # temporaries shared by two running chunks would corrupt rows
         np.testing.assert_array_equal(dens, serial)
         assert (rng._pool is not None) == (workers > 1)
 
@@ -206,7 +206,7 @@ class TestDensityOnThePool:
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
-        # and the pool's bookkeeping: a future and a queue entry a chunk
+        # and the pool's bookkeeping: a future and a work item a chunk
         assert peak <= 8 * 60_000 + 17 * chunk_rows * workers + 32 * 1024
 
 
