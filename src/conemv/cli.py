@@ -5,12 +5,12 @@ read a JSON run configuration (see :mod:`conemv.config`); results go
 to stdout or --out.  Exit codes: 0 success, 1 runtime failure
 (non-convergence, unattainable target), 2 configuration problems.
 
-No command keeps the SAA backend after its solve, and a
-time-consistent or minimum-variance simulate solves no table: its
-policy reads only the closed-form unconstrained table.  simulate and
-vssm draw, reduce and drop one block of ``sim._BLOCK`` paths at a time
-and keep at most 33 bytes a path, not the paths' returns, so their
-memory grows slowly with the path count.
+A solve holds one period's SAA sample at a time and none after it
+returns, and a time-consistent or minimum-variance simulate solves no
+table: its policy reads only the closed-form unconstrained table.
+simulate and vssm draw, reduce and drop one block of ``sim._BLOCK``
+paths at a time and keep at most 33 bytes a path, not the paths'
+returns, so their memory grows slowly with the path count.
 """
 
 from __future__ import annotations
@@ -126,8 +126,8 @@ def _require_path_memory(cfg, n_paths: int, kept: int) -> None:
 
 
 def _solve_table(cfg):
-    """The recursion table, from a new backend that, with its frozen
-    samples, is freed on return."""
+    """The recursion table; each period's frozen sample lives only
+    while the recursion solves that period."""
     return backward_recursion(cfg.market, cfg.cones, cfg.make_backend())
 
 

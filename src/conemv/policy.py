@@ -23,7 +23,7 @@ from typing import NamedTuple, Optional
 
 import numpy as np
 
-from .errors import InvalidTarget, TargetUnattainable
+from .errors import BackendMismatch, InvalidTarget, TargetUnattainable
 from .market import MarketSpec
 from .solver import RecursionTable, unconstrained_table
 
@@ -92,6 +92,11 @@ def frontier_point(table: RecursionTable, x0: float,
 
 def _benchmark_b(table: RecursionTable) -> list[float]:
     """The unconstrained table's b_t, each of which must be positive."""
+    kind = table.backend.get("kind")
+    if kind != "closed_form_unconstrained":
+        raise BackendMismatch(
+            "the time-consistent benchmark reads b_t from "
+            f"solver.unconstrained_table, not a table of kind {kind!r}")
     b = [table.diagnostics[t]["b"] for t in range(table.horizon)]
     for t, b_t in enumerate(b):
         if b_t <= 0.0:
@@ -149,7 +154,7 @@ class Policy:
         if self.kind == "minimum_variance":
             u = np.zeros((x_arr.shape[0], table.n_assets))
         elif self.kind == "time_consistent":
-            b_t = table.diagnostics[t]["b"]
+            b_t = _benchmark_b(table)[t]
             coeff = (self.d - x_arr * table.rho(t)) / (b_t * table.rho(t + 1))
             u = coeff[:, None] * table.k_plus[t]
         else:

@@ -30,18 +30,16 @@ identity holds exactly on a frozen sample too, so |h - L| is a
 deterministic optimality residual on both backends, and the recursion
 requires |h - L| <= 100 tol at every solved branch.
 
-Each backend owns its evaluator: ``backend.cost(t, sign, k, c_plus,
-c_minus)`` is the only way the solver reaches an expectation.  The
-exact backend sums over discrete atoms; sample-average approximation
-reads one frozen sample matrix per period (common random numbers across
-all evaluations of that period).  The recursion visits each period once,
-so the backend holds only the period it drew last, with its Gram matrix
-P'P, and only while the recursion runs: it drops that period when the
-recursion returns or raises, since nothing after the solve reads a
-sample.  On the sample each evaluation is one direct pass: c_maj times
-the sums over every row plus (c_min - c_maj) times those over the rows
-on the minority branch, the Hessian's whole-sample sum being the held
-Gram matrix.
+``backend.period(t)`` hands the recursion period t as a
+:class:`PeriodCost`, whose ``cost(sign, k, c_plus, c_minus)`` is the
+only way the solver reaches an expectation: the discrete atoms with
+their probabilities, or one frozen SAA sample with its Gram matrix P'P
+(common random numbers across all evaluations of that period).
+Backends keep no state; the recursion holds each period for one
+iteration of its loop and drops it before the next draw.  On the
+sample each evaluation is one direct pass: c_maj times the sums over
+every row plus (c_min - c_maj) times those over the rows on the
+minority branch, the Hessian's whole-sample sum being P'P.
 """
 
 from __future__ import annotations
@@ -80,14 +78,10 @@ class ExactDiscreteBackend:
                     f"{p.family}")
         self.market = market
 
-    def release(self) -> None:
-        """Nothing to drop: the atoms belong to the market."""
-
-    def cost(self, t: int, sign: int, k, c_plus: float,
-             c_minus: float) -> Cost:
-        """Every atom is read directly, with its probability."""
+    def period(self, t: int) -> PeriodCost:
+        """Period t's atoms, each read directly with its probability."""
         p = self.market.periods[t]
-        return _h_and_grad(p.atoms, p.probs, sign, k, c_plus, c_minus)
+        return PeriodCost(t, p, p.atoms, p.probs, None)
 
     def describe(self) -> dict:
         return {"kind": self.kind}
@@ -116,13 +110,12 @@ def require_memory(need: int, what: str) -> None:
 class SaaBackend:
     """Sample-average approximation with frozen per-period samples.
 
-    The sample matrix for period t is drawn from its counter-based
-    stream and reused, with its Gram matrix P'P, by every cost and
-    gradient evaluation at that period.  Only the period drawn last is
-    held: a call for another period drops it first, :meth:`release`
-    drops it at the end of a solve, and a dropped period drawn again is
-    bit-identical.  A solve draws each period once; a backend reused for
-    another solve, or a cost asked of it after one, draws them again.
+    Each :meth:`period` call draws period t's sample matrix from its
+    counter-based stream and forms its Gram matrix P'P; every cost and
+    gradient evaluation of that period reads the pair.  The backend
+    keeps neither: its caller holds the period as long as it needs it,
+    and a period drawn again is bit-identical.  A solve draws each
+    period once.
     """
 
     kind = "saa"
@@ -133,7 +126,6 @@ class SaaBackend:
         self.market = market
         self.sample_count = int(sample_count)
         self.seed = int(seed)
-        self._held: Optional[tuple[int, np.ndarray, np.ndarray]] = None
         # one period's peak, in doubles a row: its draw, n (the sample)
         # plus, for one slab of rows, the uniforms (n + 1 rounded up to
         # a multiple of four) and the Student-t scale; its evaluation
@@ -143,30 +135,18 @@ class SaaBackend:
         require_memory(8 * self.sample_count * (2 * n + 3),
                        f"{self.sample_count} SAA samples")
 
-    def period(self, t: int) -> tuple[np.ndarray, np.ndarray]:
-        """Period t's frozen sample and its Gram matrix P'P."""
-        if self._held is None or self._held[0] != t:
-            self._held = None  # freed before the next period is drawn
-            # an overflow is reported once, below, not as numpy warnings
-            with np.errstate(over="ignore", invalid="ignore"):
-                sample = self.market.sample_block(
-                    t, self.seed, 0, self.sample_count, stream=STREAM_SAA)
-                gram = sample.T @ sample
-            if not np.all(np.isfinite(gram)):
-                raise InvalidMarket(
-                    f"period {t}: the sums over {self.sample_count} SAA "
-                    "samples overflow double precision")
-            self._held = (t, sample, gram)
-        return self._held[1:]
-
-    def release(self) -> None:
-        """Drop the held period; a later call draws it again."""
-        self._held = None
-
-    def cost(self, t: int, sign: int, k, c_plus: float,
-             c_minus: float) -> Cost:
-        sample, gram = self.period(t)
-        return _h_and_grad(sample, None, sign, k, c_plus, c_minus, gram)
+    def period(self, t: int) -> PeriodCost:
+        """Period t's frozen sample and its Gram matrix P'P, drawn anew."""
+        # an overflow is reported once, below, not as numpy warnings
+        with np.errstate(over="ignore", invalid="ignore"):
+            sample = self.market.sample_block(
+                t, self.seed, 0, self.sample_count, stream=STREAM_SAA)
+            gram = sample.T @ sample
+        if not np.all(np.isfinite(gram)):
+            raise InvalidMarket(
+                f"period {t}: the sums over {self.sample_count} SAA "
+                "samples overflow double precision")
+        return PeriodCost(t, self.market.periods[t], sample, None, gram)
 
     def describe(self) -> dict:
         return {"kind": self.kind, "samples": self.sample_count,
@@ -182,6 +162,21 @@ class Cost(NamedTuple):
     grad: np.ndarray   # grad h_t^{sign}(k)
     lin: float         # E[c(k) (1 -+ P'k)]
     hess: np.ndarray   # 2 E[c(k) P P'], the Hessian on k's piece
+
+
+class PeriodCost(NamedTuple):
+    """Period t's evaluator: rows ``pts`` of ``law`` with weights ``w``
+    (None for a sample's 1/N) and Gram matrix ``gram`` (None for atoms)."""
+
+    t: int
+    law: PeriodDistribution
+    pts: np.ndarray
+    w: Optional[np.ndarray]
+    gram: Optional[np.ndarray]
+
+    def cost(self, sign: int, k, c_plus: float, c_minus: float) -> Cost:
+        return _h_and_grad(self.pts, self.w, sign, k, c_plus, c_minus,
+                           self.gram)
 
 
 def _h_and_grad(pts, w, sign, k, c_plus, c_minus, gram=None) -> Cost:
@@ -238,14 +233,14 @@ def _h_and_grad(pts, w, sign, k, c_plus, c_minus, gram=None) -> Cost:
                 float(lin / n_rows), (2.0 / n_rows) * hess)
 
 
-def linear_form(backend, t: int, sign: int, k, c_plus_next: float,
+def linear_form(period: PeriodCost, sign: int, k, c_plus_next: float,
                 c_minus_next: float) -> float:
     """Piecewise-linear evaluation E[c(k) (1 -+ P'k)].
 
-    Coincides with ``backend.cost(...).value`` at any point where
+    Coincides with ``period.cost(...).value`` at any point where
     grad h(k)'k = 0, in particular at every constrained minimiser.
     """
-    return backend.cost(t, sign, k, c_plus_next, c_minus_next).lin
+    return period.cost(sign, k, c_plus_next, c_minus_next).lin
 
 
 # ---------------------------------------------------------------------------
@@ -298,13 +293,14 @@ def _zero_is_optimal(cone: ConvexCone, sign: int, exact_mean: np.ndarray,
     return cone.polar_contains(-grad0)
 
 
-def minimize_over_cone(backend, t: int, sign: int, cone: ConvexCone,
+def minimize_over_cone(period: PeriodCost, sign: int, cone: ConvexCone,
                        c_plus_next: float, c_minus_next: float,
                        opts: SolverOptions) -> MinimizeResult:
-    """Constrained minimiser of h_t^{sign} over the cone.
+    """Constrained minimiser of h_t^{sign} over the cone, on the period
+    that ``backend.period(t)`` returned.
 
     Tries the exact first-order test at the origin first, with the
-    declared moments of ``backend.market.periods[t]``, then runs
+    declared moments of ``period.law``, then runs
     projected Newton from the better of the origin and the projected
     unconstrained gain.  Each iteration scales the gradient by the
     Hessian H, with a ridge that lifts its least eigenvalue to ``_RIDGE``
@@ -323,10 +319,10 @@ def minimize_over_cone(backend, t: int, sign: int, cone: ConvexCone,
     ``vi_min`` is min grad'(u - k) over cone points u with |u| <= 1,
     which is -|proj(-grad)| - grad'k exactly.
     """
-    period = backend.market.periods[t]
+    law = period.law
     c_at_zero = c_plus_next if sign > 0 else c_minus_next
-    if _zero_is_optimal(cone, sign, period.mean, c_plus_next, c_minus_next):
-        return MinimizeResult(np.zeros(period.n_assets), True, 0, 0.0, 0.0,
+    if _zero_is_optimal(cone, sign, law.mean, c_plus_next, c_minus_next):
+        return MinimizeResult(np.zeros(law.n_assets), True, 0, 0.0, 0.0,
                               0.0, "zero_test", True, c_at_zero)
 
     evaluations = 0
@@ -334,7 +330,7 @@ def minimize_over_cone(backend, t: int, sign: int, cone: ConvexCone,
     def cost(k):
         nonlocal evaluations
         evaluations += 1
-        c = backend.cost(t, sign, k, c_plus_next, c_minus_next)
+        c = period.cost(sign, k, c_plus_next, c_minus_next)
         return c.value, c.grad, c.hess
 
     projections = 0
@@ -344,7 +340,7 @@ def minimize_over_cone(backend, t: int, sign: int, cone: ConvexCone,
         projections += 1
         return cone.project(v, metric=metric)
 
-    k = project(sign * period.unconstrained_gain()).astype(float)
+    k = project(sign * law.unconstrained_gain()).astype(float)
     value, grad, hess = cost(k)
     # The origin is always admissible; starting from the better of the
     # two guarantees the final cost never exceeds the next-period
@@ -377,7 +373,7 @@ def minimize_over_cone(backend, t: int, sign: int, cone: ConvexCone,
             break
         k, value, grad, hess = k_new, f_new, g_new, hess_new
 
-    snapped = bool(np.linalg.norm(k) <= default_zero_tol(period))
+    snapped = bool(np.linalg.norm(k) <= default_zero_tol(law))
     if snapped:
         k = np.zeros_like(k)
         value = c_at_zero
@@ -394,7 +390,7 @@ def minimize_over_cone(backend, t: int, sign: int, cone: ConvexCone,
         stalled = " stalled at the step floor" if iters < opts.max_iter else ""
         raise NoConvergence(
             f"optimizer 'projected_gradient' exhausted {iters} iterations at "
-            f"t={t} sign={sign:+d}{stalled} (pg residual {pg_res:.3e})",
+            f"t={period.t} sign={sign:+d}{stalled} (pg residual {pg_res:.3e})",
             best=result)
     return result
 
@@ -472,41 +468,38 @@ def backward_recursion(market: MarketSpec, cones_by_period,
     diagnostics = []
     gap_bound = 100.0 * opts.tol
 
-    # the recursion reads each period's sample, and nothing after it
-    # does: the backend's held period goes on return or raise
-    try:
-        for t in reversed(range(T)):
-            zero_tols[t] = default_zero_tol(market.periods[t])
-            for sign, k_store, c_store in ((1, k_plus, c_plus),
-                                           (-1, k_minus, c_minus)):
-                c_next = c_store[t + 1]
-                res = minimize_over_cone(backend, t, sign, cones_list[t],
-                                         c_plus[t + 1], c_minus[t + 1], opts)
-                # a zero test or a snap returns h(0) = L(0) = the next
-                # constant, by construction
-                if not res.snapped_zero:
-                    # h - L = grad'K / 2 holds exactly on a frozen sample as
-                    # on atoms, so one deterministic bound serves both backends
-                    lin = linear_form(backend, t, sign, res.k,
-                                      c_plus[t + 1], c_minus[t + 1])
-                    res.cross_gap = abs(res.value - lin)
-                    if res.cross_gap > gap_bound:
-                        raise ConsistencyError(
-                            f"quadratic/linear cost mismatch at t={t} "
-                            f"sign={sign:+d}: {res.value!r} vs {lin!r} "
-                            f"(tol {gap_bound:.3e})")
-                k_store[t], c_store[t] = res.k, res.value
-                if not (0.0 < c_store[t] <= c_next * (1.0 + 1e-12) + 1e-15):
+    for t in reversed(range(T)):
+        zero_tols[t] = default_zero_tol(market.periods[t])
+        period = backend.period(t)
+        for sign, k_store, c_store in ((1, k_plus, c_plus),
+                                       (-1, k_minus, c_minus)):
+            c_next = c_store[t + 1]
+            res = minimize_over_cone(period, sign, cones_list[t],
+                                     c_plus[t + 1], c_minus[t + 1], opts)
+            # a zero test or a snap returns h(0) = L(0) = the next
+            # constant, by construction
+            if not res.snapped_zero:
+                # h - L = grad'K / 2 holds exactly on a frozen sample as
+                # on atoms, so one deterministic bound serves both backends
+                lin = linear_form(period, sign, res.k,
+                                  c_plus[t + 1], c_minus[t + 1])
+                res.cross_gap = abs(res.value - lin)
+                if res.cross_gap > gap_bound:
                     raise ConsistencyError(
-                        f"cost constant out of range at t={t} "
-                        f"sign={'+' if sign > 0 else '-'}: "
-                        f"{float(c_store[t])!r} vs next {float(c_next)!r}")
-                c_store[t] = min(c_store[t], c_next)
-                diagnostics.append({"t": t, "sign": sign, **{
-                    f.name: getattr(res, f.name) for f in fields(res)
-                    if f.name not in ("k", "converged")}})
-    finally:
-        backend.release()
+                        f"quadratic/linear cost mismatch at t={t} "
+                        f"sign={sign:+d}: {res.value!r} vs {lin!r} "
+                        f"(tol {gap_bound:.3e})")
+            k_store[t], c_store[t] = res.k, res.value
+            if not (0.0 < c_store[t] <= c_next * (1.0 + 1e-12) + 1e-15):
+                raise ConsistencyError(
+                    f"cost constant out of range at t={t} "
+                    f"sign={'+' if sign > 0 else '-'}: "
+                    f"{float(c_store[t])!r} vs next {float(c_next)!r}")
+            c_store[t] = min(c_store[t], c_next)
+            diagnostics.append({"t": t, "sign": sign, **{
+                f.name: getattr(res, f.name) for f in fields(res)
+                if f.name not in ("k", "converged")}})
+        del period  # freed before the next draw, not rebound by it
 
     return RecursionTable(
         horizon=T, n_assets=n,

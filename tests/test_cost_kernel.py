@@ -1,5 +1,5 @@
 """The SAA cost kernel's direct pass against plain references, the
-frozen sample a backend holds, and the evaluation counters of a solve."""
+period a backend draws, and the evaluation counters of a solve."""
 
 import gc
 import json
@@ -97,7 +97,7 @@ def test_direct_pass_matches_a_where_reference(seed, sign, n_rows, kind):
        n_rows=st.sampled_from([2, 4095, 12288]),
        scale=st.sampled_from([0.0, 1.0, 4.0, 1e6]))
 def test_hessian_matches_its_definition(seed, sign, n_rows, scale):
-    """2 E[c(k) P P'] with a held Gram matrix, without one, and on the
+    """2 E[c(k) P P'] with a period's Gram matrix, without one, and on the
     weighted path."""
     rng = np.random.default_rng(seed)
     n = int(rng.integers(1, 5))
@@ -117,7 +117,7 @@ def test_hessian_matches_its_definition(seed, sign, n_rows, scale):
 
 
 def test_without_screen_every_row_is_read():
-    """Without a held Gram matrix the pass forms P'P itself; value,
+    """Without a period's Gram matrix the pass forms P'P itself; value,
     gradient and linear form match the definitions over every row."""
     rng = np.random.default_rng(3)
     pts = rng.normal(scale=0.3, size=(500, 3))
@@ -131,17 +131,19 @@ def test_without_screen_every_row_is_read():
 
 
 def test_saa_holds_the_draw_and_its_gram(three_gauss):
-    """The held sample is the period's draw, unsorted, and the held Gram
-    matrix is its P'P."""
+    """A period's rows are its draw, unsorted and unweighted, and its Gram
+    matrix is their P'P."""
     n = 5000
     a = SaaBackend(three_gauss, n, seed=11)
     b = SaaBackend(three_gauss, n, seed=11)
     for t in range(three_gauss.horizon):
         drawn = three_gauss.sample_block(t, 11, 0, n, stream=STREAM_SAA)
-        sample, gram = a.period(t)
-        np.testing.assert_array_equal(sample, drawn)
-        np.testing.assert_array_equal(gram, drawn.T @ drawn)
-        np.testing.assert_array_equal(sample, b.period(t)[0])
+        period = a.period(t)
+        assert period.t == t and period.law is three_gauss.periods[t]
+        assert period.w is None
+        np.testing.assert_array_equal(period.pts, drawn)
+        np.testing.assert_array_equal(period.gram, drawn.T @ drawn)
+        np.testing.assert_array_equal(period.pts, b.period(t).pts)
 
 
 def test_memory_preflight_refuses_before_drawing(three_gauss):
@@ -150,20 +152,15 @@ def test_memory_preflight_refuses_before_drawing(three_gauss):
 
 
 def test_a_dropped_period_draws_again_bit_for_bit(three_t):
-    """The backend holds the period it drew last; a period drawn again
-    after it was dropped is the first draw, bit for bit."""
+    """Each call draws the period anew: two calls for one period, with
+    another period drawn between them, give the same sample and Gram
+    matrix, bit for bit."""
     backend = SaaBackend(three_t, 5000, seed=11)
-    sample, gram = backend.period(0)
-    again_sample, again_gram = backend.period(0)
-    assert again_sample is sample and again_gram is gram  # held
-    kept = sample.copy(), gram.copy()
-    held = weakref.ref(sample)
+    first = backend.period(0)
     backend.period(1)
-    del sample, gram, again_sample, again_gram
-    gc.collect()
-    assert held() is None  # period 0 was dropped
-    for got, want in zip(backend.period(0), kept):
-        np.testing.assert_array_equal(got, want)
+    again = backend.period(0)
+    np.testing.assert_array_equal(again.pts, first.pts)
+    np.testing.assert_array_equal(again.gram, first.gram)
 
 
 def recorded_samples(monkeypatch) -> list:
@@ -200,18 +197,40 @@ def test_no_sample_outlives_a_solve_that_raises(monkeypatch, three_gauss):
     assert made[-1]() is None  # while the backend lives on
 
 
-def test_a_cost_after_the_solve_draws_the_period_again(three_gauss):
-    """A cost asked of the backend after its solve draws the released
-    period again, bit for bit: it equals the solve's own value."""
+def test_a_cost_after_the_solve_draws_the_period_again(monkeypatch,
+                                                       three_gauss):
+    """A cost asked of the backend after its solve draws the period
+    again, bit for bit: it equals the solve's own value."""
+    made = recorded_samples(monkeypatch)
     backend = SaaBackend(three_gauss, 20_000, seed=3)
     table = backward_recursion(three_gauss, mean_half_space_cone(), backend)
-    assert backend._held is None
+    assert len(made) == three_gauss.horizon
     solved = next(d for d in table.diagnostics
                   if (d["t"], d["sign"]) == (0, 1))
     assert solved["method"] == "projected_gradient"
-    again = backend.cost(0, 1, table.k_plus[0], table.c_plus[1],
-                         table.c_minus[1])
+    again = backend.period(0).cost(1, table.k_plus[0], table.c_plus[1],
+                                   table.c_minus[1])
+    assert len(made) == three_gauss.horizon + 1
     assert again.value == solved["value"]
+
+
+@pytest.mark.parametrize("kind", ["exact", "saa"])
+def test_the_recursion_asks_each_period_once_from_the_last(
+        monkeypatch, kind, tree_market, three_gauss):
+    if kind == "exact":
+        market, backend = tree_market, ExactDiscreteBackend(tree_market)
+    else:
+        market, backend = three_gauss, SaaBackend(three_gauss, 5000, seed=3)
+    asked = []
+    period = backend.period
+
+    def recorded(t):
+        asked.append(t)
+        return period(t)
+
+    monkeypatch.setattr(backend, "period", recorded)
+    backward_recursion(market, ConvexCone.orthant(market.n_assets), backend)
+    assert asked == list(reversed(range(market.horizon)))
 
 
 @pytest.mark.parametrize("family", ["gaussian", "student_t"])
@@ -238,11 +257,11 @@ def test_solve_peak_stays_within_the_preflight(monkeypatch, family):
         peak = tracemalloc.get_traced_memory()[1]
         tracemalloc.reset_peak()
         worst = SaaBackend(shifted, 200_000, seed=2)
-        worst.cost(0, 1, k, 0.5, 0.9)
+        worst.period(0).cost(1, k, 0.5, 0.9)
         worst_peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
-    assert np.all(worst.period(0)[0] @ k > 1.0)  # all on the minority
+    assert np.all(worst.period(0).pts @ k > 1.0)  # all on the minority
     assert len(needs) == 2 and needs[0] == needs[1]
     assert peak <= needs[0] and worst_peak <= needs[1]
 
@@ -291,10 +310,11 @@ def test_kept_gradient_equals_a_fresh_evaluation(three_gauss, sign):
     the residuals built from it are bit-identical to a recomputation."""
     backend = SaaBackend(three_gauss, 50_000, seed=5)
     cone = ConvexCone.orthant(3)
-    res = minimize_over_cone(backend, 0, sign, cone, 0.8, 0.9,
+    res = minimize_over_cone(backend.period(0), sign, cone, 0.8, 0.9,
                              SolverOptions())
-    g = backend.cost(0, sign, res.k, 0.8, 0.9).grad
-    assert res.pg_residual == float(np.linalg.norm(res.k - cone.project(res.k - g)))
+    g = backend.period(0).cost(sign, res.k, 0.8, 0.9).grad
+    assert res.pg_residual == float(
+        np.linalg.norm(res.k - cone.project(res.k - g)))
     assert res.complementarity == abs(float(g @ res.k))
 
 
@@ -305,7 +325,7 @@ def test_exact_backend_reads_every_atom(tree_market):
     period = tree_market.periods[0]
     k = np.array([0.3, -0.2])
     assert np.max(np.linalg.norm(period.atoms, axis=1)) * np.linalg.norm(k) < 1
-    got = backend.cost(0, 1, k, 0.6, 0.9)
+    got = backend.period(0).cost(1, k, 0.6, 0.9)
     want = _h_and_grad(period.atoms, period.probs, 1, k, 0.6, 0.9)
     assert (got.value, got.lin) == (want.value, want.lin)
     np.testing.assert_array_equal(got.grad, want.grad)

@@ -3,9 +3,10 @@ import numpy as np
 import pytest
 
 from conemv.cones import ConvexCone
-from conemv.errors import InvalidTarget, TargetUnattainable
+from conemv.errors import BackendMismatch, InvalidTarget, TargetUnattainable
 from conemv.market import MarketSpec, PeriodDistribution
 from conemv.policy import (
+    Policy,
     frontier_point,
     minimum_variance,
     mu_star,
@@ -17,6 +18,7 @@ from conemv.policy import (
 )
 from conemv.solver import (
     ExactDiscreteBackend,
+    SaaBackend,
     backward_recursion,
     unconstrained_table,
 )
@@ -170,6 +172,26 @@ class TestTimeConsistentBenchmark:
             time_consistent(market, 1.0, 1.1)
         with pytest.raises(InvalidTarget):
             tc_frontier_point(unconstrained_table(market), 1.0, 1.1)
+
+    @pytest.mark.parametrize("kind", ["exact_discrete", "saa"])
+    def test_solved_tables_are_refused_by_name(self, kind, tree_market,
+                                               three_gauss):
+        # a solved table records no b_t; the frontier and the control
+        # both name the table they read it from
+        if kind == "saa":
+            market, backend = three_gauss, SaaBackend(three_gauss, 2000, 0)
+        else:
+            market, backend = tree_market, ExactDiscreteBackend(tree_market)
+        table = backward_recursion(market, ConvexCone.whole_space(
+            market.n_assets), backend)
+        pol = Policy("time_consistent", table, 0, 1.0, 1.3)
+        for call in (lambda: tc_frontier_point(table, 1.0, 1.3),
+                     lambda: pol.control(0, 1.0)):
+            with pytest.raises(BackendMismatch, match=(
+                    r"^the time-consistent benchmark reads b_t from "
+                    r"solver\.unconstrained_table, not a table of kind "
+                    f"'{kind}'$")):
+                call()
 
     def test_precommitted_dominates_benchmark(self, gauss_unc_table):
         riskless = gauss_unc_table.rho(0)

@@ -71,9 +71,10 @@ def test_quadratic_and_linear_costs_agree_at_optima(seed):
             continue
         t, sign = diag["t"], diag["sign"]
         k = table.k_plus[t] if sign == 1 else table.k_minus[t]
-        quad = backend.cost(t, sign, k,
-                            table.c_plus[t + 1], table.c_minus[t + 1]).value
-        lin = linear_form(backend, t, sign, k,
+        period = backend.period(t)
+        quad = period.cost(sign, k,
+                           table.c_plus[t + 1], table.c_minus[t + 1]).value
+        lin = linear_form(period, sign, k,
                           table.c_plus[t + 1], table.c_minus[t + 1])
         assert abs(quad - lin) <= 1e-6 * max(1.0, abs(quad))
 
@@ -91,14 +92,15 @@ def test_gradient_matches_central_differences(seed, sign):
     margins = np.abs(market.periods[0].atoms @ k - sign)
     assume(float(margins.min()) > 1e-3)
 
-    grad = backend.cost(0, sign, k, cp, cm).grad
+    period = backend.period(0)
+    grad = period.cost(sign, k, cp, cm).grad
     fd = np.empty_like(grad)
     step = 1e-6
     for i in range(k.shape[0]):
         e = np.zeros_like(k)
         e[i] = step
-        fd[i] = (backend.cost(0, sign, k + e, cp, cm).value
-                 - backend.cost(0, sign, k - e, cp, cm).value) / (2 * step)
+        fd[i] = (period.cost(sign, k + e, cp, cm).value
+                 - period.cost(sign, k - e, cp, cm).value) / (2 * step)
     assert np.linalg.norm(fd - grad) <= 1e-4 * max(1.0, np.linalg.norm(grad))
 
 

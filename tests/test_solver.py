@@ -74,17 +74,17 @@ def tree_corpus_market(k):
 
 class TestBranchCost:
     def test_value_at_origin_picks_branch_constant(self):
-        b = exact_backend(coin_market())
-    # at K = 0 every sample sits on the no-flip branch
-        assert b.cost(0, +1, np.zeros(1), 0.9, 1.0).value == pytest.approx(0.9)
-        assert b.cost(0, -1, np.zeros(1), 0.9, 1.0).value == pytest.approx(1.0)
+        p = exact_backend(coin_market()).period(0)
+        # at K = 0 every sample sits on the no-flip branch
+        assert p.cost(+1, np.zeros(1), 0.9, 1.0).value == pytest.approx(0.9)
+        assert p.cost(-1, np.zeros(1), 0.9, 1.0).value == pytest.approx(1.0)
 
     def test_single_asset_example(self):
-        b = exact_backend(coin_market())
+        p = exact_backend(coin_market()).period(0)
         k = np.array([1.0])
-        assert b.cost(0, +1, k, 1.0, 1.0).value == pytest.approx(
+        assert p.cost(+1, k, 1.0, 1.0).value == pytest.approx(
             0.925, abs=1e-15)
-        g = b.cost(0, +1, k, 1.0, 1.0).grad
+        g = p.cost(+1, k, 1.0, 1.0).grad
         assert g[0] == pytest.approx(-0.05, abs=1e-15)
 
     def test_gradient_at_origin_closed_form(self):
@@ -92,16 +92,16 @@ class TestBranchCost:
         period = PeriodDistribution.discrete(atoms, [0.3, 0.2, 0.5])
         market = MarketSpec(horizon=1, riskless_rates=[1.0],
                             periods=[period])
-        b = exact_backend(market)
+        p = exact_backend(market).period(0)
         mean = period.mean
-        np.testing.assert_allclose(b.cost(0, +1, np.zeros(2), 0.7, 1.3).grad,
+        np.testing.assert_allclose(p.cost(+1, np.zeros(2), 0.7, 1.3).grad,
                                    -2.0 * 0.7 * mean, atol=1e-14)
-        np.testing.assert_allclose(b.cost(0, -1, np.zeros(2), 0.7, 1.3).grad,
+        np.testing.assert_allclose(p.cost(-1, np.zeros(2), 0.7, 1.3).grad,
                                    2.0 * 1.3 * mean, atol=1e-14)
 
     def test_linear_form_equals_quadratic_at_origin(self):
-        b = exact_backend(coin_market())
-        assert linear_form(b, 0, +1, np.zeros(1), 0.9, 1.0) == \
+        p = exact_backend(coin_market()).period(0)
+        assert linear_form(p, +1, np.zeros(1), 0.9, 1.0) == \
             pytest.approx(0.9, abs=1e-15)
 
     def test_unconstrained_cost_drop_three_index(self, three_gauss):
@@ -109,7 +109,7 @@ class TestBranchCost:
         mean, cov = three_index_moments()
         second = cov + np.outer(mean, mean)
         k_unc = np.linalg.solve(second, mean)
-        val = backend.cost(0, +1, k_unc, 1.0, 1.0).value
+        val = backend.period(0).cost(+1, k_unc, 1.0, 1.0).value
         assert val == pytest.approx(1.0 - mean @ k_unc, abs=2e-3)
         assert val == pytest.approx(0.7854, abs=2e-3)
 
@@ -124,16 +124,16 @@ class TestBranchCost:
             period = PeriodDistribution.discrete(atoms, probs)
             market = MarketSpec(horizon=1, riskless_rates=[1.0],
                                 periods=[period])
-            b = exact_backend(market)
+            p = exact_backend(market).period(0)
             k = rng.normal(size=n)
             sign = 1 if rng.random() < 0.5 else -1
             # keep clear of the kink so central differences are valid
             if np.min(np.abs(atoms @ k - sign)) < 1e-3:
                 continue
             c_pair = tuple(rng.uniform(0.3, 1.0, size=2))
-            g = b.cost(0, sign, k, *c_pair).grad
+            g = p.cost(sign, k, *c_pair).grad
             fd = central_fd_grad(
-                lambda kk: b.cost(0, sign, kk, *c_pair).value, k, step=1e-5)
+                lambda kk: p.cost(sign, kk, *c_pair).value, k, step=1e-5)
             assert np.linalg.norm(fd - g) <= 1e-4 * max(1.0,
                                                         np.linalg.norm(g))
             checked += 1
@@ -149,7 +149,7 @@ class TestMinimizeOverCone:
         period = market.periods[0]
         b = exact_backend(market)
         second = period.second_moment()
-        res = minimize_over_cone(b, 0, +1, ConvexCone.whole_space(2),
+        res = minimize_over_cone(b.period(0), +1, ConvexCone.whole_space(2),
                                  1.0, 1.0, SolverOptions())
         k_star = np.linalg.solve(second, period.mean)
         np.testing.assert_allclose(res.k, k_star, atol=1e-8)
@@ -157,8 +157,9 @@ class TestMinimizeOverCone:
 
     def test_whole_space_saa_three_index(self, three_gauss):
         backend = SaaBackend(three_gauss, 1_000_000, seed=0)
-        res = minimize_over_cone(backend, 0, +1, ConvexCone.whole_space(3),
-                                 1.0, 1.0, SolverOptions())
+        res = minimize_over_cone(backend.period(0), +1,
+                                 ConvexCone.whole_space(3), 1.0, 1.0,
+                                 SolverOptions())
         np.testing.assert_allclose(res.k, [1.0580, -0.1207, 1.1052],
                                    atol=1e-2)
 
@@ -168,7 +169,7 @@ class TestMinimizeOverCone:
         market = MarketSpec(horizon=1, riskless_rates=[1.0],
                             periods=[period])
         assert np.all(period.mean >= 0.0)
-        res = minimize_over_cone(exact_backend(market), 0, -1,
+        res = minimize_over_cone(exact_backend(market).period(0), -1,
                                  ConvexCone.orthant(2), 0.8, 0.9,
                                  SolverOptions())
         assert res.snapped_zero
@@ -183,8 +184,8 @@ class TestMinimizeOverCone:
         # With C+ = C- the cost is one quadratic, which the first Newton
         # step minimises exactly; C+ != C- needs more than one step.
         with pytest.raises(NoConvergence) as exc:
-            minimize_over_cone(backend, 0, +1, ConvexCone.whole_space(3),
-                               0.9, 0.5, opts)
+            minimize_over_cone(backend.period(0), +1,
+                               ConvexCone.whole_space(3), 0.9, 0.5, opts)
         best = exc.value.best
         assert best is not None
         assert not best.converged and best.pg_residual > opts.tol
@@ -235,8 +236,8 @@ class TestMinimizeOverCone:
         # three steps to reach tol = 1e-14 on this 50K-sample solve.
         backend = SaaBackend(three_gauss, 50_000, seed=1)
         opts = SolverOptions(tol=1e-14, max_iter=max_iter)
-        return minimize_over_cone(backend, 0, +1, limited_short_cone(), 0.9,
-                                  0.5, opts)
+        return minimize_over_cone(backend.period(0), +1, limited_short_cone(),
+                                  0.9, 0.5, opts)
 
     def test_budget_exhaustion_reports_counters(self, three_gauss):
         with pytest.raises(NoConvergence) as exc:
@@ -270,7 +271,7 @@ class TestMinimizeOverCone:
                 r"^optimizer 'projected_gradient' exhausted 1 iterations at "
                 r"t=0 sign=\+1 stalled at the step floor \(pg residual "
                 r"1\.000e\+00\)$")) as exc:
-            minimize_over_cone(exact_backend(coin_market()), 0, +1,
+            minimize_over_cone(exact_backend(coin_market()).period(0), +1,
                                ConvexCone.whole_space(1), 1.0, 1.0,
                                SolverOptions())
         best = exc.value.best
@@ -318,7 +319,7 @@ class TestBackends:
         else:
             assert type(made) is SaaBackend
             assert (made.sample_count, made.seed) == (1000, 5)
-            assert made.period(0)[0].shape == (1000, 1)
+            assert made.period(0).pts.shape == (1000, 1)
             assert made.describe() == {"kind": "saa", "samples": 1000,
                                        "seed": 5}
 
@@ -327,8 +328,8 @@ class TestBackends:
             SaaBackend(three_gauss, 1, seed=0)
 
     def test_saa_points_are_seed_deterministic(self, three_gauss):
-        a = SaaBackend(three_gauss, 1000, seed=5).period(0)[0]
-        b = SaaBackend(three_gauss, 1000, seed=5).period(0)[0]
+        a = SaaBackend(three_gauss, 1000, seed=5).period(0).pts
+        b = SaaBackend(three_gauss, 1000, seed=5).period(0).pts
         np.testing.assert_array_equal(a, b)
 
 
@@ -395,8 +396,8 @@ class TestBackwardRecursion:
         assert not np.array_equal(table.k_plus[1], np.zeros(2))
         for sign, k, c in ((1, table.k_plus, table.c_plus),
                            (-1, table.k_minus, table.c_minus)):
-            alone = minimize_over_cone(backend, 1, sign, orthant, 1.0, 1.0,
-                                       SolverOptions())
+            alone = minimize_over_cone(backend.period(1), sign, orthant,
+                                       1.0, 1.0, SolverOptions())
             np.testing.assert_array_equal(k[1], alone.k)
             assert c[1] == alone.value
 
@@ -529,7 +530,7 @@ class TestCrossCheck:
                 continue
             t, sign = d["t"], d["sign"]
             k = table.k_plus[t] if sign > 0 else table.k_minus[t]
-            lin = linear_form(backend, t, sign, k, table.c_plus[t + 1],
+            lin = linear_form(backend.period(t), sign, k, table.c_plus[t + 1],
                               table.c_minus[t + 1])
             assert d["cross_gap"] == abs(d["value"] - lin)
         again = json.loads(json.dumps(table.to_dict()))["diagnostics"]

@@ -178,15 +178,24 @@ class TestTransitionProbs:
                 float(period.probs @ (down <= -1.0)),
                 float(period.probs @ (down > -1.0)))
 
-    def test_backend_is_never_drawn_from(self, three_gauss, three_t):
+    def test_backend_is_never_drawn_from(self, monkeypatch, three_gauss,
+                                         three_t):
         # a backend is accepted, read for nothing and drawn from never
+        draws = []
+        draw = MarketSpec.sample_block
+
+        def counted(*args, **kwargs):
+            draws.append(args[1:])
+            return draw(*args, **kwargs)
+
+        monkeypatch.setattr(MarketSpec, "sample_block", counted)
         for market in (three_gauss, three_t):
             table = unconstrained_table(market)
             for t in range(market.horizon):
                 backend = SaaBackend(market, 10_000, seed=5)
                 got = transition_probs(table, market, t, backend=backend)
                 assert got == transition_probs(table, market, t)
-                assert backend._held is None
+        assert draws == []
 
     def test_continuous_periods_need_no_backend(self, three_gauss, three_t):
         for market in (three_gauss, three_t):
@@ -219,7 +228,7 @@ class TestTransitionProbs:
         backend = cfg.make_backend()
         table = backward_recursion(cfg.market, cfg.cones, backend)
         for t in range(table.horizon):
-            pts = backend.period(t)[0]
+            pts = backend.period(t).pts
             exact = transition_probs(table, cfg.market, t)
             for k, a, p in ((table.k_plus[t], 1.0, exact.stay_below),
                             (table.k_minus[t], -1.0,
