@@ -30,6 +30,12 @@ identity holds exactly on a frozen sample too, so |h - L| is a
 deterministic optimality residual on both backends, and the recursion
 requires |h - L| <= 100 tol at every solved branch.
 
+K = 0 is optimal iff -grad h(0) = 2 c sign E[P] (c > 0) lies in the
+polar cone, so the recursion tests sign E[P], the law's exact mean,
+before it draws: the test reads no constant and no sample, and a period
+whose two branches pass is never drawn.  With the solver's snap, every
+zero gain in a table is exactly 0.
+
 ``backend.period(t)`` hands the recursion period t as a
 :class:`PeriodCost`, whose ``cost(sign, k, c_plus, c_minus)`` is the
 only way the solver reaches an expectation: the discrete atoms with
@@ -50,8 +56,9 @@ from typing import NamedTuple, Optional
 import numpy as np
 
 from .cones import ConvexCone, cones_per_period
-from .errors import (BackendMismatch, ConsistencyError, InsufficientMemory,
-                     InvalidMarket, NoConvergence, TargetUnattainable)
+from .errors import (BackendMismatch, ConemvError, ConsistencyError,
+                     InsufficientMemory, InvalidMarket, NoConvergence,
+                     TargetUnattainable)
 from .market import MarketSpec, PeriodDistribution
 from .rng import STREAM_SAA
 
@@ -278,29 +285,14 @@ class MinimizeResult:
 # cone-constrained minimisation of h
 # ---------------------------------------------------------------------------
 
-def _zero_is_optimal(cone: ConvexCone, sign: int, exact_mean: np.ndarray,
-                     c_plus: float, c_minus: float) -> bool:
-    """First-order test of K = 0 using the declared (exact) mean.
-
-    At the origin every sample sits on one branch, so the gradient has
-    the closed form -+ 2 c E[P].  Zero minimises the convex cost over
-    the cone iff -grad h(0) lies in the polar cone, which for the cone
-    {0} is the whole space.  Deciding this with the exact mean rather
-    than the sampled one keeps structural zeros immune to SAA noise.
-    """
-    c0 = c_plus if sign > 0 else c_minus
-    grad0 = -2.0 * sign * c0 * exact_mean
-    return cone.polar_contains(-grad0)
-
-
 def minimize_over_cone(period: PeriodCost, sign: int, cone: ConvexCone,
                        c_plus_next: float, c_minus_next: float,
                        opts: SolverOptions) -> MinimizeResult:
     """Constrained minimiser of h_t^{sign} over the cone, on the period
     that ``backend.period(t)`` returned.
 
-    Tries the exact first-order test at the origin first, with the
-    declared moments of ``period.law``, then runs
+    The recursion's zero test has already settled every branch whose
+    minimiser the law's mean shows to be the origin.  This runs
     projected Newton from the better of the origin and the projected
     unconstrained gain.  Each iteration scales the gradient by the
     Hessian H, with a ridge that lifts its least eigenvalue to ``_RIDGE``
@@ -314,17 +306,13 @@ def minimize_over_cone(period: PeriodCost, sign: int, cone: ConvexCone,
     a stall, where no step above ``_STEP_FLOOR`` descends, counts as
     converged only at a residual within 100 tol.  Solutions with norm
     below :func:`default_zero_tol` snap to exactly zero, in which case
-    the cost equals the next-period constant by construction.
+    the cost equals the next-period constant by construction and the
+    residuals are the origin's, from the start's gradient there.
 
     ``vi_min`` is min grad'(u - k) over cone points u with |u| <= 1,
     which is -|proj(-grad)| - grad'k exactly.
     """
     law = period.law
-    c_at_zero = c_plus_next if sign > 0 else c_minus_next
-    if _zero_is_optimal(cone, sign, law.mean, c_plus_next, c_minus_next):
-        return MinimizeResult(np.zeros(law.n_assets), True, 0, 0.0, 0.0,
-                              0.0, "zero_test", True, c_at_zero)
-
     evaluations = 0
 
     def cost(k):
@@ -375,9 +363,8 @@ def minimize_over_cone(period: PeriodCost, sign: int, cone: ConvexCone,
 
     snapped = bool(np.linalg.norm(k) <= default_zero_tol(law))
     if snapped:
-        k = np.zeros_like(k)
-        value = c_at_zero
-        _, grad, _ = cost(k)
+        k, grad = np.zeros_like(k), g0
+        value = c_plus_next if sign > 0 else c_minus_next
         pg_res = np.linalg.norm(k - project(k - grad))
     pg_res = float(pg_res)
     comp = abs(float(grad @ k))
@@ -416,7 +403,6 @@ class RecursionTable:
     k_minus: np.ndarray          # (T, n)
     c_plus: np.ndarray           # (T+1,)
     c_minus: np.ndarray          # (T+1,)
-    zero_tols: np.ndarray        # (T,)
     backend: dict = field(default_factory=dict)
     diagnostics: list = field(default_factory=list)
 
@@ -424,10 +410,6 @@ class RecursionTable:
         if not 0 <= t <= self.horizon:
             raise ValueError(f"t must lie in [0, {self.horizon}], got {t}")
         return float(np.prod(self.riskless_rates[t:]))
-
-    def gain_is_zero(self, t: int, sign: int) -> bool:
-        k = self.k_plus[t] if sign > 0 else self.k_minus[t]
-        return bool(np.linalg.norm(k) <= self.zero_tols[t])
 
     def to_dict(self) -> dict:
         """The fields by name, in order, with arrays as nested lists."""
@@ -439,6 +421,14 @@ class RecursionTable:
 def default_zero_tol(period: PeriodDistribution) -> float:
     """Norm below which a solved gain snaps to zero."""
     return 1e-7 * (1.0 + float(np.linalg.norm(period.unconstrained_gain())))
+
+
+def _require_normal(c: float, t: int, horizon: int) -> None:
+    """Raise once cost constant c falls below the least normal double."""
+    if c < np.finfo(float).tiny:
+        raise ConemvError(
+            f"cost constant {float(c)!r} at t={t} underflows double "
+            f"precision; the horizon T={horizon} is too long for this market")
 
 
 def backward_recursion(market: MarketSpec, cones_by_period,
@@ -464,18 +454,23 @@ def backward_recursion(market: MarketSpec, cones_by_period,
     c_minus = np.ones(T + 1)
     k_plus = np.zeros((T, n))
     k_minus = np.zeros((T, n))
-    zero_tols = np.zeros(T)
     diagnostics = []
     gap_bound = 100.0 * opts.tol
 
     for t in reversed(range(T)):
-        zero_tols[t] = default_zero_tol(market.periods[t])
-        period = backend.period(t)
+        # the zero test (module docstring) reads the law's mean alone
+        mean, cone = market.periods[t].mean, cones_list[t]
+        zero = {sign: cone.polar_contains(sign * mean) for sign in (1, -1)}
+        period = None if all(zero.values()) else backend.period(t)
         for sign, k_store, c_store in ((1, k_plus, c_plus),
                                        (-1, k_minus, c_minus)):
             c_next = c_store[t + 1]
-            res = minimize_over_cone(period, sign, cones_list[t],
-                                     c_plus[t + 1], c_minus[t + 1], opts)
+            if zero[sign]:
+                res = MinimizeResult(np.zeros(n), True, 0, 0.0, 0.0, 0.0,
+                                     "zero_test", True, c_next)
+            else:
+                res = minimize_over_cone(period, sign, cone, c_plus[t + 1],
+                                         c_minus[t + 1], opts)
             # a zero test or a snap returns h(0) = L(0) = the next
             # constant, by construction
             if not res.snapped_zero:
@@ -490,7 +485,8 @@ def backward_recursion(market: MarketSpec, cones_by_period,
                         f"sign={sign:+d}: {res.value!r} vs {lin!r} "
                         f"(tol {gap_bound:.3e})")
             k_store[t], c_store[t] = res.k, res.value
-            if not (0.0 < c_store[t] <= c_next * (1.0 + 1e-12) + 1e-15):
+            _require_normal(c_store[t], t, T)
+            if not c_store[t] <= c_next * (1.0 + 1e-12) + 1e-15:
                 raise ConsistencyError(
                     f"cost constant out of range at t={t} "
                     f"sign={'+' if sign > 0 else '-'}: "
@@ -505,7 +501,7 @@ def backward_recursion(market: MarketSpec, cones_by_period,
         horizon=T, n_assets=n,
         riskless_rates=market.riskless_rates,
         k_plus=k_plus, k_minus=k_minus, c_plus=c_plus, c_minus=c_minus,
-        zero_tols=zero_tols, backend=backend.describe(),
+        backend=backend.describe(),
         diagnostics=diagnostics)
 
 
@@ -522,22 +518,20 @@ def unconstrained_table(market: MarketSpec) -> RecursionTable:
     k_plus = np.zeros((T, n))
     k_minus = np.zeros((T, n))
     b = np.zeros(T)
-    zero_tols = np.zeros(T)
     for t, period in enumerate(market.periods):
         k_unc = period.unconstrained_gain()
         k_plus[t] = k_unc
         k_minus[t] = -k_unc
         b[t] = float(period.mean @ k_unc)
-        zero_tols[t] = default_zero_tol(period)
     c = np.ones(T + 1)
     for t in reversed(range(T)):
         c[t] = (1.0 - b[t]) * c[t + 1]
+        _require_normal(c[t], t, T)
     return RecursionTable(
         horizon=T, n_assets=n,
         riskless_rates=market.riskless_rates,
         k_plus=k_plus, k_minus=k_minus,
         c_plus=c.copy(), c_minus=c.copy(),
-        zero_tols=zero_tols,
         backend={"kind": "closed_form_unconstrained"},
         diagnostics=[{"t": t, "note": "closed_form", "b": float(b[t])}
                      for t in range(T)])

@@ -60,17 +60,17 @@ def check_tcie(table: RecursionTable, market: MarketSpec) -> TcieVerdict:
 
     Almost-sure statements are decided analytically: a continuous
     family has unbounded support, so P'K^+ <= 1 a.s. can hold only for
-    K^+ = 0, while discrete periods are checked atom by atom.
+    K^+ = 0, while discrete periods are checked atom by atom.  A gain
+    counts as zero only when it is exactly 0, as the solver's zero test
+    and snap store it; any nonzero entry makes it nonzero.
     """
     T = table.horizon
     periods = []
     flip_period = None
     for t in range(T):
         k_plus = table.k_plus[t]
-        if table.gain_is_zero(t, +1):
-            sup = 0.0
-        else:
-            sup = market.periods[t].support_max_inner(k_plus)
+        sup = (market.periods[t].support_max_inner(k_plus)
+               if np.any(k_plus) else 0.0)
         can_cross = sup > 1.0 + _SUP_TOL
         periods.append(PeriodDiagnostics(
             t, float(sup), bool(can_cross),
@@ -83,7 +83,7 @@ def check_tcie(table: RecursionTable, market: MarketSpec) -> TcieVerdict:
         return TcieVerdict(True, "condition_18", periods=periods)
 
     offenders = [s for s in range(flip_period + 1, T)
-                 if not table.gain_is_zero(s, -1)]
+                 if np.any(table.k_minus[s])]
     if not offenders:
         return TcieVerdict(
             True, "condition_19", flip_period=flip_period,

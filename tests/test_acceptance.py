@@ -184,8 +184,7 @@ def replay_published_case3(market, family: str) -> float:
         horizon=3, n_assets=3, riskless_rates=np.full(3, 1.05),
         k_plus=np.array(spec["k"], dtype=float),
         k_minus=np.zeros((3, 3)),
-        c_plus=np.ones(4), c_minus=np.ones(4),
-        zero_tols=np.full(3, 1e-9))
+        c_plus=np.ones(4), c_minus=np.ones(4))
     pol = Policy(kind="precommitted", table=table, start_time=0,
                  x_start=X0, d=TARGET, mu=spec["mu"])
     return summarize(pol, market, SIM_PATHS, 0)[1].probability

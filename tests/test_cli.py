@@ -397,6 +397,29 @@ class TestRuntimeErrors:
         res = run_cli("simulate", "--config", path, "--paths", "100")
         assert res.returncode == 1
 
+    @pytest.mark.filterwarnings("error")
+    @pytest.mark.parametrize("kind", ["precommitted", "time_consistent"])
+    def test_an_underflowing_constant_fails_in_one_line(self, tmp_path,
+                                                        capsys, kind):
+        """400 periods of a market whose C_0 falls by about ten a period:
+        the solve (precommitted) and the closed form (time-consistent)
+        both stop at t = 83 and name the horizon, with no warning."""
+        rng = np.random.default_rng(0)
+        mean = [0.09, 0.11, 0.12]
+        atoms = [[list(mean + 0.2 * z), 1.0 / 6.0]
+                 for z in rng.normal(size=(6, 3))]
+        cfg = {"market": {"horizon": 400, "riskless_rates": [1.05] * 400,
+                          "family": "discrete", "atoms": atoms},
+               "policy": {"kind": kind, "x0": 1.0, "d": 1.35},
+               "numerics": {"backend": "exact"}}
+        path = write_config(tmp_path, cfg)
+        assert cli.main(["simulate", "--config", path, "--paths", "100"]) \
+            == 1
+        err = capsys.readouterr().err
+        assert err.startswith("error: cost constant ") and err.endswith(
+            " at t=83 underflows double precision; the horizon T=400 is "
+            "too long for this market\n"), err
+
     def test_zero_mean_time_consistent_prints_plain_b(self, tmp_path):
         cfg = coin_config()
         cfg["market"]["atoms"] = [[[-0.1], 0.5], [[0.1], 0.5]]

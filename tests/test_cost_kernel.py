@@ -214,6 +214,27 @@ def test_a_cost_after_the_solve_draws_the_period_again(monkeypatch,
     assert again.value == solved["value"]
 
 
+def test_a_period_no_branch_reads_is_not_drawn(monkeypatch, three_gauss):
+    """The zero test reads the law's mean alone, so under the cone {0},
+    whose polar is the whole space, no period is drawn."""
+    draws = []
+    draw = PeriodDistribution.sample_block
+
+    def counted(*args, **kwargs):
+        draws.append(args[1:])
+        return draw(*args, **kwargs)
+
+    monkeypatch.setattr(PeriodDistribution, "sample_block", counted)
+    origin = ConvexCone.polyhedral(np.vstack([np.eye(3), -np.eye(3)]))
+    table = backward_recursion(three_gauss, origin,
+                               SaaBackend(three_gauss, 200_000, seed=3))
+    assert draws == []
+    assert [(d["t"], d["sign"], d["method"]) for d in table.diagnostics] \
+        == [(t, sign, "zero_test") for t in (2, 1, 0) for sign in (1, -1)]
+    np.testing.assert_array_equal(table.c_plus, np.ones(4))
+    np.testing.assert_array_equal(table.c_minus, np.ones(4))
+
+
 @pytest.mark.parametrize("kind", ["exact", "saa"])
 def test_the_recursion_asks_each_period_once_from_the_last(
         monkeypatch, kind, tree_market, three_gauss):

@@ -32,8 +32,7 @@ def level_two_policy(horizon, kind="precommitted", start_time=0):
     table = RecursionTable(
         horizon=horizon, n_assets=1, riskless_rates=np.ones(horizon),
         k_plus=np.zeros((horizon, 1)), k_minus=np.zeros((horizon, 1)),
-        c_plus=np.ones(horizon + 1), c_minus=np.ones(horizon + 1),
-        zero_tols=np.full(horizon, 1e-9))
+        c_plus=np.ones(horizon + 1), c_minus=np.ones(horizon + 1))
     return Policy(kind, table, start_time, 1.0, d=2.0, mu=0.0)
 
 

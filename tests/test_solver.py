@@ -8,8 +8,8 @@ import pytest
 from conemv import solver
 from conemv.cones import ConvexCone
 from conemv.config import parse_config
-from conemv.errors import (BackendMismatch, ConsistencyError, InvalidMarket,
-                           NoConvergence)
+from conemv.errors import (BackendMismatch, ConemvError, ConsistencyError,
+                           InvalidMarket, NoConvergence)
 from conemv.market import MarketSpec, PeriodDistribution
 from conemv.presets import (
     limited_short_cone,
@@ -48,6 +48,16 @@ def coin_market(horizon=1, rate=1.05):
 
 def exact_backend(market):
     return ExactDiscreteBackend(market)
+
+
+def six_atom_market(horizon):
+    """Six equally likely normal atoms (seed 0, scale 0.2) around the
+    three-index mean, the same each period, at a riskless rate of 1.05:
+    C_0 falls by about ten a period."""
+    atoms = (three_index_moments()[0]
+             + 0.2 * np.random.default_rng(0).normal(size=(6, 3)))
+    period = PeriodDistribution.discrete(atoms, np.full(6, 1.0 / 6.0))
+    return MarketSpec(horizon, np.full(horizon, 1.05), [period] * horizon)
 
 
 def tree_corpus_market(k):
@@ -169,14 +179,15 @@ class TestMinimizeOverCone:
         market = MarketSpec(horizon=1, riskless_rates=[1.0],
                             periods=[period])
         assert np.all(period.mean >= 0.0)
-        res = minimize_over_cone(exact_backend(market).period(0), -1,
-                                 ConvexCone.orthant(2), 0.8, 0.9,
-                                 SolverOptions())
-        assert res.snapped_zero
-        assert res.method == "zero_test"
-        assert res.iterations == 0
-        np.testing.assert_array_equal(res.k, np.zeros(2))
-        assert res.value == pytest.approx(0.9, abs=1e-15)
+        table = backward_recursion(market, ConvexCone.orthant(2),
+                                   exact_backend(market))
+        res = table.diagnostics[1]
+        assert res["sign"] == -1
+        assert res["snapped_zero"]
+        assert res["method"] == "zero_test"
+        assert res["iterations"] == res["evaluations"] == 0
+        np.testing.assert_array_equal(table.k_minus[0], np.zeros(2))
+        assert table.c_minus[0] == res["value"] == 1.0
 
     def test_iteration_budget_exhaustion_reports_best(self, three_gauss):
         backend = SaaBackend(three_gauss, 50_000, seed=1)
@@ -193,10 +204,10 @@ class TestMinimizeOverCone:
 
     def test_diagnostics_count_backtracks_and_projections(self):
         # Projected Newton evaluates twice to start, once per accepted
-        # step and once per backtrack (plus once after a zero snap); it
-        # projects the start, once per residual test, once per trial
-        # step, and once more for the VI residual.  The pg residual is the
-        # last residual test's, recomputed only after a zero snap.
+        # step and once per backtrack; it projects the start, once per
+        # residual test, once per trial step, and once more for the VI
+        # residual.  The pg residual is the last residual test's,
+        # recomputed (from the start's gradient) only after a zero snap.
         market = random_tree_market(seed=12, horizon=3, n_assets=3, n_atoms=5)
         opts = SolverOptions()
         table = backward_recursion(market, limited_short_cone(),
@@ -207,7 +218,7 @@ class TestMinimizeOverCone:
         assert any(d["backtracks"] > 0 for d in solved)
         for d in solved:
             its, back = d["iterations"], d["backtracks"]
-            assert d["evaluations"] == 2 + its + back + d["snapped_zero"]
+            assert d["evaluations"] == 2 + its + back
             assert d["projections"] == 2 * its + back + 3 + d["snapped_zero"]
         again = json.loads(json.dumps(table.to_dict()))["diagnostics"]
         assert [(d.get("backtracks"), d.get("projections")) for d in again] \
@@ -277,7 +288,7 @@ class TestMinimizeOverCone:
         best = exc.value.best
         assert best.iterations == 1 and not best.converged
         assert best.snapped_zero  # the stall stays at the origin
-        assert best.evaluations == 2 + 1 + best.backtracks + 1
+        assert best.evaluations == 2 + 1 + best.backtracks
         assert 2.0 ** -best.backtracks < 1e-18 <= 2.0 ** (1 - best.backtracks)
 
     @pytest.mark.parametrize("k, labels", [
@@ -372,6 +383,38 @@ class TestBackwardRecursion:
         assert [(d["t"], d["sign"], d["method"], d["iterations"])
                 for d in table.diagnostics] == [
             (t, sign, "zero_test", 0) for t in (1, 0) for sign in (1, -1)]
+
+    @pytest.mark.parametrize("horizon", [3, 10, 40, 120])
+    def test_whole_space_recursion_is_the_closed_form_at_any_horizon(
+            self, horizon):
+        # C_0 reaches 1e-117 at T = 120; a zero test scaled by C_{t+1}
+        # once froze every period from T = 10 on, with K = 0
+        market = six_atom_market(horizon)
+        table = backward_recursion(market, ConvexCone.whole_space(3),
+                                   exact_backend(market))
+        closed = unconstrained_table(market)
+        for c, c_closed in ((table.c_plus, closed.c_plus),
+                            (table.c_minus, closed.c_minus)):
+            np.testing.assert_allclose(c, c_closed, rtol=1e-10, atol=0.0)
+        np.testing.assert_allclose(table.k_plus, closed.k_plus, atol=1e-8)
+        np.testing.assert_allclose(table.k_minus, closed.k_minus, atol=1e-8)
+        assert {d["method"] for d in table.diagnostics} == {
+            "projected_gradient"}
+
+    @pytest.mark.parametrize("horizon", [330, 400])
+    def test_a_constant_that_underflows_fails_loudly(self, horizon):
+        # C_t falls below the least normal double at t = horizon - 317;
+        # at T = 330 the closed form used to return C_0 = 2.6e-321, and
+        # at T = 400 C_0 = 0.0
+        market = six_atom_market(horizon)
+        message = (rf"^cost constant \S+ at t={horizon - 317} underflows "
+                   rf"double precision; the horizon T={horizon} is too long "
+                   r"for this market$")
+        with pytest.raises(ConemvError, match=message):
+            unconstrained_table(market)
+        with pytest.raises(ConemvError, match=message):
+            backward_recursion(market, ConvexCone.whole_space(3),
+                               exact_backend(market))
 
     def test_mixed_cone_list_solves_only_the_orthant_period(self):
         market = random_tree_market(seed=5, horizon=3, n_assets=2,

@@ -46,6 +46,29 @@ class TestVerdicts:
         assert all(p.can_cross for p in verdict.periods)
         assert verdict.periods[0].ess_sup_plus == np.inf
 
+    def test_unconstrained_gaussian_is_violated_at_a_long_horizon(self):
+        # C_0 is about 1e-42 at T = 400; a zero test scaled by C_{t+1}
+        # once passed at every t <= 318 and moved the flip to 319
+        cfg = json.loads((CONFIGS / "three_index_unconstrained_gaussian"
+                          ".json").read_text())
+        cfg["market"].update(horizon=400, riskless_rates=[1.05] * 400)
+        cfg["numerics"]["samples"] = 3000
+        cfg = parse_config(cfg)
+        table = backward_recursion(cfg.market, cfg.cones, cfg.make_backend())
+        verdict = check_tcie(table, cfg.market)
+        assert (verdict.reason, verdict.flip_period,
+                verdict.first_violation_period) == ("violated", 0, 1)
+
+    def test_any_nonzero_gain_counts(self, three_gauss, gauss_unc_table):
+        # only an exact 0 is a zero gain, however small the other is
+        table = dataclasses.replace(
+            gauss_unc_table, k_minus=np.zeros((3, 3)))
+        assert check_tcie(table, three_gauss).reason == "condition_19"
+        table.k_minus[2, 1] = 1e-300
+        verdict = check_tcie(table, three_gauss)
+        assert (verdict.reason, verdict.first_violation_period) == (
+            "violated", 2)
+
     def test_half_space_gaussian_satisfies_condition_19(self, three_gauss):
         from conemv.presets import mean_half_space_cone
         table = backward_recursion(three_gauss, mean_half_space_cone(),

@@ -74,8 +74,7 @@ def toy_table():
         k_plus=np.array([[0.5], [0.4]]),
         k_minus=np.array([[0.3], [0.2]]),
         c_plus=np.array([0.5, 0.7, 1.0]),
-        c_minus=np.array([0.8, 0.9, 1.0]),
-        zero_tols=np.array([1e-9, 1e-9]))
+        c_minus=np.array([0.8, 0.9, 1.0]))
 
 
 class TestBranchBookkeeping:
@@ -145,8 +144,7 @@ def signed_table(seed, horizon=3, n_assets=3):
         riskless_rates=np.full(horizon, 1.02), k_plus=k_plus,
         k_minus=gen.normal(scale=4.0, size=(horizon, n_assets)),
         c_plus=np.linspace(0.4, 1.0, horizon + 1),
-        c_minus=np.linspace(0.6, 1.0, horizon + 1),
-        zero_tols=np.full(horizon, 1e-9))
+        c_minus=np.linspace(0.6, 1.0, horizon + 1))
 
 
 class TestDensityOnThePool:
