@@ -12,7 +12,7 @@ from .cones import ConvexCone, construct_tcie_cone
 from .errors import (BackendMismatch, ConemvError, ConfigError,
                      ConsistencyError, DimensionMismatch, InsufficientMemory,
                      InvalidCone, InvalidMarket, InvalidTarget, NoConvergence,
-                     TargetUnattainable, ZeroMeanExcess)
+                     TargetUnattainable)
 from .market import MarketSpec, PeriodDistribution, from_annual_table
 from .policy import (Policy, frontier_point, minimum_variance, mu_star,
                      precommitted, tc_frontier_point, time_consistent,

@@ -42,8 +42,7 @@ from typing import Optional
 
 import numpy as np
 
-from .errors import (DimensionMismatch, InvalidCone, NoConvergence,
-                     ZeroMeanExcess)
+from .errors import DimensionMismatch, InvalidCone, NoConvergence
 from .market import float_array, freeze_arrays
 
 KINDS = ("whole_space", "orthant", "half_space", "polyhedral")
@@ -378,9 +377,8 @@ def construct_tcie_cone(mean_excess) -> ConvexCone:
 
     With this constraint the short-side recursion keeps K^- = 0 at every
     period, which is exactly the condition under which the precommitted
-    efficient policy remains efficient at every intermediate date.
+    efficient policy remains efficient at every intermediate date.  Any
+    nonzero mean, however small, has its cone; an exactly zero mean has
+    no normal, and :meth:`ConvexCone.half_space` raises ``InvalidCone``.
     """
-    a = np.asarray(mean_excess, dtype=float)
-    if np.max(np.abs(a), initial=0.0) <= 1e-12:
-        raise ZeroMeanExcess("mean excess return is numerically zero")
-    return ConvexCone.half_space(a)
+    return ConvexCone.half_space(mean_excess)

@@ -17,10 +17,6 @@ class InvalidCone(ConemvError, ValueError):
     """Cone specification is malformed, or does not fit the market."""
 
 
-class ZeroMeanExcess(ConemvError):
-    """Mean excess return is numerically zero; no half-space normal exists."""
-
-
 class NoConvergence(ConemvError):
     """Iterative routine exhausted its iteration budget.
 

@@ -31,10 +31,12 @@ deterministic optimality residual on both backends, and the recursion
 requires |h - L| <= 100 tol at every solved branch.
 
 K = 0 is optimal iff -grad h(0) = 2 c sign E[P] (c > 0) lies in the
-polar cone, so the recursion tests sign E[P], the law's exact mean,
-before it draws: the test reads no constant and no sample, and a period
-whose two branches pass is never drawn.  With the solver's snap, every
-zero gain in a table is exactly 0.
+polar cone.  Membership does not change under positive scaling, so the
+recursion tests the direction of sign E[P], the law's exact mean scaled
+by its largest entry, before it draws: the test reads no constant, no
+sample and no unit of return, and a period whose two branches pass is
+never drawn.  Only this test sets a gain to zero, so every zero gain in
+a table is exactly 0.
 
 ``backend.period(t)`` hands the recursion period t as a
 :class:`PeriodCost`, whose ``cost(sign, k, c_plus, c_minus)`` is the
@@ -273,7 +275,6 @@ class MinimizeResult:
     complementarity: float
     vi_min: float
     method: str
-    snapped_zero: bool
     value: float
     cross_gap: float = 0.0          # |h - L| at k, set by the recursion
     evaluations: int = 0            # cost evaluations
@@ -304,10 +305,8 @@ def minimize_over_cone(period: PeriodCost, sign: int, cone: ConvexCone,
     holding k, so poorly scaled costs take as few steps as well scaled
     ones.  It stops at a Euclidean residual |k - proj(k - grad)| <= tol;
     a stall, where no step above ``_STEP_FLOOR`` descends, counts as
-    converged only at a residual within 100 tol.  Solutions with norm
-    below :func:`default_zero_tol` snap to exactly zero, in which case
-    the cost equals the next-period constant by construction and the
-    residuals are the origin's, from the start's gradient there.
+    converged only at a residual within 100 tol.  It returns the last
+    accepted iterate and the cost evaluated there.
 
     ``vi_min`` is min grad'(u - k) over cone points u with |u| <= 1,
     which is -|proj(-grad)| - grad'k exactly.
@@ -361,17 +360,12 @@ def minimize_over_cone(period: PeriodCost, sign: int, cone: ConvexCone,
             break
         k, value, grad, hess = k_new, f_new, g_new, hess_new
 
-    snapped = bool(np.linalg.norm(k) <= default_zero_tol(law))
-    if snapped:
-        k, grad = np.zeros_like(k), g0
-        value = c_plus_next if sign > 0 else c_minus_next
-        pg_res = np.linalg.norm(k - project(k - grad))
     pg_res = float(pg_res)
     comp = abs(float(grad @ k))
     vi = -float(np.linalg.norm(project(-grad))) - float(grad @ k)
     result = MinimizeResult(
-        k, converged, iters, pg_res, comp, vi, "projected_gradient", snapped,
-        value, evaluations=evaluations, backtracks=backtracks,
+        k, converged, iters, pg_res, comp, vi, "projected_gradient", value,
+        evaluations=evaluations, backtracks=backtracks,
         projections=projections)
     if not converged:
         stalled = " stalled at the step floor" if iters < opts.max_iter else ""
@@ -418,11 +412,6 @@ class RecursionTable:
                 for name, v in out.items()}
 
 
-def default_zero_tol(period: PeriodDistribution) -> float:
-    """Norm below which a solved gain snaps to zero."""
-    return 1e-7 * (1.0 + float(np.linalg.norm(period.unconstrained_gain())))
-
-
 def _require_normal(c: float, t: int, horizon: int) -> None:
     """Raise once cost constant c falls below the least normal double."""
     if c < np.finfo(float).tiny:
@@ -458,22 +447,23 @@ def backward_recursion(market: MarketSpec, cones_by_period,
     gap_bound = 100.0 * opts.tol
 
     for t in reversed(range(T)):
-        # the zero test (module docstring) reads the law's mean alone
+        # the zero test (module docstring) reads the mean's direction
+        # alone; a zero mean stays the origin, in every polar cone
         mean, cone = market.periods[t].mean, cones_list[t]
-        zero = {sign: cone.polar_contains(sign * mean) for sign in (1, -1)}
+        direction = mean / (np.max(np.abs(mean)) or 1.0)
+        zero = {sign: cone.polar_contains(sign * direction)
+                for sign in (1, -1)}
         period = None if all(zero.values()) else backend.period(t)
         for sign, k_store, c_store in ((1, k_plus, c_plus),
                                        (-1, k_minus, c_minus)):
             c_next = c_store[t + 1]
             if zero[sign]:
+                # h(0) = L(0) = the next constant, by construction
                 res = MinimizeResult(np.zeros(n), True, 0, 0.0, 0.0, 0.0,
-                                     "zero_test", True, c_next)
+                                     "zero_test", c_next)
             else:
                 res = minimize_over_cone(period, sign, cone, c_plus[t + 1],
                                          c_minus[t + 1], opts)
-            # a zero test or a snap returns h(0) = L(0) = the next
-            # constant, by construction
-            if not res.snapped_zero:
                 # h - L = grad'K / 2 holds exactly on a frozen sample as
                 # on atoms, so one deterministic bound serves both backends
                 lin = linear_form(period, sign, res.k,

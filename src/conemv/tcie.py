@@ -62,7 +62,8 @@ def check_tcie(table: RecursionTable, market: MarketSpec) -> TcieVerdict:
     family has unbounded support, so P'K^+ <= 1 a.s. can hold only for
     K^+ = 0, while discrete periods are checked atom by atom.  A gain
     counts as zero only when it is exactly 0, as the solver's zero test
-    and snap store it; any nonzero entry makes it nonzero.
+    stores it; any nonzero entry, however small, makes it nonzero, so
+    the verdict does not change when returns are quoted in other units.
     """
     T = table.horizon
     periods = []

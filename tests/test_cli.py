@@ -268,6 +268,16 @@ class TestConfigErrors:
             "error: period 2: the sums over 3000 SAA samples overflow double "
             "precision\n")
 
+    def test_make_cone_on_a_zero_mean_market(self, tmp_path, capsys):
+        """A zero mean has no half-space normal: the cone refuses it in
+        one line, as for any other malformed cone."""
+        cfg = saa_config()
+        cfg["market"]["mean"] = [0.0]
+        assert cli.main(["make-cone", "--config",
+                         write_config(tmp_path, cfg)]) == 2
+        assert capsys.readouterr().err == \
+            "error: half_space needs a nonzero normal vector\n"
+
     @pytest.mark.parametrize("horizon", [10**30, 10**9])
     def test_horizon_checked_before_allocation(self, tmp_path, capsys,
                                                monkeypatch, horizon):

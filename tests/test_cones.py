@@ -12,8 +12,7 @@ from conemv.cones import (
     ConvexCone,
     construct_tcie_cone,
 )
-from conemv.errors import (DimensionMismatch, InvalidCone, NoConvergence,
-                           ZeroMeanExcess)
+from conemv.errors import DimensionMismatch, InvalidCone, NoConvergence
 from conemv.presets import limited_short_cone, three_index_moments
 
 from conftest import nested
@@ -527,8 +526,17 @@ class TestTcieConstruction:
         assert ConvexCone.orthant(3).polar_contains(-e1)
 
     def test_zero_mean_excess_rejected(self):
-        with pytest.raises(ZeroMeanExcess):
+        # an exactly zero mean has no normal; the half-space says so
+        with pytest.raises(InvalidCone,
+                           match="^half_space needs a nonzero normal vector$"):
             construct_tcie_cone(np.zeros(3))
+
+    def test_tiny_mean_has_its_cone(self):
+        # no unit decides that a mean is zero: 1e-13 E[P] is a normal
+        mean, _ = three_index_moments()
+        cone = construct_tcie_cone(1e-13 * mean)
+        assert cone.kind == "half_space"
+        np.testing.assert_array_equal(cone.rows, [1e-13 * mean])
 
 
 class TestSerialization:
